@@ -13,8 +13,9 @@ fixed-step integrator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -78,32 +79,10 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class TimeParameterizedGenerator:
-    """A time -> Generator map with an explicit autonomy flag."""
-
-    at: Callable[[float], Generator]
-    time_independent: bool = False
-
-    @classmethod
-    def constant(cls, gen: Generator) -> "TimeParameterizedGenerator":
-        return cls(at=lambda t: gen, time_independent=True)
-
-
-def as_time_parameterized(gen) -> TimeParameterizedGenerator:
-    if isinstance(gen, TimeParameterizedGenerator):
-        return gen
-    return TimeParameterizedGenerator.constant(gen)
-
-
-@dataclass(frozen=True)
 class IntegratorConfig:
     t_end: float
     step: float = 1e-3
-    renormalize_each_step: bool = False
     sample_stride: int = 1
-    # None means the shared TOL.eigenvalue_floor; long damped runs near a
-    # pure attractor may need a looser floor to absorb RK4's radial bias
-    eigenvalue_floor: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.step <= 0.0:
@@ -112,6 +91,27 @@ class IntegratorConfig:
             raise DomainError("t_end must be nonnegative")
         if self.sample_stride < 1:
             raise DomainError("sample_stride must be at least 1")
+
+
+def whole_steps(t_end: float, step: float) -> int:
+    """Number of fixed steps of size step that end at t_end.
+
+    The one rule every stepper uses to turn a horizon into a step count:
+    a non-finite or negative value, or a horizon that is not a whole
+    number of steps to TOL.whole_steps_rel, raises DomainError rather
+    than running to a shorter or longer horizon than the one asked for.
+    """
+    if not (math.isfinite(t_end) and math.isfinite(step)):
+        raise DomainError(f"horizon {t_end!r} and step {step!r} must be finite")
+    if t_end < 0.0 or step <= 0.0:
+        raise DomainError(f"need horizon >= 0 and step > 0, got {t_end!r} and {step!r}")
+    ratio = t_end / step
+    if not math.isfinite(ratio):
+        raise DomainError(f"horizon {t_end!r} needs too many steps of {step!r}")
+    n = round(ratio)
+    if abs(ratio - n) > TOL.whole_steps_rel * n:
+        raise DomainError(f"horizon {t_end!r} is not a whole number of steps of {step!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -206,90 +206,74 @@ def finite_difference_generator_check(gen: Generator, rho: np.ndarray, dt: float
     return frobenius((stepped - rho) / dt - gksl_rhs(gen, rho))
 
 
-def _check_density_sample(rho: np.ndarray, t: float, renormalized: bool, floor: float) -> None:
+def _check_density_sample(rho: np.ndarray, t: float) -> None:
     if not np.isfinite(rho).all():
         raise IntegrationDivergedError("state has non-finite entries", t)
     herm = frobenius(rho - dagger(rho))
     if herm > TOL.ode_hermitian_drift * max(1.0, frobenius(rho)):
         raise IntegrationDivergedError(f"hermiticity drift {herm:.3e}", t)
     tr = np.trace(rho).real
-    if not renormalized and abs(tr - 1.0) > TOL.ode_trace_drift:
+    if abs(tr - 1.0) > TOL.ode_trace_drift:
         raise IntegrationDivergedError(f"trace drift {tr - 1.0:.3e}", t)
     w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if w.min() < floor:
+    if w.min() < TOL.eigenvalue_floor:
         raise IntegrationDivergedError(f"eigenvalue {w.min():.3e} below the floor", t)
 
 
-def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
-    """Classical fixed-step RK4 on gksl_rhs, sampled every sample_stride steps.
+def _check_ket_sample(psi: np.ndarray, t: float) -> None:
+    if not np.isfinite(psi).all():
+        raise IntegrationDivergedError("state has non-finite entries", t)
+    drift = abs(np.linalg.norm(psi) - 1.0)
+    if drift > TOL.ode_norm_drift:
+        raise IntegrationDivergedError(f"norm drift {drift:.3e}", t)
 
-    The generator is queried at the stage times t, t+h/2, t+h. Sampled
-    states must satisfy the density-matrix invariants (trace drift bound
-    is waived when renormalize_each_step is set); a breach raises with
-    the offending time.
+
+def _rk4(gen, rhs, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Trajectory:
+    """Classical fixed-step RK4 on rhs(generator, y), sampled every
+    sample_stride steps and at the horizon; check_sample(y, t) vets
+    each sample before it is stored.
+
+    gen is a Generator or a time -> Generator callable. A callable is
+    queried once per distinct stage time: k2 and k3 share t + h/2, and
+    the generator at t + h is reused as the next step's start.
     """
-    tp = as_time_parameterized(gen)
-    rho = density_matrix(rho0)
-    floor = cfg.eigenvalue_floor if cfg.eigenvalue_floor is not None else TOL.eigenvalue_floor
+    at = gen if callable(gen) else lambda t: gen
     h = cfg.step
-    n_steps = int(round(cfg.t_end / h))
+    n_steps = whole_steps(cfg.t_end, h)
+    y = y0
     times = [0.0]
-    states = [rho.copy()]
-    gen_t = tp.at(0.0)
-    autonomous = tp.time_independent
+    states = [y.copy()]
+    gen_t = at(0.0)
     for i in range(n_steps):
         t = i * h
-        g_mid = gen_t if autonomous else tp.at(t + 0.5 * h)
-        g_end = gen_t if autonomous else tp.at(t + h)
-        k1 = gksl_rhs(gen_t, rho)
-        k2 = gksl_rhs(g_mid, rho + (0.5 * h) * k1)
-        k3 = gksl_rhs(g_mid, rho + (0.5 * h) * k2)
-        k4 = gksl_rhs(g_end, rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if cfg.renormalize_each_step:
-            rho = rho / np.trace(rho).real
+        g_mid = at(t + 0.5 * h)
+        g_end = at(t + h)
+        k1 = rhs(gen_t, y)
+        k2 = rhs(g_mid, y + (0.5 * h) * k1)
+        k3 = rhs(g_mid, y + (0.5 * h) * k2)
+        k4 = rhs(g_end, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         gen_t = g_end
         if (i + 1) % cfg.sample_stride == 0 or i + 1 == n_steps:
             t_now = (i + 1) * h
-            _check_density_sample(rho, t_now, cfg.renormalize_each_step, floor)
+            check_sample(y, t_now)
             times.append(t_now)
-            states.append(rho.copy())
+            states.append(y.copy())
     return Trajectory(times=np.asarray(times), states=tuple(states))
+
+
+def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
+    """RK4 on gksl_rhs; every sample must keep the density-matrix
+    invariants to the ode_* drift bounds and the eigenvalue floor, and a
+    breach raises with the offending time."""
+    return _rk4(gen, gksl_rhs, density_matrix(rho0), cfg, _check_density_sample)
 
 
 def evolve_state_vector(gen, psi0: np.ndarray, cfg: IntegratorConfig,
                         kappa: float = 0.0) -> Trajectory:
     """RK4 on the norm-preserving state-vector form; same sampling rules."""
-    tp = as_time_parameterized(gen)
-    psi = state_vector(psi0)
-    h = cfg.step
-    n_steps = int(round(cfg.t_end / h))
-    times = [0.0]
-    states = [psi.copy()]
-    gen_t = tp.at(0.0)
-    autonomous = tp.time_independent
-    for i in range(n_steps):
-        t = i * h
-        g_mid = gen_t if autonomous else tp.at(t + 0.5 * h)
-        g_end = gen_t if autonomous else tp.at(t + h)
-        k1 = state_vector_rhs(gen_t, psi, kappa)
-        k2 = state_vector_rhs(g_mid, psi + (0.5 * h) * k1, kappa)
-        k3 = state_vector_rhs(g_mid, psi + (0.5 * h) * k2, kappa)
-        k4 = state_vector_rhs(g_end, psi + h * k3, kappa)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if cfg.renormalize_each_step:
-            psi = psi / np.linalg.norm(psi)
-        gen_t = g_end
-        if (i + 1) % cfg.sample_stride == 0 or i + 1 == n_steps:
-            t_now = (i + 1) * h
-            if not np.isfinite(psi).all():
-                raise IntegrationDivergedError("state has non-finite entries", t_now)
-            drift = abs(np.linalg.norm(psi) - 1.0)
-            if not cfg.renormalize_each_step and drift > TOL.ode_norm_drift:
-                raise IntegrationDivergedError(f"norm drift {drift:.3e}", t_now)
-            times.append(t_now)
-            states.append(psi.copy())
-    return Trajectory(times=np.asarray(times), states=tuple(states))
+    rhs = lambda g, psi: state_vector_rhs(g, psi, kappa)
+    return _rk4(gen, rhs, state_vector(psi0), cfg, _check_ket_sample)
 
 
 def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:
@@ -306,7 +290,7 @@ def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:
 
 
 def qubit_rate_generator(omega_vec, g_direction,
-                         magnitude: Callable[[float], float]) -> TimeParameterizedGenerator:
+                         magnitude: Callable[[float], float]) -> Callable[[float], Generator]:
     """Constant omega, time-dependent g(t) = magnitude(t) * g_direction."""
     omega_vec = np.asarray(omega_vec, dtype=float)
     g_dir = np.asarray(g_direction, dtype=float)
@@ -316,4 +300,4 @@ def qubit_rate_generator(omega_vec, g_direction,
     def at(t: float) -> Generator:
         return Generator(h, magnitude(t) * sig_g)
 
-    return TimeParameterizedGenerator(at=at, time_independent=False)
+    return at

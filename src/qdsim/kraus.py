@@ -141,23 +141,6 @@ class EnsembleSplit:
         return out
 
 
-def apply_raw(family: KrausFamily, rho: np.ndarray) -> np.ndarray:
-    return family.apply_raw(rho)
-
-
-def apply_normalized(family: KrausFamily, rho: np.ndarray) -> np.ndarray:
-    return family.apply_normalized(rho)
-
-
-def effect_operator(family: KrausFamily) -> np.ndarray:
-    return family.effect_operator()
-
-
-def compose(first: KrausFamily, second: KrausFamily) -> KrausFamily:
-    """Family implementing first after second."""
-    return first.compose(second)
-
-
 def reweighted_ensemble(family: KrausFamily, split: EnsembleSplit) -> np.ndarray:
     """Weights p_i tr(F rho_i) / tr(F rho_mix) carried through the map.
 

@@ -9,8 +9,6 @@ delegated to scipy's scaling-and-squaring Pade routine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -101,21 +99,3 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
         return _expm_2x2(a)
     return scipy.linalg.expm(a)
 
-
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigen-decomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray   # real, shape (d,)
-    eigenvectors: np.ndarray  # unitary columns, shape (d, d)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
-
-
-def eig_hermitian(a: np.ndarray) -> HermitianSpectrum:
-    a = as_operator(a)
-    if not is_hermitian(a):
-        raise ValidityError("matrix is not Hermitian to tolerance")
-    w, v = np.linalg.eigh(0.5 * (a + dagger(a)))
-    return HermitianSpectrum(eigenvalues=w, eigenvectors=v)

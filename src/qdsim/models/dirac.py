@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import Generator, Trajectory
+from ..dynamics import Generator, Trajectory, whole_steps
 from ..errors import (
     DomainError,
     IntegrationDivergedError,
@@ -48,8 +48,6 @@ from ..states import bloch_to_density
 from ..tolerances import TOL
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-ON_SHELL_REL = 1e-8
 
 # Sign of the E-field entries of the mixed tensor F^mu_nu.  With the
 # lowered-index Pauli vector sigma_mu = (I, -sigma) the four-vector
@@ -68,18 +66,6 @@ def weyl_gammas():
     g1, g2, g3 = (np.block([[z, s], [-s, z]]) for s in PAULI)
     g5 = np.block([[-ID2, z], [z, ID2]])
     return g0, g1, g2, g3, g5
-
-
-def lorentz_generators() -> np.ndarray:
-    """J[mu, nu] = (i/4)[gamma^mu, gamma^nu] as a (4,4,4,4) array."""
-    gammas = weyl_gammas()[:4]
-    out = np.zeros((4, 4, 4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(4):
-            out[mu, nu] = 0.25j * (
-                gammas[mu] @ gammas[nu] - gammas[nu] @ gammas[mu]
-            )
-    return out
 
 
 def minkowski_dot(x, y) -> float:
@@ -110,7 +96,7 @@ def sigma_to_four(X) -> np.ndarray:
 
 def _check_on_shell(p: np.ndarray, mass: float, c: float) -> None:
     mc2 = (mass * c) ** 2
-    if abs(minkowski_dot(p, p) - mc2) > ON_SHELL_REL * mc2:
+    if abs(minkowski_dot(p, p) - mc2) > TOL.on_shell_rel * mc2:
         raise PreconditionError("momentum is off the mass shell")
     if p[0] <= 0.0:
         raise PreconditionError("positive-energy branch required (p0 > 0)")
@@ -247,10 +233,6 @@ class EMFieldConfig:
         return self.charge * self.hbar / (2.0 * self.mass)
 
     @property
-    def riemann_silberstein(self) -> np.ndarray:
-        return self.e_field + 1j * self.c * self.b_field
-
-    @property
     def omega_vec(self) -> np.ndarray:
         return -(2.0 * self.mu_b / self.hbar) * self.b_field
 
@@ -311,8 +293,9 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     comes from the closed-form qubit flow, Theta from conjugation by
     diag(K_u, (K_u^dag)^{-1}). Conservation of p.p, p.w and
     w.w + (mc/2)^2 xi0^2 is enforced at every sample; drift beyond
-    1e-6 relative aborts the run. sample_stride = 0 chooses a stride
-    capping storage near 2000 samples; lab time accumulates as
+    TOL.bmt_invariant_drift relative aborts the run. The horizon must be
+    a whole number of steps (see whole_steps). sample_stride = 0 chooses
+    a stride capping storage near 2000 samples; lab time accumulates as
     dt = (p0/mc) dtau.
     """
     p0 = np.asarray(p0, dtype=float)
@@ -325,7 +308,7 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     params = f.qubit_params
     theta0 = spinor_density(p0, xi0, f.mass, f.c)
 
-    n_steps = int(round(tau_end / step))
+    n_steps = whole_steps(tau_end, step)
     if sample_stride <= 0:
         sample_stride = max(1, n_steps // 2000)
     a = (f.charge / f.mass) * field_tensor_mixed(f) * step
@@ -349,7 +332,7 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
         drift_pp = abs(minkowski_dot(p_now, p_now) - pp_ref)
         drift_pw = abs(minkowski_dot(p_now, w_now))
         drift_ww = abs(minkowski_dot(w_now, w_now) - ww_ref)
-        if max(drift_pp, drift_pw, drift_ww) > 1e-6 * scale:
+        if max(drift_pp, drift_pw, drift_ww) > TOL.bmt_invariant_drift * scale:
             raise IntegrationDivergedError(
                 "four-vector invariants drifted; reduce the step", tau
             )

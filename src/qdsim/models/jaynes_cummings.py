@@ -20,14 +20,13 @@ identically in both rho_n(t) and tr_n, so propagation uses only the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
 
-from ..dynamics import Generator
 from ..errors import DomainError, SingularNormalizationError, ValidityError
-from ..linalg import SIGMA_X, SIGMA_Z
+from ..linalg import SIGMA_Z
 from ..qubit import CaseClass, QubitGeneratorParams, classify, sl2c_coefficients
 from ..states import bloch_to_density, density_matrix
 from ..tolerances import TOL
@@ -59,14 +58,6 @@ class JCParams:
     def _check_block(self, n: int) -> None:
         if not isinstance(n, (int, np.integer)) or not 0 <= n <= self.n_max:
             raise DomainError(f"block index {n} outside 0..{self.n_max}")
-
-
-def jc_block_generator(p: JCParams, n: int) -> Generator:
-    """Full block generator including the field phase term in H."""
-    p._check_block(n)
-    h = p.omega_f * (n + 0.5) * np.eye(2, dtype=complex) + 0.5 * p.omega_a * SIGMA_Z
-    g = 0.5 * p.g * np.sqrt(n + 1.0) * SIGMA_X
-    return Generator(h, g)
 
 
 def block_case(p: JCParams, n: int) -> CaseClass:
@@ -106,7 +97,12 @@ class JCBlockState:
         if nbar < 0.0:
             raise DomainError("nbar must be non-negative")
         n = np.arange(p.n_max + 1)
-        w = poisson.pmf(n, nbar) if nbar > 0.0 else np.where(n == 0, 1.0, 0.0)
+        if nbar > 0.0:
+            # exp(n ln nbar - ln n! - nbar) underflows to 0 where the
+            # direct nbar^n / n! would overflow
+            w = np.array([math.exp(k * math.log(nbar) - math.lgamma(k + 1) - nbar) for k in n])
+        else:
+            w = np.where(n == 0, 1.0, 0.0)
         total = w.sum()
         if total <= 0.0:
             raise DomainError("truncated Poisson weights vanished; raise n_max")

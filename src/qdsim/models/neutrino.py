@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import Generator, Trajectory
+from ..dynamics import Generator, Trajectory, whole_steps
 from ..errors import DomainError, IntegrationDivergedError, ValidityError
 from ..rootfind import find_crossing
 from ..states import state_vector
@@ -150,11 +150,7 @@ def instability_locator(source, omega_norm: float = None, lo: float = 0.0,
     return find_crossing(lambda t: profile(t) - omega_norm, lo, hi, xtol=xtol)
 
 
-def electron_survival(psi) -> float:
-    return float(abs(psi[0]) ** 2)
-
-
-def _evolve_amplitudes(c: NeutrinoConfig, a, b, L_end, h, stride):
+def _evolve_amplitudes(c: NeutrinoConfig, a, b, n_steps, h, stride):
     """Shared scalar RK4 core; returns sample lists. The damping mode
     carries the quasi-linear counter-rate, the msw mode is linear."""
     half_eps = 0.5 * c.eps
@@ -190,7 +186,6 @@ def _evolve_amplitudes(c: NeutrinoConfig, a, b, L_end, h, stride):
         db = half_eps * ((-1j * wx + gx) * a + (1j * wz_vac - gz - gn) * b)
         return da, db
 
-    n_steps = int(round(L_end / h))
     samples_l = [0.0]
     samples_a = [a]
     samples_b = [b]
@@ -229,11 +224,11 @@ def neutrino_evolve(c: NeutrinoConfig, psi0, L_end: float, step: float,
         raise DomainError("flavor state must be two-dimensional")
     if step <= 0.0 or L_end <= 0.0:
         raise DomainError("need positive step and L_end")
-    n_steps = int(round(L_end / step))
+    n_steps = whole_steps(L_end, step)
     if sample_stride <= 0:
         sample_stride = max(1, n_steps // 8000)
     ls, as_, bs = _evolve_amplitudes(c, complex(psi0[0]), complex(psi0[1]),
-                                     L_end, step, sample_stride)
+                                     n_steps, step, sample_stride)
     psi = np.column_stack([np.asarray(as_), np.asarray(bs)])
     if not np.isfinite(psi).all():
         raise IntegrationDivergedError("non-finite amplitudes", ls[-1])

@@ -93,7 +93,7 @@ def sl2c_coefficients(params: QubitGeneratorParams, t: float) -> SL2CCoefficient
     a = 1, b = t/2.
     """
     z = params.alpha_squared * (t * t) / 4.0
-    if abs(z) < 1e-8:
+    if abs(z) < TOL.sl2c_series:
         a = 1.0 + z / 2.0 + z * z / 24.0
         b = (t / 2.0) * (1.0 + z / 6.0 + z * z / 120.0)
     else:
@@ -285,7 +285,7 @@ def sl2c_invariants_check(params: QubitGeneratorParams, s_matrix) -> tuple:
 
 
 def _sinhc(x: float) -> float:
-    if abs(x) < 1e-4:
+    if abs(x) < TOL.sinhc_series:
         x2 = x * x
         return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
     return float(np.sinh(x) / x)

@@ -1,15 +1,14 @@
 """Crossing detection on sampled trajectories.
 
-Scans a sampled scalar series for the first sign change against a
-threshold and tightens the bracket by bisection on a caller-supplied
-continuous evaluator. Used to locate the onset of instability windows
-(where the local contraction rate g(t).n(t) changes sign) and threshold
-crossings of derived observables.
+Bisection on a caller-supplied continuous evaluator over a bracket that
+holds a sign change. Used to locate the onset of instability windows
+(where |g| crosses |omega|) and level crossings such as the MSW
+resonance.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -57,37 +56,3 @@ def find_crossing(
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def instability_onset(
-    times: Sequence[float],
-    values: Sequence[float],
-    evaluate: Optional[Callable[[float], float]] = None,
-    *,
-    xtol: float = 1.0,
-) -> float:
-    """Time of the first sign change in a sampled series.
-
-    The sampled grid provides the bracket; when a continuous evaluator is
-    given the bracket is refined by bisection, otherwise the crossing is
-    linearly interpolated between the bracketing samples.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-        raise DomainError("times and values must be equal-length 1-d arrays (>= 2)")
-    sign = np.sign(v)
-    idx = None
-    for k in range(1, t.size):
-        if sign[k] == 0.0 or (sign[k - 1] != 0.0 and sign[k] != sign[k - 1]):
-            idx = k
-            break
-    if idx is None:
-        raise NoCrossingError("series does not change sign")
-    if sign[idx] == 0.0 and evaluate is None:
-        return float(t[idx])
-    if evaluate is not None:
-        return find_crossing(evaluate, float(t[idx - 1]), float(t[idx]), xtol=xtol)
-    # secant through the bracketing samples
-    t0, t1 = t[idx - 1], t[idx]
-    v0, v1 = v[idx - 1], v[idx]
-    return float(t0 - v0 * (t1 - t0) / (v1 - v0))

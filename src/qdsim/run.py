@@ -12,6 +12,7 @@ still writes the outputs, so the artifacts can be inspected.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ from .dynamics import (
     finite_difference_generator_check,
     inverted_morse_profile,
     qubit_rate_generator,
+    whole_steps,
 )
 from .errors import DomainError, NoCrossingError
-from .kraus import apply_normalized
 from .models import dirac
 from .models import jaynes_cummings as jc
 from .models import neutrino as nu
@@ -52,18 +53,7 @@ from .states import (
     purity,
     von_neumann_entropy,
 )
-
-CLOSED_VS_ODE_TOL = 1e-6
-KRAUS_VS_CLOSED_TOL = 1e-10
-# the finite-difference residual is checked through its first-order
-# ratio err(dt/2)/err(dt), not its magnitude (which scales with the
-# squared generator norm and has no universal absolute tolerance)
-GENERATOR_CONSISTENCY_TOL = 0.1
-GENERATOR_RESIDUAL_FLOOR = 1e-9
-WEIGHT_SUM_TOL = 1e-10
-FOUR_VECTOR_TOL = 1e-6
-SPIN_ROUTES_TOL = 1e-8
-NORM_TOL = 1e-8
+from .tolerances import TOL
 
 
 @dataclass(frozen=True)
@@ -110,22 +100,33 @@ class RunReport:
 def _grid(t_end: float, dt: float) -> np.ndarray:
     if t_end <= 0.0 or dt <= 0.0:
         raise DomainError("need positive t_end and step")
-    n = max(1, int(round(t_end / dt)))
-    return dt * np.arange(n + 1)
+    return dt * np.arange(whole_steps(t_end, dt) + 1)
 
 
-def _oracle_config(t_end: float, step: float, max_steps: int = 200_000) -> IntegratorConfig:
-    """ODE settings for cross-checks: at most the scenario step, at most
-    max_steps steps, sampled at ~64 comparison points."""
-    h = min(step, 1e-3)
-    if t_end / h > max_steps:
-        h = t_end / max_steps
-    n = int(round(t_end / h))
-    return IntegratorConfig(t_end=t_end, step=h, sample_stride=max(1, n // 64))
+def _oracle(gen: Generator, xi, icfg: dict, max_steps: int = 200_000) -> Trajectory:
+    """The RK4 cross-check run from Bloch vector xi: each scenario step
+    split into as many equal steps as keep them at most 1e-3, at most
+    max_steps steps in all, sampled at ~64 comparison points. The step
+    is t_end / n, so it always divides the horizon."""
+    t_end, step = icfg["t_end"], icfg.get("step", 1e-3)
+    split = max(1, math.ceil(step / 1e-3 - TOL.whole_steps_rel))
+    n = min(max_steps, whole_steps(t_end, step) * split)
+    cfg = IntegratorConfig(t_end=t_end, step=t_end / n, sample_stride=max(1, n // 64))
+    return evolve(gen, bloch_to_density(xi), cfg)
 
 
 def _bloch_series(traj: Trajectory) -> np.ndarray:
     return np.array([density_to_bloch(rho) for rho in traj.states])
+
+
+def _closed_vs_ode(name: str, closed_form, ode: Trajectory, blochs=None) -> CheckResult:
+    """Largest Bloch distance between an RK4 trajectory (or its Bloch
+    series, when already computed) and closed_form(t) at its sample times."""
+    if blochs is None:
+        blochs = _bloch_series(ode)
+    ref = np.array([closed_form(t) for t in ode.times])
+    dist = np.linalg.norm(blochs - ref, axis=1).max()
+    return CheckResult(name, float(dist), TOL.closed_vs_ode)
 
 
 def _qubit_columns(blochs) -> dict:
@@ -163,19 +164,16 @@ def _run_qubit_closed_form(scn: Scenario, icfg: dict, check: bool):
 
     checks, notes = [], []
     if check:
-        ocfg = _oracle_config(icfg["t_end"], icfg.get("step", 1e-3))
-        ode = evolve(params.generator(), bloch_to_density(xi), ocfg)
-        ode_blochs = _bloch_series(ode)
-        ref = np.array([bloch_trajectory_general(params, xi, t) for t in ode.times])
-        dist = np.linalg.norm(ode_blochs - ref, axis=1).max()
-        checks.append(CheckResult("closed-form-vs-ode", float(dist), CLOSED_VS_ODE_TOL))
+        general = lambda t: bloch_trajectory_general(params, xi, t)
+        checks.append(_closed_vs_ode("closed-form-vs-ode", general,
+                                     _oracle(params.generator(), xi, icfg)))
         if case_key != "auto":
-            ref2 = np.array([bloch_trajectory_general(params, xi, t) for t in times])
+            ref2 = np.array([general(t) for t in times])
             checks.append(
                 CheckResult(
                     "case-vs-general",
                     float(np.linalg.norm(blochs - ref2, axis=1).max()),
-                    1e-10,
+                    TOL.case_vs_general,
                 )
             )
     tail = asymptote(params, xi)
@@ -194,9 +192,7 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
     cfg = IntegratorConfig(
         t_end=icfg["t_end"],
         step=icfg.get("step", 1e-3),
-        renormalize_each_step=icfg.get("renormalize", False),
         sample_stride=icfg.get("sample_stride", 1),
-        eigenvalue_floor=icfg.get("eigenvalue_floor"),
     )
     checks, notes = [], []
     if profile_kind == "constant":
@@ -212,10 +208,9 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
             raise DomainError("profile direction g must be nonzero")
         direction = direction / norm
         profile = inverted_morse_profile(p["q"], p["nu"])
-        tp = qubit_rate_generator(omega, direction, profile)
-        traj = evolve(tp, bloch_to_density(xi), cfg)
+        gen_at = qubit_rate_generator(omega, direction, profile)
+        traj = evolve(gen_at, bloch_to_density(xi), cfg)
         g_norm_series = np.array([profile(t) for t in traj.times])
-        gen_at = tp.at
         try:
             t_in = nu.instability_locator(profile, float(np.linalg.norm(omega)),
                                           lo=0.0, hi=icfg["t_end"])
@@ -230,20 +225,20 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
     if check:
         if profile_kind == "constant":
             params = QubitGeneratorParams(omega, np.asarray(p["g"], dtype=float))
-            ref = np.array([bloch_trajectory_general(params, xi, t) for t in traj.times])
-            dist = np.linalg.norm(blochs - ref, axis=1).max()
-            checks.append(CheckResult("closed-form-vs-ode", float(dist), CLOSED_VS_ODE_TOL))
+            checks.append(_closed_vs_ode(
+                "closed-form-vs-ode", lambda t: bloch_trajectory_general(params, xi, t),
+                traj, blochs))
         picks = np.linspace(0, len(traj) - 1, min(8, len(traj))).astype(int)
         violation = 0.0
         for k in picks:
             gen_k = gen_at(traj.times[k])
             e1 = finite_difference_generator_check(gen_k, traj.states[k], 1e-5)
-            if e1 < GENERATOR_RESIDUAL_FLOOR:
+            if e1 < TOL.generator_residual_floor:
                 continue  # map matches the generator to rounding already
             e2 = finite_difference_generator_check(gen_k, traj.states[k], 5e-6)
             violation = max(violation, abs(e2 / e1 - 0.5))
         checks.append(
-            CheckResult("generator-consistency", violation, GENERATOR_CONSISTENCY_TOL)
+            CheckResult("generator-consistency", violation, TOL.generator_consistency)
         )
     return traj, checks, notes
 
@@ -261,18 +256,16 @@ def _run_single_lindblad(scn: Scenario, icfg: dict, check: bool):
     checks, notes = [], []
     notes.append(f"n3 fixed points 1 and {-slp.l_bar:.6f}")
     if check:
-        ocfg = _oracle_config(icfg["t_end"], icfg.get("step", 1e-3))
-        ode = evolve(slp.generator(), bloch_to_density(xi), ocfg)
-        ref = np.array([single_lindblad_trajectory(slp, xi, t) for t in ode.times])
-        dist = np.linalg.norm(_bloch_series(ode) - ref, axis=1).max()
-        checks.append(CheckResult("closed-form-vs-ode", float(dist), CLOSED_VS_ODE_TOL))
+        checks.append(_closed_vs_ode(
+            "closed-form-vs-ode", lambda t: single_lindblad_trajectory(slp, xi, t),
+            _oracle(slp.generator(), xi, icfg)))
         rho0 = bloch_to_density(xi)
         worst = 0.0
         for t in np.linspace(icfg["t_end"] / 16.0, icfg["t_end"], 16):
-            via_kraus = density_to_bloch(apply_normalized(single_lindblad_kraus(slp, t), rho0))
+            via_kraus = density_to_bloch(single_lindblad_kraus(slp, t).apply_normalized(rho0))
             worst = max(worst, float(np.linalg.norm(
                 via_kraus - single_lindblad_trajectory(slp, xi, t))))
-        checks.append(CheckResult("kraus-vs-closed", worst, KRAUS_VS_CLOSED_TOL))
+        checks.append(CheckResult("kraus-vs-closed", worst, TOL.kraus_vs_closed))
     return traj, checks, notes
 
 
@@ -303,18 +296,14 @@ def _run_jaynes_cummings(scn: Scenario, icfg: dict, check: bool):
     if check:
         checks.append(
             CheckResult(
-                "weights-sum", float(np.abs(weights.sum(axis=1) - 1.0).max()), WEIGHT_SUM_TOL
+                "weights-sum", float(np.abs(weights.sum(axis=1) - 1.0).max()), TOL.weight_sum
             )
         )
         k_star = int(np.argmax(s0.weights))
         block = QubitGeneratorParams(*params.block_rates(k_star))
-        ocfg = _oracle_config(icfg["t_end"], icfg.get("step", 1e-3))
-        ode = evolve(block.generator(), bloch_to_density(xi), ocfg)
-        ref = np.array([bloch_trajectory_general(block, xi, t) for t in ode.times])
-        dist = np.linalg.norm(_bloch_series(ode) - ref, axis=1).max()
-        checks.append(
-            CheckResult(f"block{k_star}-closed-vs-ode", float(dist), CLOSED_VS_ODE_TOL)
-        )
+        checks.append(_closed_vs_ode(
+            f"block{k_star}-closed-vs-ode", lambda t: bloch_trajectory_general(block, xi, t),
+            _oracle(block.generator(), xi, icfg)))
     return traj, checks, notes
 
 
@@ -358,7 +347,7 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
             np.abs(pw).max() / scale,
             np.abs(ww - ww[0]).max() / scale,
         )
-        checks.append(CheckResult("four-vector-invariants", float(drift), FOUR_VECTOR_TOL))
+        checks.append(CheckResult("four-vector-invariants", float(drift), TOL.four_vector_invariants))
         # the RK4 four-vector flow and the 2x2 sigma-map conjugation are
         # the same Lorentz element; their agreement pins the field-tensor
         # sign conventions
@@ -381,7 +370,7 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
             )
         checks.append(
             CheckResult(
-                "four-vectors-vs-sigma-map", worst_map / vec_scale, SPIN_ROUTES_TOL
+                "four-vectors-vs-sigma-map", worst_map / vec_scale, TOL.spin_routes
             )
         )
         # from rest the normalized upper chiral block of Theta retraces the
@@ -394,7 +383,7 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
                 CheckResult(
                     "spin-from-theta-vs-closed",
                     float(np.linalg.norm(via_theta - xi_arr, axis=1).max()),
-                    SPIN_ROUTES_TOL,
+                    TOL.spin_routes,
                 )
             )
         else:
@@ -422,7 +411,8 @@ def _run_neutrino(scn: Scenario, icfg: dict, check: bool):
     if check:
         psi = traj.derived["psi"]
         norms = np.linalg.norm(psi, axis=1)
-        checks.append(CheckResult("norm-preservation", float(np.abs(norms - 1.0).max()), NORM_TOL))
+        checks.append(CheckResult("norm-preservation", float(np.abs(norms - 1.0).max()),
+                                  TOL.norm_preservation))
     return traj, checks, notes
 
 

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import DomainError, QdsimError
+from .tolerances import TOL
 
 KINDS = (
     "qubit-closed-form",
@@ -90,8 +91,6 @@ _SCHEMA = {
         "t_end": "float",
         "step": "float",
         "sample_stride": "int",
-        "renormalize": "bool",
-        "eigenvalue_floor": "float",
     },
     "output": {
         "csv": "raw",
@@ -313,7 +312,7 @@ def _validate_domains(kind: str, params: dict) -> None:
     xi = params.get("xi")
     if xi is not None:
         norm = sum(v * v for v in xi) ** 0.5
-        if norm > 1.0 + 1e-9:
+        if norm > 1.0 + TOL.bloch_ball:
             raise DomainError(f"|xi| = {norm:.6g} lies outside the unit ball")
     if kind in ("qubit-closed-form", "gksl-ode"):
         profile = params.get("g_profile", "constant")

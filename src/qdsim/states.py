@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, ValidityError
-from .linalg import ID2, PAULI, as_operator, dagger, eig_hermitian, frobenius, is_hermitian
+from .linalg import ID2, PAULI, as_operator, dagger, is_hermitian
 from .tolerances import TOL
 
 
@@ -72,7 +72,7 @@ def is_pure(rho: np.ndarray) -> bool:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-tr(rho ln rho), clipping the tolerated slightly-negative eigenvalues."""
     rho = density_matrix(rho)
-    w = eig_hermitian(rho).eigenvalues
+    w = np.linalg.eigh(0.5 * (rho + dagger(rho)))[0]
     w = np.clip(w, 0.0, None)
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log(nz)))

@@ -21,6 +21,8 @@ class Tolerances:
 
     # linear algebra
     expm_pauli_split: float = 1e-12    # |v.v| below which the series branch is used
+    sl2c_series: float = 1e-8          # |alpha^2 t^2/4| below which cosh/sinhc use their series
+    sinhc_series: float = 1e-4         # |x| below which sinh(x)/x uses its series
     exp_argument_cap: float = 700.0    # reject exponentials beyond exp-overflow range
 
     # map normalization
@@ -31,11 +33,30 @@ class Tolerances:
     ode_trace_drift: float = 1e-8
     ode_norm_drift: float = 1e-8
     ode_hermitian_drift: float = 1e-8
+    whole_steps_rel: float = 1e-9      # |t_end/step - n| <= rel * n for a whole step count n
+
+    # relativistic spin transport
+    on_shell_rel: float = 1e-8         # |p.p - (mc)^2| relative to (mc)^2
+    bmt_invariant_drift: float = 1e-6  # p.p, p.w, w.w drift that aborts a BMT run, relative
 
     # closed-form branch selection
     orthogonal_c1: float = 1e-12       # |g.omega| below this counts as orthogonal
     degenerate_c2_rel: float = 1e-10   # |g^2 - omega^2| relative to max(g^2, omega^2)
     pure_state: float = 1e-8           # purity >= 1 - tol counts as pure
+
+    # scenario cross-checks (qdsim run --check)
+    closed_vs_ode: float = 1e-6        # Bloch distance, closed form against RK4
+    case_vs_general: float = 1e-10     # Bloch distance, per-case formula against the general one
+    kraus_vs_closed: float = 1e-10     # Bloch distance, Kraus family against the closed form
+    # the finite-difference residual is checked through its first-order
+    # ratio err(dt/2)/err(dt), not its magnitude (which scales with the
+    # squared generator norm and has no universal absolute tolerance)
+    generator_consistency: float = 0.1     # |ratio - 1/2|
+    generator_residual_floor: float = 1e-9 # residual already at rounding: ratio not checked
+    weight_sum: float = 1e-10          # |sum of Jaynes-Cummings block weights - 1|
+    four_vector_invariants: float = 1e-6   # relative drift of p.p, p.w, w.w over a BMT run
+    spin_routes: float = 1e-8          # BMT four-vectors against the sigma map and the spin
+    norm_preservation: float = 1e-8    # |norm - 1| of the neutrino amplitudes
 
 
 TOL = Tolerances()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,13 @@ def test_bmt_rejects_off_shell_start():
         # negative-energy branch
         dirac.bmt_evolve(FIELDS, np.array([-1.0, 0.0, 0.0, 0.0]), (0, 0, 1.0),
                          tau_end=1.0, step=0.01)
+
+
+@pytest.mark.parametrize("tau_end, step", [(math.inf, 0.01), (math.nan, 0.01), (1.0, 0.3)])
+def test_bmt_rejects_a_horizon_off_the_step_grid(tau_end, step):
+    p0 = dirac.rest_momentum(FIELDS.mass, FIELDS.c)
+    with pytest.raises(DomainError):
+        dirac.bmt_evolve(FIELDS, p0, (0, 0, 1.0), tau_end=tau_end, step=step)
 
 
 def test_spin_generator_matches_rate_vectors():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qdsim.dynamics import (
     qubit_rate_generator,
     standard_lindblad_rhs,
     state_vector_rhs,
+    whole_steps,
 )
 from qdsim.errors import DomainError, UnsupportedModeError, ValidityError
 from qdsim.linalg import SIGMA_X, SIGMA_Z, frobenius
@@ -140,10 +143,51 @@ def test_inverted_morse_profile_shape():
 
 def test_time_dependent_generator_tracks_profile():
     profile = inverted_morse_profile(0.01, 0.001)
-    tp = qubit_rate_generator((0, 0, 0.003), (1.0, 0.0, 0.0), profile)
-    g_mat = tp.at(500.0).damping
+    gen_at = qubit_rate_generator((0, 0, 0.003), (1.0, 0.0, 0.0), profile)
+    g_mat = gen_at(500.0).damping
     assert frobenius(g_mat - 0.5 * profile(500.0) * SIGMA_X) <= 1e-15
-    assert not tp.time_independent
+
+
+def test_time_dependent_generator_is_built_once_per_stage_time():
+    # k2 and k3 share t + h/2 and the end generator starts the next step,
+    # so n steps query the callable 1 + 2n times; a callable returning a
+    # constant generator retraces the autonomous run bit for bit
+    gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.5))
+    times = []
+
+    def gen_at(t):
+        times.append(t)
+        return gen
+
+    rho0 = bloch_to_density((0.3, 0.0, 0.8))
+    cfg = IntegratorConfig(t_end=1.0, step=0.1, sample_stride=3)
+    varying = evolve(gen_at, rho0, cfg)
+    assert len(times) == 1 + 2 * 10
+    constant = evolve(gen, rho0, cfg)
+    assert np.array_equal(varying.times, constant.times)
+    assert all(np.array_equal(a, b) for a, b in zip(varying.states, constant.states))
+
+
+BAD_HORIZONS = [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, 0.3)]
+
+
+def test_whole_steps():
+    assert whole_steps(20.0, 1e-3) == 20000
+    assert whole_steps(0.0, 0.1) == 0
+    for t_end, step in BAD_HORIZONS + [(1.0, math.inf), (1.0, math.nan), (-1.0, 0.5),
+                                       (1.0, 0.0), (1e300, 1e-300), (1e-20, 1.0)]:
+        with pytest.raises(DomainError):
+            whole_steps(t_end, step)
+
+
+@pytest.mark.parametrize("t_end, step", BAD_HORIZONS)
+def test_steppers_reject_a_horizon_off_the_step_grid(t_end, step):
+    gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.0))
+    cfg = IntegratorConfig(t_end=t_end, step=step)
+    with pytest.raises(DomainError):
+        evolve(gen, bloch_to_density((0, 0, 1)), cfg)
+    with pytest.raises(DomainError):
+        evolve_state_vector(gen, np.array([1.0, 0.0], dtype=complex), cfg)
 
 
 def test_trajectory_validation():

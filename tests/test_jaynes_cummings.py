@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,9 @@ def test_coherent_field_weights():
     assert s.weights.sum() == pytest.approx(1.0, abs=1e-12)
     # truncated Poisson keeps the mode at n = 3, 4
     assert np.argmax(s.weights) in (3, 4)
+    # exp(-nbar) nbar^n / n!, renormalized over the truncation
+    poisson = np.array([math.exp(-4.0) * 4.0 ** n / math.factorial(n) for n in range(17)])
+    assert np.abs(s.weights - poisson / poisson.sum()).max() <= 1e-15
     vacuum = jc.JCBlockState.coherent_field(PARAMS, 0.0, (0, 0, 1.0))
     assert vacuum.weights[0] == pytest.approx(1.0)
     with pytest.raises(DomainError):

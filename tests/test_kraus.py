@@ -10,8 +10,6 @@ from qdsim.errors import (
 from qdsim.kraus import (
     EnsembleSplit,
     KrausFamily,
-    apply_normalized,
-    compose,
     ensemble_coefficient,
     reweighted_ensemble,
 )
@@ -99,14 +97,14 @@ def test_compose_order_and_semigroup(rng):
     first = random_family(rng)
     second = random_family(rng)
     rho = random_density(rng)
-    via_compose = compose(first, second).apply_normalized(rho)
+    via_compose = first.compose(second).apply_normalized(rho)
     sequential = first.apply_normalized(second.apply_normalized(rho))
     assert np.abs(via_compose - sequential).max() <= 1e-12
 
 
 def test_compose_dimension_mismatch(rng):
     with pytest.raises(DimensionError):
-        compose(random_family(rng, dim=2), random_family(rng, dim=3))
+        random_family(rng, dim=2).compose(random_family(rng, dim=3))
 
 
 def test_ensemble_split_validation(rng):

@@ -12,7 +12,6 @@ from qdsim.linalg import (
     anticommutator,
     commutator,
     dagger,
-    eig_hermitian,
     frobenius,
     is_hermitian,
     matrix_exponential,
@@ -86,14 +85,6 @@ def test_matrix_exponential_additivity_commuting(rng):
 def test_is_hermitian_tolerance():
     assert is_hermitian(SIGMA_Y)
     assert not is_hermitian(SIGMA_Y + 1e-6 * np.array([[0, 1], [0, 0]]))
-
-
-def test_eig_hermitian_reconstructs(rng):
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    a = 0.5 * (a + a.conj().T)
-    spec = eig_hermitian(a)
-    assert frobenius(spec.reconstruct() - a) <= 1e-10 * max(1.0, frobenius(a))
-    assert (np.diff(spec.eigenvalues) >= 0.0).all()
 
 
 def test_matrix_exponential_rejects_overflow_range():

@@ -128,6 +128,12 @@ def test_evolve_damping_counter_rate_keeps_norm():
     assert abs(traj.derived["survival"][-1] - 1.0) > 1e-6
 
 
+@pytest.mark.parametrize("L_end, step", [(math.inf, 1.0), (math.nan, 1.0), (1.0, 0.3)])
+def test_evolve_rejects_a_horizon_off_the_step_grid(L_end, step):
+    with pytest.raises(DomainError):
+        nu.neutrino_evolve(DAMPING_10MEV, None, L_end, step)
+
+
 def test_evolve_input_validation():
     with pytest.raises(DomainError):
         nu.neutrino_evolve(MSW_10MEV, None, L_end=-1.0, step=1.0)

@@ -11,6 +11,7 @@ import pytest
 
 import qdsim
 from qdsim.cli import main
+from qdsim.errors import DomainError
 from qdsim.run import run_file
 
 PASS_SCN = """\
@@ -226,6 +227,47 @@ def _run_cli(cmd):
     root = str(Path(qdsim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
+
+
+BAD_HORIZONS = [("inf", "0.001"), ("nan", "0.001"), ("1.0", "0.3")]
+
+
+def _with_horizon(text, t_end, step):
+    return text.replace("t_end = 1.0\nstep = 0.001", f"t_end = {t_end}\nstep = {step}")
+
+
+@pytest.mark.parametrize("t_end, step", BAD_HORIZONS)
+def test_closed_form_scenario_rejects_a_horizon_off_the_step_grid(tmp_path, t_end, step):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(_with_horizon(PASS_SCN, t_end, step))
+    with pytest.raises(DomainError):
+        run_file(scn, out_dir=str(tmp_path / "o"))
+
+
+def test_bad_horizons_fail_alone_in_a_batch(tmp_path, pass_file):
+    # each bad file gets a one-line error and the good one still reports
+    paths = [str(pass_file)]
+    for name, (t_end, step) in zip(("inf", "short"), (BAD_HORIZONS[0], BAD_HORIZONS[2])):
+        p = tmp_path / f"{name}.scn"
+        p.write_text(_with_horizon(PASS_SCN, t_end, step))
+        paths.append(str(p))
+    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", *paths,
+                     "--out-dir", str(tmp_path / "o")])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "scenario cli-pass" in proc.stdout and ": ok" in proc.stdout
+    errors = proc.stderr.strip().splitlines()
+    assert len(errors) == 2
+    assert errors[0].startswith(f"scenario {paths[1]}: error:")
+    assert errors[1].startswith(f"scenario {paths[2]}: error:")
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs over a second of import time, paid by every run
+    proc = _run_cli([sys.executable, "-c",
+                     "import sys, qdsim; print('scipy.stats' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _installed(dist):

@@ -2,6 +2,7 @@ from importlib.resources import files
 
 import pytest
 
+from qdsim.dynamics import whole_steps
 from qdsim.errors import DomainError
 from qdsim.scenario import (
     KINDS,
@@ -77,6 +78,23 @@ def test_unknown_key():
     assert "warp" in str(err.value)
 
 
+@pytest.mark.parametrize("line", ["renormalize = true", "eigenvalue_floor = -1e-6"])
+def test_removed_integrator_keys_are_unknown(line):
+    with pytest.raises(ScenarioKeyError) as err:
+        parse_scenario(MINIMAL + line + "\n")
+    assert err.value.line == 11
+    assert line.split()[0] in str(err.value)
+
+
+def test_shipped_horizons_are_whole_steps():
+    shipped = [p for p in files("qdsim").joinpath("scenarios").iterdir()
+               if p.name.endswith(".scn")]
+    assert len(shipped) == 14
+    for path in shipped:
+        icfg = parse_scenario(path.read_text()).integrator
+        assert whole_steps(icfg["t_end"], icfg["step"]) > 0, path.name
+
+
 def test_duplicate_key_and_section():
     with pytest.raises(ScenarioKeyError) as err:
         parse_scenario(MINIMAL + "t_end = 5.0\n")
@@ -99,7 +117,7 @@ def test_scalar_type_errors():
     with pytest.raises(ScenarioSyntaxError):
         parse_scenario(MINIMAL.replace("4.0", "fast"))
     with pytest.raises(ScenarioSyntaxError):
-        parse_scenario(MINIMAL + "renormalize = yes\n")
+        parse_scenario(MINIMAL + "\n[output]\ncsv = a.csv\nlog_x = yes\n")
     with pytest.raises(ScenarioSyntaxError):
         parse_scenario(MINIMAL + "sample_stride = 2.5\n")
     with pytest.raises(ScenarioSyntaxError):
