@@ -114,6 +114,16 @@ def whole_steps(t_end: float, step: float) -> int:
     return n
 
 
+def sample_count(n_steps: int, stride: int) -> int:
+    """Samples a run of n_steps stores: t = 0, every stride-th step and
+    the last. More than TOL.max_samples raises DomainError, so no caller
+    allocates storage sized by an unchecked horizon."""
+    n = 1 + -(-n_steps // stride)
+    if n > TOL.max_samples:
+        raise DomainError(f"{n} samples requested; at most {TOL.max_samples} are stored")
+    return n
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled states plus named derived real series."""
@@ -181,14 +191,6 @@ def closed_form_propagate(gen: Generator, rho0: np.ndarray, t: float) -> np.ndar
     return KrausFamily((k,)).apply_normalized(rho0)
 
 
-def mean_energy(gen: Generator, rho: np.ndarray) -> float:
-    """tr(rho H), checked real."""
-    val = complex(np.trace(rho @ gen.hamiltonian))
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValidityError(f"mean energy has imaginary part {val.imag:.3e}")
-    return val.real
-
-
 def finite_difference_generator_check(gen: Generator, rho: np.ndarray, dt: float) -> float:
     """Residual of the first-order Kraus family against the master equation.
 
@@ -240,6 +242,7 @@ def _rk4(gen, rhs, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Traje
     at = gen if callable(gen) else lambda t: gen
     h = cfg.step
     n_steps = whole_steps(cfg.t_end, h)
+    sample_count(n_steps, cfg.sample_stride)
     y = y0
     times = [0.0]
     states = [y.copy()]

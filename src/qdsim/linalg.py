@@ -44,10 +44,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
 def pauli_dot(v) -> np.ndarray:
     """v . sigma for a real or complex 3-vector v."""
     v = np.asarray(v, dtype=complex)

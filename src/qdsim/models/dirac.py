@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import Generator, Trajectory, whole_steps
+from ..dynamics import Generator, Trajectory, sample_count, whole_steps
 from ..errors import (
     DomainError,
     IntegrationDivergedError,
@@ -87,11 +87,12 @@ def four_to_sigma(x) -> np.ndarray:
 
 
 def sigma_to_four(X) -> np.ndarray:
-    """Inverse of four_to_sigma; ignores any anti-Hermitian residue."""
+    """Inverse of four_to_sigma for X of shape (..., 2, 2); ignores any
+    anti-Hermitian residue."""
     X = np.asarray(X, dtype=complex)
-    x0 = 0.5 * np.trace(X).real
-    xv = [-0.5 * np.trace(s @ X).real for s in PAULI]
-    return np.array([x0, *xv])
+    x0 = 0.5 * np.trace(X, axis1=-2, axis2=-1).real
+    xv = [-0.5 * np.trace(s @ X, axis1=-2, axis2=-1).real for s in PAULI]
+    return np.stack([x0, *xv], axis=-1)
 
 
 def _check_on_shell(p: np.ndarray, mass: float, c: float) -> None:
@@ -311,6 +312,7 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     n_steps = whole_steps(tau_end, step)
     if sample_stride <= 0:
         sample_stride = max(1, n_steps // 2000)
+    sample_count(n_steps, sample_stride)
     a = (f.charge / f.mass) * field_tensor_mixed(f) * step
     a2 = a @ a
     rk4_step = np.eye(4) + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
@@ -323,8 +325,6 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     times = [0.0]
     p_series = [p0.copy()]
     w_series = [w0.copy()]
-    xi_series = [xi0.copy()]
-    thetas = [theta0]
 
     def record(tau: float, y_now: np.ndarray) -> None:
         p_now = y_now[:, 0]
@@ -336,22 +336,9 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
             raise IntegrationDivergedError(
                 "four-vector invariants drifted; reduce the step", tau
             )
-        co = sl2c_coefficients(params, tau)
-        ku = co.matrix()
-        k4 = np.block([
-            [ku, np.zeros((2, 2), dtype=complex)],
-            [np.zeros((2, 2), dtype=complex), np.linalg.inv(ku.conj().T)],
-        ])
-        # only a global scalar may be divided out of K: the chiral blocks
-        # carry opposite boosts and their relative size is physical
-        k4 = k4 / max(1.0, np.abs(k4).max())
-        raw = k4 @ theta0 @ k4.conj().T
-        tr = np.trace(raw).real
         times.append(tau)
         p_series.append(p_now.copy())
         w_series.append(w_now.copy())
-        xi_series.append(bloch_trajectory_general(params, xi0, tau))
-        thetas.append(raw / tr)
 
     for i in range(n_steps):
         y = rk4_step @ y
@@ -359,6 +346,15 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
             record((i + 1) * step, y)
 
     t_grid = np.asarray(times)
+    ku = sl2c_coefficients(params, t_grid[1:]).matrix()
+    k4 = np.zeros((len(ku), 4, 4), dtype=complex)
+    k4[:, :2, :2] = ku
+    k4[:, 2:, 2:] = np.linalg.inv(ku.conj().swapaxes(1, 2))
+    # only a global scalar may be divided out of K: the chiral blocks
+    # carry opposite boosts and their relative size is physical
+    k4 /= np.maximum(1.0, np.abs(k4).max(axis=(1, 2)))[:, None, None]
+    raw = k4 @ theta0 @ k4.conj().swapaxes(1, 2)
+    thetas = (theta0, *(raw / np.trace(raw, axis1=1, axis2=2).real[:, None, None]))
     p_arr = np.asarray(p_series)
     w_arr = np.asarray(w_series)
     # lab time by trapezoid on dt/dtau = p0/mc
@@ -367,7 +363,7 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     derived = {
         "p": p_arr,
         "w": w_arr,
-        "xi": np.asarray(xi_series),
+        "xi": np.vstack([xi0, bloch_trajectory_general(params, xi0, t_grid[1:])]),
         "t_lab": t_lab,
     }
-    return Trajectory(times=t_grid, states=tuple(thetas), derived=derived)
+    return Trajectory(times=t_grid, states=thetas, derived=derived)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import Generator, Trajectory, whole_steps
+from ..dynamics import Generator, Trajectory, sample_count, whole_steps
 from ..errors import DomainError, IntegrationDivergedError, ValidityError
 from ..rootfind import find_crossing
 from ..states import state_vector
@@ -227,6 +227,7 @@ def neutrino_evolve(c: NeutrinoConfig, psi0, L_end: float, step: float,
     n_steps = whole_steps(L_end, step)
     if sample_stride <= 0:
         sample_stride = max(1, n_steps // 8000)
+    sample_count(n_steps, sample_stride)
     ls, as_, bs = _evolve_amplitudes(c, complex(psi0[0]), complex(psi0[1]),
                                      n_steps, step, sample_stride)
     psi = np.column_stack([np.asarray(as_), np.asarray(bs)])

@@ -8,7 +8,6 @@ scenario produce byte-identical files.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,18 +77,13 @@ def _fmt(v: float) -> str:
     return "0" if s == "-0" else s
 
 
-def emit_svg(traj: Trajectory, plot: PlotSpec, path) -> None:
+def emit_svg(traj: Trajectory, plot: PlotSpec, path) -> int:
+    """Write the plot; returns how many samples with t <= 0 a log axis dropped."""
     if len(traj) == 0:
         raise ValidityError("refusing to plot an empty trajectory")
     cols = _series_columns(traj, plot.observables or None)
     t = np.asarray(traj.times, dtype=float)
-    mask = np.ones(t.shape[0], dtype=bool)
-    if plot.log_x:
-        mask = t > 0.0
-        if not mask.all():
-            warnings.warn(
-                f"dropping {int((~mask).sum())} sample(s) with t <= 0 from the log axis"
-            )
+    mask = t > 0.0 if plot.log_x else np.ones(t.shape[0], dtype=bool)
     if not mask.any():
         raise ValidityError("no samples remain after removing t <= 0 for the log axis")
     x = np.log10(t[mask]) if plot.log_x else t[mask]
@@ -183,3 +177,4 @@ def emit_svg(traj: Trajectory, plot: PlotSpec, path) -> None:
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
+    return int((~mask).sum())

@@ -82,27 +82,34 @@ class SL2CCoefficients:
     alpha: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        return self.a * np.eye(2, dtype=complex) + self.b * pauli_dot(self.alpha)
+        """K = a I + b (alpha.sigma); shape (..., 2, 2) for array-valued a, b."""
+        a, b = (np.asarray(c)[..., None, None] for c in (self.a, self.b))
+        return a * np.eye(2, dtype=complex) + b * pauli_dot(self.alpha)
 
 
-def sl2c_coefficients(params: QubitGeneratorParams, t: float) -> SL2CCoefficients:
+def sl2c_coefficients(params: QubitGeneratorParams, t) -> SL2CCoefficients:
     """a = cosh(s t/2), b = sinh(s t/2)/s with s = sqrt(alpha^2).
 
     Near alpha^2 = 0 the pair is continued by its even power series in
     z = alpha^2 t^2 / 4, which also covers the exact parabolic point
-    a = 1, b = t/2.
+    a = 1, b = t/2. t is a scalar (a, b complex) or an array (a, b of its
+    shape); the branch and the exponential cap are decided per element.
     """
+    t = np.asarray(t, dtype=float)
     z = params.alpha_squared * (t * t) / 4.0
-    if abs(z) < TOL.sl2c_series:
-        a = 1.0 + z / 2.0 + z * z / 24.0
-        b = (t / 2.0) * (1.0 + z / 6.0 + z * z / 120.0)
-    else:
+    a = np.asarray(1.0 + z / 2.0 + z * z / 24.0)
+    b = np.asarray((t / 2.0) * (1.0 + z / 6.0 + z * z / 120.0))
+    far = np.abs(z) >= TOL.sl2c_series
+    if far.any():
+        tf = t[far]
         s = np.sqrt(params.alpha_squared)
-        if abs(s.real * t) / 2.0 > TOL.exp_argument_cap:
+        if (np.abs(s.real * tf) / 2.0 > TOL.exp_argument_cap).any():
             raise ValidityError("propagator argument beyond the exponential cap")
-        a = np.cosh(s * t / 2.0)
-        b = np.sinh(s * t / 2.0) / s
-    return SL2CCoefficients(a=complex(a), b=complex(b), alpha=params.alpha)
+        a[far] = np.cosh(s * tf / 2.0)
+        b[far] = np.sinh(s * tf / 2.0) / s
+    if t.ndim == 0:
+        a, b = complex(a), complex(b)
+    return SL2CCoefficients(a=a, b=b, alpha=params.alpha)
 
 
 class CaseClass(enum.Enum):
@@ -127,7 +134,12 @@ def classify(params: QubitGeneratorParams) -> CaseClass:
 
 def _bloch_from_quadratics(aa, bb, re2, mi2, g, w, xi) -> np.ndarray:
     """Shared rational form of the trajectory in the propagator quadratics
-    aa = |a|^2, bb = |b|^2, re2 = 2 Re(a conj(b)), mi2 = -2 Im(a conj(b))."""
+    aa = |a|^2, bb = |b|^2, re2 = 2 Re(a conj(b)), mi2 = -2 Im(a conj(b)).
+
+    Each quadratic is a scalar or an array over sample times; the Bloch
+    vectors come back with their common shape plus a trailing axis of 3.
+    """
+    aa, bb, re2, mi2 = (np.asarray(q, dtype=float)[..., None] for q in (aa, bb, re2, mi2))
     g2 = float(g @ g)
     w2 = float(w @ w)
     num = (
@@ -145,8 +157,8 @@ def _bloch_from_quadratics(aa, bb, re2, mi2, g, w, xi) -> np.ndarray:
         + re2 * (g @ xi)
         + mi2 * (w @ xi)
     )
-    if den <= TOL.singular_trace * (aa + bb * (g2 + w2)):
-        raise SingularNormalizationError(f"trajectory trace vanished (den={den:.3e})")
+    if (den <= TOL.singular_trace * (aa + bb * (g2 + w2))).any():
+        raise SingularNormalizationError(f"trajectory trace vanished (den={den.min():.3e})")
     return num / den
 
 
@@ -159,27 +171,29 @@ def _validated_bloch(xi) -> np.ndarray:
     return xi
 
 
-def bloch_trajectory_general(params: QubitGeneratorParams, xi, t: float) -> np.ndarray:
-    """Bloch image of K rho0 K^dag / tr(...) for arbitrary omega, g."""
+def bloch_trajectory_general(params: QubitGeneratorParams, xi, t) -> np.ndarray:
+    """Bloch image of K rho0 K^dag / tr(...) for arbitrary omega, g: a
+    3-vector for scalar t, shape (N, 3) for an (N,) array of times."""
     xi = _validated_bloch(xi)
     co = sl2c_coefficients(params, t)
     # num/den is invariant under a common real rescaling of (a, b); divide
-    # out the growing magnitude before squaring
-    m = max(abs(co.a), abs(co.b), 1.0)
-    a = co.a / m
-    b = co.b / m
-    aa = abs(a) ** 2
-    bb = abs(b) ** 2
-    ab = a * np.conjugate(b)
-    return _bloch_from_quadratics(aa, bb, 2.0 * ab.real, -2.0 * ab.imag,
+    # out the growing magnitude before squaring, in real arithmetic, which
+    # rounds alike for scalars and arrays where numpy's complex loops do not
+    ar, ai, br, bi = np.real(co.a), np.imag(co.a), np.real(co.b), np.imag(co.b)
+    m = np.maximum(np.maximum(np.hypot(ar, ai), np.hypot(br, bi)), 1.0)
+    ar, ai, br, bi = ar / m, ai / m, br / m, bi / m
+    return _bloch_from_quadratics(np.hypot(ar, ai) ** 2, np.hypot(br, bi) ** 2,
+                                  2.0 * (ar * br + ai * bi), -2.0 * (ai * br - ar * bi),
                                   params.g, params.omega, xi)
 
 
 def bloch_trajectory_case(case: CaseClass, params: QubitGeneratorParams,
-                          xi, t: float) -> np.ndarray:
+                          xi, t) -> np.ndarray:
     """Orthogonal-case closed forms (g.omega = 0), evaluated with real
-    trigonometric/hyperbolic coefficients rather than the complex pair."""
+    trigonometric/hyperbolic coefficients rather than the complex pair.
+    Scalar or array t, shaped as in bloch_trajectory_general."""
     xi = _validated_bloch(xi)
+    t = np.asarray(t, dtype=float)
     scale = max(float(params.g @ params.g), float(params.omega @ params.omega), 1.0)
     if abs(params.c1) > TOL.orthogonal_c1 * scale:
         raise PreconditionError("case formulas require g.omega = 0")
@@ -275,7 +289,7 @@ def sl2c_invariants_check(params: QubitGeneratorParams, s_matrix) -> tuple:
     s = np.asarray(s_matrix, dtype=complex)
     if s.shape != (2, 2):
         raise DomainError("S must be 2x2")
-    if abs(np.linalg.det(s) - 1.0) > 1e-10:
+    if abs(np.linalg.det(s) - 1.0) > TOL.unit_determinant:
         raise PreconditionError("S must have unit determinant")
     m = s @ (0.5 * pauli_dot(params.alpha)) @ np.linalg.inv(s)
     alpha_p = np.array([np.trace(m @ sig) for sig in PAULI])
@@ -305,7 +319,8 @@ class SingleLindbladParams:
         vals = (self.g, self.omega, self.l, self.kappa)
         if not all(np.isfinite(v) for v in vals):
             raise ValidityError("parameters must be finite")
-        if abs(2.0 * self.g - self.l ** 2) <= 1e-12 * max(abs(2.0 * self.g), self.l ** 2, 1.0):
+        scale = max(abs(2.0 * self.g), self.l ** 2, 1.0)
+        if abs(2.0 * self.g - self.l ** 2) <= TOL.gauge_degenerate_rel * scale:
             raise DomainError("2g = l^2 is excluded (the weight ratio l_bar diverges)")
 
     @property
@@ -317,16 +332,18 @@ class SingleLindbladParams:
         return Generator.qubit((0.0, 0.0, self.omega), (0.0, 0.0, self.g), (lower,))
 
 
-def single_lindblad_trajectory(p: SingleLindbladParams, xi, t: float) -> np.ndarray:
+def single_lindblad_trajectory(p: SingleLindbladParams, xi, t) -> np.ndarray:
     """Exact Bloch trajectory of the single-jump model.
 
     Written with psi = expm1(-2gt)/(2g) so the g -> 0 limit and the
     long-time fixed points (n3 -> 1 for g > 0, n3 -> -l_bar for g < 0)
-    come out of one expression without cancellation.
+    come out of one expression without cancellation. Scalar or array t,
+    shaped as in bloch_trajectory_general.
     """
     xi = _validated_bloch(xi)
+    t = np.asarray(t, dtype=float)
     g, l2 = p.g, p.l ** 2
-    if max(abs(2.0 * g * t), abs(g * t)) > TOL.exp_argument_cap:
+    if (np.abs(2.0 * g * t) > TOL.exp_argument_cap).any():
         raise ValidityError("trajectory time beyond the exponential cap")
     if g == 0.0:
         psi = -t
@@ -336,7 +353,7 @@ def single_lindblad_trajectory(p: SingleLindbladParams, xi, t: float) -> np.ndar
     den = 1.0 + shrink * (2.0 * g - l2) / 2.0
     n3 = (xi[2] - shrink * (2.0 * g + l2) / 2.0) / den
     n_plus = (xi[0] + 1j * xi[1]) * np.exp((1j * p.omega - g) * t) / den
-    return np.array([n_plus.real, n_plus.imag, n3])
+    return np.stack([n_plus.real, n_plus.imag, n3], axis=-1)
 
 
 def single_lindblad_kraus(p: SingleLindbladParams, t: float) -> KrausFamily:

@@ -27,6 +27,7 @@ from .dynamics import (
     finite_difference_generator_check,
     inverted_morse_profile,
     qubit_rate_generator,
+    sample_count,
     whole_steps,
 )
 from .errors import DomainError, NoCrossingError
@@ -47,12 +48,7 @@ from .qubit import (
     sl2c_coefficients,
 )
 from .scenario import Scenario, parse_scenario
-from .states import (
-    bloch_to_density,
-    density_to_bloch,
-    purity,
-    von_neumann_entropy,
-)
+from .states import bloch_to_density, density_to_bloch
 from .tolerances import TOL
 
 
@@ -100,18 +96,20 @@ class RunReport:
 def _grid(t_end: float, dt: float) -> np.ndarray:
     if t_end <= 0.0 or dt <= 0.0:
         raise DomainError("need positive t_end and step")
-    return dt * np.arange(whole_steps(t_end, dt) + 1)
+    return dt * np.arange(sample_count(whole_steps(t_end, dt), 1))
 
 
-def _oracle(gen: Generator, xi, icfg: dict, max_steps: int = 200_000) -> Trajectory:
+def _oracle(gen: Generator, xi, icfg: dict) -> Trajectory:
     """The RK4 cross-check run from Bloch vector xi: each scenario step
-    split into as many equal steps as keep them at most 1e-3, at most
-    max_steps steps in all, sampled at ~64 comparison points. The step
-    is t_end / n, so it always divides the horizon."""
+    split into as many equal steps as keep them at most TOL.oracle_step,
+    at most TOL.oracle_max_steps steps in all, sampled at about
+    TOL.oracle_points comparison points. The step is t_end / n, so it
+    always divides the horizon."""
     t_end, step = icfg["t_end"], icfg.get("step", 1e-3)
-    split = max(1, math.ceil(step / 1e-3 - TOL.whole_steps_rel))
-    n = min(max_steps, whole_steps(t_end, step) * split)
-    cfg = IntegratorConfig(t_end=t_end, step=t_end / n, sample_stride=max(1, n // 64))
+    split = max(1, math.ceil(step / TOL.oracle_step - TOL.whole_steps_rel))
+    n = min(TOL.oracle_max_steps, whole_steps(t_end, step) * split)
+    cfg = IntegratorConfig(t_end=t_end, step=t_end / n,
+                           sample_stride=max(1, n // TOL.oracle_points))
     return evolve(gen, bloch_to_density(xi), cfg)
 
 
@@ -121,25 +119,28 @@ def _bloch_series(traj: Trajectory) -> np.ndarray:
 
 def _closed_vs_ode(name: str, closed_form, ode: Trajectory, blochs=None) -> CheckResult:
     """Largest Bloch distance between an RK4 trajectory (or its Bloch
-    series, when already computed) and closed_form(t) at its sample times."""
+    series, when already computed) and closed_form(times) at its sample times."""
     if blochs is None:
         blochs = _bloch_series(ode)
-    ref = np.array([closed_form(t) for t in ode.times])
+    ref = closed_form(ode.times)
     dist = np.linalg.norm(blochs - ref, axis=1).max()
     return CheckResult(name, float(dist), TOL.closed_vs_ode)
 
 
 def _qubit_columns(blochs) -> dict:
+    """Bloch components plus purity (1 + r^2)/2 and the entropy of the
+    eigenvalues (1 +- r)/2, r = |n|, clipped at 0 as von_neumann_entropy does."""
     blochs = np.asarray(blochs)
-    cols = {
+    r2 = (blochs * blochs).sum(axis=1)
+    lam = np.clip(0.5 * (1.0 + np.multiply.outer(np.sqrt(r2), (1.0, -1.0))), 0.0, None)
+    log_lam = np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    return {
         "n1": blochs[:, 0],
         "n2": blochs[:, 1],
         "n3": blochs[:, 2],
+        "purity": 0.5 * (1.0 + r2),
+        "entropy": -(lam * log_lam).sum(axis=1),
     }
-    rho = [bloch_to_density(n) for n in blochs]
-    cols["purity"] = np.array([purity(r) for r in rho])
-    cols["entropy"] = np.array([von_neumann_entropy(r) for r in rho])
-    return cols
 
 
 def _run_qubit_closed_form(scn: Scenario, icfg: dict, check: bool):
@@ -148,31 +149,28 @@ def _run_qubit_closed_form(scn: Scenario, icfg: dict, check: bool):
     xi = np.asarray(p["xi"], dtype=float)
     case_key = p.get("case", "auto")
     times = _grid(icfg["t_end"], icfg.get("step", 1e-3))
+    general = lambda t: bloch_trajectory_general(params, xi, t)
     if case_key == "auto":
-        blochs = np.array([bloch_trajectory_general(params, xi, t) for t in times])
+        blochs = general(times)
     else:
-        case = CaseClass(case_key)
-        blochs = np.array([bloch_trajectory_case(case, params, xi, t) for t in times])
+        blochs = bloch_trajectory_case(CaseClass(case_key), params, xi, times)
     cols = _qubit_columns(blochs)
     w_norm = np.linalg.norm(params.omega)
     w_hat = params.omega / w_norm if w_norm > 0.0 else np.zeros(3)
     cols["p_plus"] = 0.5 * (1.0 + blochs @ w_hat)
     cols["p_minus"] = 0.5 * (1.0 - blochs @ w_hat)
     cols["rabi"] = rabi_probability(np.linalg.norm(params.g), w_norm, times)
-    states = tuple(bloch_to_density(n) for n in blochs)
-    traj = Trajectory(times=times, states=states, derived=cols)
+    traj = Trajectory(times=times, states=tuple(bloch_to_density(blochs)), derived=cols)
 
     checks, notes = [], []
     if check:
-        general = lambda t: bloch_trajectory_general(params, xi, t)
         checks.append(_closed_vs_ode("closed-form-vs-ode", general,
                                      _oracle(params.generator(), xi, icfg)))
         if case_key != "auto":
-            ref2 = np.array([general(t) for t in times])
             checks.append(
                 CheckResult(
                     "case-vs-general",
-                    float(np.linalg.norm(blochs - ref2, axis=1).max()),
+                    float(np.linalg.norm(blochs - general(times), axis=1).max()),
                     TOL.case_vs_general,
                 )
             )
@@ -232,10 +230,10 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
         violation = 0.0
         for k in picks:
             gen_k = gen_at(traj.times[k])
-            e1 = finite_difference_generator_check(gen_k, traj.states[k], 1e-5)
+            e1 = finite_difference_generator_check(gen_k, traj.states[k], TOL.fd_step)
             if e1 < TOL.generator_residual_floor:
                 continue  # map matches the generator to rounding already
-            e2 = finite_difference_generator_check(gen_k, traj.states[k], 5e-6)
+            e2 = finite_difference_generator_check(gen_k, traj.states[k], TOL.fd_step / 2.0)
             violation = max(violation, abs(e2 / e1 - 0.5))
         checks.append(
             CheckResult("generator-consistency", violation, TOL.generator_consistency)
@@ -248,10 +246,9 @@ def _run_single_lindblad(scn: Scenario, icfg: dict, check: bool):
     slp = SingleLindbladParams(p["g"], p["omega"], p["l"], p.get("kappa", 0.0))
     xi = np.asarray(p["xi"], dtype=float)
     times = _grid(icfg["t_end"], icfg.get("step", 1e-3))
-    blochs = np.array([single_lindblad_trajectory(slp, xi, t) for t in times])
-    cols = _qubit_columns(blochs)
-    states = tuple(bloch_to_density(n) for n in blochs)
-    traj = Trajectory(times=times, states=states, derived=cols)
+    blochs = single_lindblad_trajectory(slp, xi, times)
+    traj = Trajectory(times=times, states=tuple(bloch_to_density(blochs)),
+                      derived=_qubit_columns(blochs))
 
     checks, notes = [], []
     notes.append(f"n3 fixed points 1 and {-slp.l_bar:.6f}")
@@ -260,12 +257,11 @@ def _run_single_lindblad(scn: Scenario, icfg: dict, check: bool):
             "closed-form-vs-ode", lambda t: single_lindblad_trajectory(slp, xi, t),
             _oracle(slp.generator(), xi, icfg)))
         rho0 = bloch_to_density(xi)
-        worst = 0.0
-        for t in np.linspace(icfg["t_end"] / 16.0, icfg["t_end"], 16):
-            via_kraus = density_to_bloch(single_lindblad_kraus(slp, t).apply_normalized(rho0))
-            worst = max(worst, float(np.linalg.norm(
-                via_kraus - single_lindblad_trajectory(slp, xi, t))))
-        checks.append(CheckResult("kraus-vs-closed", worst, TOL.kraus_vs_closed))
+        picks = np.linspace(icfg["t_end"] / 16.0, icfg["t_end"], 16)
+        via_kraus = np.array([density_to_bloch(single_lindblad_kraus(slp, t).apply_normalized(rho0))
+                              for t in picks])
+        worst = np.linalg.norm(via_kraus - single_lindblad_trajectory(slp, xi, picks), axis=1).max()
+        checks.append(CheckResult("kraus-vs-closed", float(worst), TOL.kraus_vs_closed))
     return traj, checks, notes
 
 
@@ -356,18 +352,13 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
         xw0 = dirac.four_to_sigma(
             dirac.polarization_fourvector(p0, xi0, f.mass, f.c))
         vec_scale = max(float(np.abs(p_arr).max()), float(np.abs(w_arr).max()))
-        worst_map = 0.0
-        for k in range(len(traj)):
-            ku = sl2c_coefficients(params, float(traj.times[k])).matrix()
-            m = max(1.0, float(np.abs(ku).max()))
-            ku = ku / m  # sigma map is degree (1,1) in ku; undo as m^2
-            p_map = dirac.sigma_to_four(ku @ xp0 @ ku.conj().T) * m * m
-            w_map = dirac.sigma_to_four(ku @ xw0 @ ku.conj().T) * m * m
-            worst_map = max(
-                worst_map,
-                float(np.abs(p_map - p_arr[k]).max()),
-                float(np.abs(w_map - w_arr[k]).max()),
-            )
+        ku = sl2c_coefficients(params, traj.times).matrix()
+        m = np.maximum(1.0, np.abs(ku).max(axis=(1, 2)))
+        ku = ku / m[:, None, None]  # sigma map is degree (1,1) in ku; undo as m^2
+        ku_h = ku.conj().swapaxes(1, 2)
+        p_map = dirac.sigma_to_four(ku @ xp0 @ ku_h) * (m * m)[:, None]
+        w_map = dirac.sigma_to_four(ku @ xw0 @ ku_h) * (m * m)[:, None]
+        worst_map = max(float(np.abs(p_map - p_arr).max()), float(np.abs(w_map - w_arr).max()))
         checks.append(
             CheckResult(
                 "four-vectors-vs-sigma-map", worst_map / vec_scale, TOL.spin_routes
@@ -375,7 +366,7 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
         )
         # from rest the normalized upper chiral block of Theta retraces the
         # closed-form spin; a boosted block is a two-sided slant, not a state
-        if np.allclose(p0, dirac.rest_momentum(f.mass, f.c), rtol=0.0, atol=1e-12):
+        if np.allclose(p0, dirac.rest_momentum(f.mass, f.c), rtol=0.0, atol=TOL.rest_start):
             via_theta = np.array(
                 [dirac.bloch_from_chiral_block(th) for th in traj.states]
             )
@@ -461,7 +452,9 @@ def run(scn: Scenario, out_dir: str = ".", check: bool = True,
                 x_label=_X_LABEL.get(scn.kind, "t"),
                 log_x=out.log_x,
             )
-            emit_svg(traj, plot, path)
+            dropped = emit_svg(traj, plot, path)
+            if dropped:
+                notes.append(f"{path}: {dropped} sample(s) with t <= 0 left off the log axis")
             written.append(path)
     report = RunReport(
         name=scn.name,

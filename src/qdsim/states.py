@@ -42,15 +42,16 @@ def projector(psi: np.ndarray) -> np.ndarray:
 
 
 def bloch_to_density(n) -> np.ndarray:
-    """rho = (I + n.sigma)/2 for a real 3-vector n with |n| <= 1."""
+    """rho = (I + n.sigma)/2 for real Bloch vectors n of shape (..., 3),
+    each with |n| <= 1; the states come back with shape (..., 2, 2)."""
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise DimensionError(f"expected a 3-vector, got shape {n.shape}")
-    r = float(np.linalg.norm(n))
-    if r > 1.0 + TOL.bloch_ball:
-        raise ValidityError(f"Bloch vector has length {r!r} > 1")
-    rho = 0.5 * (ID2 + n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2])
-    return rho
+    if n.ndim == 0 or n.shape[-1] != 3:
+        raise DimensionError(f"expected 3-vectors, got shape {n.shape}")
+    r = np.linalg.norm(n, axis=-1)
+    if (r > 1.0 + TOL.bloch_ball).any():
+        raise ValidityError(f"Bloch vector has length {float(r.max())!r} > 1")
+    x, y, z = (n[..., k, None, None] for k in range(3))
+    return 0.5 * (ID2 + x * PAULI[0] + y * PAULI[1] + z * PAULI[2])
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
@@ -63,10 +64,6 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
 def purity(rho: np.ndarray) -> float:
     rho = density_matrix(rho)
     return float(np.trace(rho @ rho).real)
-
-
-def is_pure(rho: np.ndarray) -> bool:
-    return purity(rho) >= 1.0 - TOL.pure_state
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -82,12 +79,3 @@ def maximally_mixed(dim: int) -> np.ndarray:
     if dim < 1:
         raise DimensionError("dimension must be positive")
     return np.eye(dim, dtype=complex) / dim
-
-
-def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
-    """<psi|rho|psi> for a validated ket against a validated state."""
-    psi = state_vector(psi)
-    rho = density_matrix(rho)
-    if rho.shape[0] != psi.shape[0]:
-        raise DimensionError("state vector and density matrix dimensions differ")
-    return float(np.real(np.conjugate(psi) @ rho @ psi))

@@ -34,24 +34,31 @@ class Tolerances:
     ode_norm_drift: float = 1e-8
     ode_hermitian_drift: float = 1e-8
     whole_steps_rel: float = 1e-9      # |t_end/step - n| <= rel * n for a whole step count n
+    max_samples: int = 10**6           # stored samples a run may ask for, checked before allocating
 
     # relativistic spin transport
     on_shell_rel: float = 1e-8         # |p.p - (mc)^2| relative to (mc)^2
     bmt_invariant_drift: float = 1e-6  # p.p, p.w, w.w drift that aborts a BMT run, relative
+    rest_start: float = 1e-12          # |p - (mc, 0, 0, 0)| entries counting as a start at rest
 
     # closed-form branch selection
     orthogonal_c1: float = 1e-12       # |g.omega| below this counts as orthogonal
     degenerate_c2_rel: float = 1e-10   # |g^2 - omega^2| relative to max(g^2, omega^2)
-    pure_state: float = 1e-8           # purity >= 1 - tol counts as pure
+    unit_determinant: float = 1e-10    # |det S - 1| for an SL(2,C) conjugation
+    gauge_degenerate_rel: float = 1e-12  # |2g - l^2| relative to max(|2g|, l^2, 1), excluded
 
     # scenario cross-checks (qdsim run --check)
     closed_vs_ode: float = 1e-6        # Bloch distance, closed form against RK4
+    oracle_step: float = 1e-3          # largest RK4 step of the cross-check run
+    oracle_max_steps: int = 200_000    # RK4 steps the cross-check run may take
+    oracle_points: int = 64            # about this many cross-check comparison points
     case_vs_general: float = 1e-10     # Bloch distance, per-case formula against the general one
     kraus_vs_closed: float = 1e-10     # Bloch distance, Kraus family against the closed form
     # the finite-difference residual is checked through its first-order
     # ratio err(dt/2)/err(dt), not its magnitude (which scales with the
     # squared generator norm and has no universal absolute tolerance)
     generator_consistency: float = 0.1     # |ratio - 1/2|
+    fd_step: float = 1e-5              # dt of the finite-difference residual, halved for the ratio
     generator_residual_floor: float = 1e-9 # residual already at rounding: ratio not checked
     weight_sum: float = 1e-10          # |sum of Jaynes-Cummings block weights - 1|
     four_vector_invariants: float = 1e-6   # relative drift of p.p, p.w, w.w over a BMT run

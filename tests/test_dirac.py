@@ -35,6 +35,10 @@ def test_gamma_algebra():
 def test_sigma_map_round_trip(rng):
     x = rng.normal(size=4)
     assert np.allclose(dirac.sigma_to_four(dirac.four_to_sigma(x)), x, atol=1e-12)
+    xs = rng.normal(size=(5, 4))
+    stacked = np.array([dirac.four_to_sigma(v) for v in xs])
+    assert np.array_equal(dirac.sigma_to_four(stacked),
+                          [dirac.sigma_to_four(X) for X in stacked])
     with pytest.raises(DomainError):
         dirac.four_to_sigma(np.zeros(3))
 

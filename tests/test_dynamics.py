@@ -13,15 +13,20 @@ from qdsim.dynamics import (
     finite_difference_generator_check,
     gksl_rhs,
     inverted_morse_profile,
-    mean_energy,
     qubit_rate_generator,
+    sample_count,
     standard_lindblad_rhs,
     state_vector_rhs,
     whole_steps,
 )
 from qdsim.errors import DomainError, UnsupportedModeError, ValidityError
 from qdsim.linalg import SIGMA_X, SIGMA_Z, frobenius
+from qdsim.models import dirac
+from qdsim.models import neutrino as nu
+from qdsim.run import _grid
 from qdsim.states import bloch_to_density, density_to_bloch, projector
+
+from qdsim.tolerances import TOL
 
 from conftest import random_density
 
@@ -123,12 +128,6 @@ def test_state_vector_rhs_rejects_lindblads():
         state_vector_rhs(gen, np.array([1.0, 0.0], dtype=complex))
 
 
-def test_mean_energy():
-    gen = Generator.qubit((0.0, 0.0, 2.0), (0.0, 0.0, 0.0))
-    assert mean_energy(gen, bloch_to_density((0, 0, 1))) == pytest.approx(1.0)
-    assert mean_energy(gen, bloch_to_density((1, 0, 0))) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_inverted_morse_profile_shape():
     q, nu = 0.007, 0.0005
     profile = inverted_morse_profile(q, nu)
@@ -188,6 +187,34 @@ def test_steppers_reject_a_horizon_off_the_step_grid(t_end, step):
         evolve(gen, bloch_to_density((0, 0, 1)), cfg)
     with pytest.raises(DomainError):
         evolve_state_vector(gen, np.array([1.0, 0.0], dtype=complex), cfg)
+
+
+def test_sample_count():
+    assert sample_count(0, 1) == 1
+    assert sample_count(10, 3) == 5  # t = 0, steps 3, 6, 9 and the last
+    assert sample_count(TOL.max_samples - 1, 1) == TOL.max_samples
+    for n_steps, stride in ((TOL.max_samples, 1), (10**15, 1), (10**15, 10**8)):
+        with pytest.raises(DomainError):
+            sample_count(n_steps, stride)
+
+
+def test_steppers_refuse_more_samples_than_the_cap():
+    # one step past the cap at stride 1: rejected before the first step
+    t_end = float(TOL.max_samples)
+    cfg = IntegratorConfig(t_end=t_end, step=1.0)
+    gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.0))
+    with pytest.raises(DomainError):
+        evolve(gen, bloch_to_density((0, 0, 1)), cfg)
+    with pytest.raises(DomainError):
+        evolve_state_vector(gen, np.array([1.0, 0.0], dtype=complex), cfg)
+    with pytest.raises(DomainError):
+        nu.neutrino_evolve(nu.NeutrinoConfig(0.01), None, t_end, 1.0, sample_stride=1)
+    fields = dirac.EMFieldConfig((0.001, 0.0, 0.0), (0.0, 0.0, 0.05))
+    with pytest.raises(DomainError):
+        dirac.bmt_evolve(fields, dirac.rest_momentum(1.0), (0, 0, 1.0), t_end, 1.0,
+                         sample_stride=1)
+    with pytest.raises(DomainError):
+        _grid(1e15, 1.0)  # 7 PiB of sample times if it were allocated
 
 
 def test_trajectory_validation():

@@ -9,7 +9,6 @@ from qdsim.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     as_operator,
-    anticommutator,
     commutator,
     dagger,
     frobenius,
@@ -52,7 +51,6 @@ def test_as_operator_rejects_nonfinite():
 def test_commutators():
     a, b = SIGMA_X, SIGMA_Y
     assert np.allclose(commutator(a, b), a @ b - b @ a)
-    assert np.allclose(anticommutator(a, b), a @ b + b @ a)
 
 
 @given(v=vec3)

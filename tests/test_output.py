@@ -81,20 +81,18 @@ def test_svg_unknown_observable(tmp_path):
 
 def test_svg_log_axis_drops_origin(tmp_path):
     path = tmp_path / "log.svg"
-    with pytest.warns(UserWarning, match="dropping 1 sample"):
-        emit_svg(make_traj(), PlotSpec(observables=("up",), log_x=True), path)
+    assert emit_svg(make_traj(), PlotSpec(observables=("up",), log_x=True), path) == 1
     text = path.read_text()
     assert "log10(t)" in text
     assert text.count("<polyline") == 1
+    assert emit_svg(make_traj(), PlotSpec(observables=("up",)), path) == 0
 
 
 def test_svg_log_axis_needs_positive_samples(tmp_path):
     traj = Trajectory(times=np.array([-2.0, -1.0]), states=(HALF,) * 2,
                       derived={"up": np.array([1.0, 2.0])})
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValidityError):
-            emit_svg(traj, PlotSpec(observables=("up",), log_x=True),
-                     tmp_path / "x.svg")
+    with pytest.raises(ValidityError, match="no samples remain"):
+        emit_svg(traj, PlotSpec(observables=("up",), log_x=True), tmp_path / "x.svg")
 
 
 def test_svg_flat_series_still_renders(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdsim.dynamics import IntegratorConfig, evolve
-from qdsim.errors import DomainError, PreconditionError
+from qdsim.errors import DomainError, PreconditionError, ValidityError
 from qdsim.linalg import frobenius, pauli_dot
 from qdsim.qubit import (
     CaseClass,
@@ -116,6 +116,68 @@ def test_case_formulas_agree_with_general(rng):
             a = bloch_trajectory_case(case, p, xi, t)
             b = bloch_trajectory_general(p, xi, t)
             assert np.linalg.norm(a - b) <= 1e-10
+
+
+# every case class, t = 0, two times inside the sl2c series window
+# (|alpha^2| t^2 / 4 < TOL.sl2c_series) and times well outside it
+GRID = np.concatenate([[0.0, 1e-6, 1e-5], np.linspace(0.01, 3.0, 13)])
+LAYOUTS = [
+    (CaseClass.GENERIC_TILTED, (0.3, -1.0, 2.0), (1.5, 0.4, -0.2)),
+    (CaseClass.OSCILLATORY, (0, 0, 6.0), (4.0, 0, 0)),
+    (CaseClass.HYPERBOLIC_DAMPED, (0, 0, 6.0), (8.0, 0, 0)),
+    (CaseClass.PARABOLIC, (0, 0, 2.0), (0, 2.0, 0)),
+]
+
+
+@pytest.mark.parametrize("case, w, g", LAYOUTS)
+def test_array_calls_equal_stacked_scalar_calls(rng, case, w, g):
+    p = QubitGeneratorParams(w, g)
+    assert classify(p) is case
+    co = sl2c_coefficients(p, GRID)
+    per_t = [sl2c_coefficients(p, t) for t in GRID]
+    assert isinstance(per_t[0].a, complex) and co.a.shape == GRID.shape
+    for got, want in ((co.a, [c.a for c in per_t]), (co.b, [c.b for c in per_t])):
+        assert (np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))).all()
+    assert co.matrix().shape == (len(GRID), 2, 2)
+    assert np.abs(co.matrix() - [c.matrix() for c in per_t]).max() <= 1e-15 * max(
+        1.0, np.abs(co.matrix()).max())
+    xi = random_bloch(rng)
+    forms = [lambda t: bloch_trajectory_general(p, xi, t)]
+    if case is not CaseClass.GENERIC_TILTED:
+        forms.append(lambda t: bloch_trajectory_case(case, p, xi, t))
+    for form in forms:
+        got = form(GRID)
+        assert got.shape == (len(GRID), 3)
+        assert np.abs(got - [form(t) for t in GRID]).max() <= 1e-15
+
+
+def test_single_lindblad_array_call_equals_stacked_scalar_calls(rng):
+    xi = random_bloch(rng)
+    for p in (SingleLindbladParams(-0.5, 13.0, 2.5), SingleLindbladParams(0.4, 2.0, 0.5),
+              SingleLindbladParams(0.0, 2.0, 0.5)):
+        got = single_lindblad_trajectory(p, xi, GRID)
+        assert got.shape == (len(GRID), 3)
+        want = [single_lindblad_trajectory(p, xi, t) for t in GRID]
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def test_exponential_cap_applies_to_every_element():
+    # s = sqrt(28) puts the cap |s t|/2 = 700 near t = 264.6
+    p = QubitGeneratorParams((0, 0, 6.0), (8.0, 0, 0))
+    grid = np.array([0.0, 1.0, 300.0])
+    with pytest.raises(ValidityError) as scalar:
+        bloch_trajectory_general(p, (0, 0, 1.0), 300.0)
+    with pytest.raises(ValidityError) as array:
+        bloch_trajectory_general(p, (0, 0, 1.0), grid)
+    assert str(array.value) == str(scalar.value)
+    with pytest.raises(ValidityError):
+        sl2c_coefficients(p, grid)
+    slp = SingleLindbladParams(-0.5, 13.0, 2.5)  # |2 g t| = 700 at t = 700
+    with pytest.raises(ValidityError) as scalar:
+        single_lindblad_trajectory(slp, (0, 0, 1.0), 800.0)
+    with pytest.raises(ValidityError) as array:
+        single_lindblad_trajectory(slp, (0, 0, 1.0), np.array([0.0, 1.0, 800.0]))
+    assert str(array.value) == str(scalar.value)
 
 
 def test_case_formula_guards():

@@ -7,12 +7,14 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdsim
 from qdsim.cli import main
 from qdsim.errors import DomainError
-from qdsim.run import run_file
+from qdsim.run import _qubit_columns, run_file
+from qdsim.states import bloch_to_density, purity, von_neumann_entropy
 
 PASS_SCN = """\
 [scenario]
@@ -123,6 +125,20 @@ def test_run_file_overrides(tmp_path, pass_file):
                        step=0.01, t_end=0.5)
     assert traj.times[-1] == pytest.approx(0.5)
     assert traj.times[1] - traj.times[0] == pytest.approx(0.01)
+
+
+def test_qubit_columns_match_the_state_functions():
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(20, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.concatenate([[0.0, 1.0, 1.0 + 5e-10], rng.uniform(0.0, 1.0, 17)])
+    blochs = dirs * radii[:, None]
+    cols = _qubit_columns(blochs)
+    for k, n in enumerate(blochs):
+        rho = bloch_to_density(n)
+        assert abs(cols["purity"][k] - purity(rho)) <= 1e-12
+        assert abs(cols["entropy"][k] - von_neumann_entropy(rho)) <= 1e-12
+    assert np.array_equal(cols["n2"], blochs[:, 1])
 
 
 def test_cli_pass_exits_zero(tmp_path, pass_file, capsys):
@@ -260,6 +276,37 @@ def test_bad_horizons_fail_alone_in_a_batch(tmp_path, pass_file):
     assert len(errors) == 2
     assert errors[0].startswith(f"scenario {paths[1]}: error:")
     assert errors[1].startswith(f"scenario {paths[2]}: error:")
+
+
+def test_oversized_sample_grid_fails_alone_in_a_batch(tmp_path, pass_file):
+    # 10^15 + 1 sample times would need 7 PiB; the cap rejects the file
+    # before allocating and the files around it still report
+    huge = tmp_path / "huge.scn"
+    huge.write_text(_with_horizon(PASS_SCN, "1e15", "1.0"))
+    ok2 = tmp_path / "ok2.scn"
+    ok2.write_text(PASS_SCN.replace("cli-pass", "cli-second")
+                   .replace("pass.csv", "second.csv").replace("pass.svg", "second.svg"))
+    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(pass_file), str(huge),
+                     str(ok2), "--no-check", "--out-dir", str(tmp_path / "o")])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    errors = proc.stderr.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"scenario {huge}: error:") and "samples" in errors[0]
+    assert "scenario cli-pass" in proc.stdout and "scenario cli-second" in proc.stdout
+    assert proc.stdout.count(": ok") == 2
+
+
+def test_log_axis_drop_is_a_report_note(tmp_path):
+    scn = tmp_path / "log.scn"
+    scn.write_text(PASS_SCN + "log_x = true\n")
+    out_dir = tmp_path / "o"
+    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(scn), "--no-check",
+                     "--out-dir", str(out_dir)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert f"note: {out_dir / 'pass.svg'}: 1 sample(s) with t <= 0 left off the log axis" \
+        in proc.stdout
 
 
 def test_import_leaves_scipy_stats_out():

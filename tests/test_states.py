@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qdsim.errors import ValidityError
+from qdsim.errors import DimensionError, ValidityError
 from qdsim.states import (
     bloch_to_density,
     density_matrix,
     density_to_bloch,
-    fidelity_pure,
-    is_pure,
     maximally_mixed,
     projector,
     purity,
@@ -16,7 +14,6 @@ from qdsim.states import (
     von_neumann_entropy,
 )
 
-from conftest import random_density
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0)
 angle = st.floats(min_value=0.0, max_value=2.0 * np.pi)
@@ -36,6 +33,15 @@ def test_bloch_round_trip(r, theta, phi):
 def test_bloch_rejects_outside_ball():
     with pytest.raises(ValidityError):
         bloch_to_density((0.8, 0.8, 0.8))
+    inside = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    stacked = bloch_to_density(inside)
+    assert stacked.shape == (3, 2, 2)
+    for n, rho in zip(inside, stacked):
+        assert np.array_equal(rho, bloch_to_density(n))
+    with pytest.raises(ValidityError):
+        bloch_to_density(np.vstack([inside, [(0.8, 0.8, 0.8)]]))
+    with pytest.raises(DimensionError):
+        bloch_to_density(np.zeros((3, 2)))
 
 
 def test_density_matrix_validation():
@@ -53,12 +59,6 @@ def test_purity_matches_bloch_radius(r):
     assert abs(purity(rho) - 0.5 * (1.0 + r * r)) <= 1e-12
 
 
-def test_is_pure_boundary():
-    assert is_pure(bloch_to_density((0.0, 0.0, 1.0)))
-    assert not is_pure(bloch_to_density((0.0, 0.0, 0.9)))
-    assert not is_pure(maximally_mixed(2))
-
-
 def test_entropy_limits():
     assert von_neumann_entropy(bloch_to_density((0, 0, 1))) == pytest.approx(0.0, abs=1e-12)
     assert von_neumann_entropy(maximally_mixed(2)) == pytest.approx(np.log(2.0), abs=1e-12)
@@ -73,10 +73,6 @@ def test_projector_and_fidelity(rng):
     psi = state_vector(raw / np.linalg.norm(raw))
     p = projector(psi)
     assert np.allclose(p @ p, p)
-    assert fidelity_pure(psi, p) == pytest.approx(1.0, abs=1e-12)
-    rho = random_density(rng, 3)
-    f = fidelity_pure(psi, rho)
-    assert 0.0 <= f <= 1.0 + 1e-12
 
 
 def test_state_vector_validates_norm():
