@@ -6,13 +6,15 @@
 
 Exit codes: 0 all checks passed, 2 at least one check failed, 1 parse,
 usage, or runtime error. 'figures' re-runs every scenario shipped with
-the package. Independent scenario files may run in parallel workers;
-they never share output paths.
+the package. Independent scenario files may run in parallel workers
+(--jobs N starts at most N, and never more than there are files or CPU
+cores); they never share output paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
@@ -43,8 +45,10 @@ def _execute(task):
 
 
 def _run_batch(tasks, jobs: int) -> int:
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at the first submit
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute, tasks))
     else:
         results = [_execute(t) for t in tasks]

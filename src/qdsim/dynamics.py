@@ -97,17 +97,19 @@ def whole_steps(t_end: float, step: float) -> int:
     """Number of fixed steps of size step that end at t_end.
 
     The one rule every stepper uses to turn a horizon into a step count:
-    a non-finite or negative value, or a horizon that is not a whole
-    number of steps to TOL.whole_steps_rel, raises DomainError rather
-    than running to a shorter or longer horizon than the one asked for.
+    a non-finite or negative value, a horizon that is not a whole number
+    of steps to TOL.whole_steps_rel, or one that needs more than
+    TOL.max_steps steps raises DomainError rather than running to a
+    shorter or longer horizon than the one asked for, or for hours.
     """
     if not (math.isfinite(t_end) and math.isfinite(step)):
         raise DomainError(f"horizon {t_end!r} and step {step!r} must be finite")
     if t_end < 0.0 or step <= 0.0:
         raise DomainError(f"need horizon >= 0 and step > 0, got {t_end!r} and {step!r}")
     ratio = t_end / step
-    if not math.isfinite(ratio):
-        raise DomainError(f"horizon {t_end!r} needs too many steps of {step!r}")
+    if not ratio < TOL.max_steps + 0.5:
+        raise DomainError(
+            f"horizon {t_end!r} needs more than {TOL.max_steps} steps of {step!r}")
     n = round(ratio)
     if abs(ratio - n) > TOL.whole_steps_rel * n:
         raise DomainError(f"horizon {t_end!r} is not a whole number of steps of {step!r}")
@@ -126,15 +128,17 @@ def sample_count(n_steps: int, stride: int) -> int:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states plus named derived real series."""
+    """Sample times, the sampled states stacked in one array (N, d, d),
+    or (N, d) for kets, plus named derived real series."""
 
     times: np.ndarray
-    states: tuple
+    states: np.ndarray
     derived: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(self.states) != t.shape[0]:
+        states = np.asarray(self.states)
+        if t.ndim != 1 or states.shape[:1] != t.shape:
             raise DimensionError("times and states must have equal length")
         if t.shape[0] > 1 and not (np.diff(t) > 0.0).all():
             raise ValidityError("trajectory times must be strictly increasing")
@@ -142,6 +146,7 @@ class Trajectory:
             if np.asarray(series).shape[0] != t.shape[0]:
                 raise DimensionError(f"derived series {name!r} has wrong length")
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -242,10 +247,10 @@ def _rk4(gen, rhs, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Traje
     at = gen if callable(gen) else lambda t: gen
     h = cfg.step
     n_steps = whole_steps(cfg.t_end, h)
-    sample_count(n_steps, cfg.sample_stride)
-    y = y0
-    times = [0.0]
-    states = [y.copy()]
+    times = np.empty(sample_count(n_steps, cfg.sample_stride))
+    states = np.empty(times.shape + y0.shape, dtype=complex)
+    times[0], states[0] = 0.0, y0
+    y, k = y0, 1
     gen_t = at(0.0)
     for i in range(n_steps):
         t = i * h
@@ -260,9 +265,9 @@ def _rk4(gen, rhs, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Traje
         if (i + 1) % cfg.sample_stride == 0 or i + 1 == n_steps:
             t_now = (i + 1) * h
             check_sample(y, t_now)
-            times.append(t_now)
-            states.append(y.copy())
-    return Trajectory(times=np.asarray(times), states=tuple(states))
+            times[k], states[k] = t_now, y
+            k += 1
+    return Trajectory(times=times, states=states)
 
 
 def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
@@ -281,7 +286,8 @@ def evolve_state_vector(gen, psi0: np.ndarray, cfg: IntegratorConfig,
 
 def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:
     """Damping-rate magnitude g(t) = q (1 - (1 - e^{-nu t})^2): starts at q,
-    decays to zero; crosses any level in (0, q) exactly once for t >= 0."""
+    decays to zero; crosses any level in (0, q) exactly once for t >= 0.
+    t may be a scalar or an array."""
     if q == 0.0 or nu <= 0.0:
         raise DomainError("need q != 0 and nu > 0")
 

@@ -66,10 +66,7 @@ class KrausFamily:
 
     def effect_operator(self) -> np.ndarray:
         """F = sum_a K_a^dag K_a."""
-        f = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in self.operators:
-            f += dagger(k) @ k
-        return f
+        return sum(dagger(k) @ k for k in self.operators)
 
     def is_trace_preserving(self) -> bool:
         f = self.effect_operator()
@@ -78,12 +75,9 @@ class KrausFamily:
     def apply_raw(self, rho: np.ndarray) -> np.ndarray:
         """sum_a K_a rho K_a^dag without normalization."""
         rho = density_matrix(rho)
-        if rho.shape[0] != self.dim:
+        if rho.shape != (self.dim, self.dim):
             raise DimensionError("state dimension does not match the Kraus family")
-        out = np.zeros_like(rho)
-        for k in self.operators:
-            out += k @ rho @ dagger(k)
-        return out
+        return sum(k @ rho @ dagger(k) for k in self.operators)
 
     def apply_normalized(self, rho: np.ndarray) -> np.ndarray:
         """The trace-normalized image; raises if the trace vanishes."""
@@ -98,7 +92,7 @@ class KrausFamily:
     def selection_weight(self, rho: np.ndarray) -> float:
         """tr(F rho), the normalizing trace (a probability in operation mode)."""
         rho = density_matrix(rho)
-        if rho.shape[0] != self.dim:
+        if rho.shape != (self.dim, self.dim):
             raise DimensionError("state dimension does not match the Kraus family")
         return float(np.trace(self.effect_operator() @ rho).real)
 
@@ -135,10 +129,7 @@ class EnsembleSplit:
         object.__setattr__(self, "states", ms)
 
     def mixture(self) -> np.ndarray:
-        out = np.zeros_like(self.states[0])
-        for p, m in zip(self.weights, self.states):
-            out += p * m
-        return out
+        return sum(p * m for p, m in zip(self.weights, self.states))
 
 
 def reweighted_ensemble(family: KrausFamily, split: EnsembleSplit) -> np.ndarray:

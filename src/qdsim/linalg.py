@@ -4,13 +4,13 @@ Dimensions here are tiny (2 for a qubit, 4 for a Dirac spinor, a few tens
 for coupled-oscillator blocks), so everything is plain dense numpy. The
 one piece of real numerics owned by this module is the closed-form 2x2
 matrix exponential through the Pauli decomposition; larger matrices are
-delegated to scipy's scaling-and-squaring Pade routine.
+delegated to scipy's scaling-and-squaring Pade routine, imported only
+when needed. dagger, frobenius and is_hermitian also take stacks (..., d, d).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, ValidityError
 from .tolerances import TOL
@@ -22,10 +22,11 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def as_operator(a: np.ndarray) -> np.ndarray:
-    """Validate shape and finiteness, return a complex ndarray copy."""
+def as_operator(a: np.ndarray, stack: bool = False) -> np.ndarray:
+    """Validate shape and finiteness, return a complex ndarray copy; with
+    stack=True a stack of square matrices (..., d, d) is accepted too."""
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or (arr.ndim > 2 and not stack) or arr.shape[-1] != arr.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidityError("operator contains non-finite entries")
@@ -33,11 +34,14 @@ def as_operator(a: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conjugate(a.T)
+    return a.conj().swapaxes(-1, -2)
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
+def frobenius(a: np.ndarray):
+    """A float for one matrix, an array of norms for a stack."""
+    if a.ndim == 2:
+        return float(np.linalg.norm(a, "fro"))
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,8 +56,14 @@ def pauli_dot(v) -> np.ndarray:
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
-def is_hermitian(a: np.ndarray, rel: float = TOL.hermitian_rel) -> bool:
-    return frobenius(a - dagger(a)) <= rel * max(frobenius(a), 1.0)
+def pauli_components(a: np.ndarray) -> np.ndarray:
+    """Real parts of tr(a sigma_k), k = 1, 2, 3, for 2x2 a of shape (..., 2, 2)."""
+    return np.stack([np.trace(a @ s, axis1=-2, axis2=-1).real for s in PAULI], axis=-1)
+
+
+def is_hermitian(a: np.ndarray, rel: float = TOL.hermitian_rel):
+    """A bool for one matrix, a bool array for a stack."""
+    return frobenius(a - dagger(a)) <= rel * np.maximum(frobenius(a), 1.0)
 
 
 def _expm_2x2(a: np.ndarray) -> np.ndarray:
@@ -93,5 +103,7 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
         )
     if a.shape == (2, 2):
         return _expm_2x2(a)
+    import scipy.linalg  # costs most of `import qdsim`; no shipped scenario needs it
+
     return scipy.linalg.expm(a)
 

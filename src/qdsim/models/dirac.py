@@ -42,7 +42,7 @@ from ..errors import (
     PreconditionError,
     ValidityError,
 )
-from ..linalg import ID2, PAULI, pauli_dot
+from ..linalg import ID2, PAULI, dagger, pauli_components, pauli_dot
 from ..qubit import QubitGeneratorParams, bloch_trajectory_general, sl2c_coefficients
 from ..states import bloch_to_density
 from ..tolerances import TOL
@@ -147,12 +147,12 @@ def bloch_from_spinor_density(theta, p, mass: float, c: float = 1.0) -> np.ndarr
     tr = np.trace(rho).real
     if tr <= 0.0:
         raise ValidityError("projected 2x2 block has non-positive trace")
-    rho = rho / tr
-    return np.array([np.trace(rho @ s).real for s in PAULI])
+    return pauli_components(rho / tr)
 
 
 def bloch_from_chiral_block(theta) -> np.ndarray:
-    """Bloch vector of the trace-normalized upper chiral block of Theta.
+    """Bloch vector of the trace-normalized upper chiral block of Theta;
+    a stack of shape (..., 4, 4) gives Bloch vectors of shape (..., 3).
 
     For a rest-frame start the upper block of K Theta K^dag is
     K_u rho K_u^dag, so this readout reproduces the closed-form qubit
@@ -161,14 +161,14 @@ def bloch_from_chiral_block(theta) -> np.ndarray:
     represents it; the readout is only meaningful from rest.
     """
     theta = np.asarray(theta, dtype=complex)
-    if theta.shape != (4, 4):
+    if theta.shape[-2:] != (4, 4):
         raise DomainError("Theta must be 4x4")
-    block = 0.5 * (theta[:2, :2] + theta[:2, :2].conj().T)
-    tr = np.trace(block).real
-    if tr <= 0.0:
+    upper = theta[..., :2, :2]
+    block = 0.5 * (upper + dagger(upper))
+    tr = np.trace(block, axis1=-2, axis2=-1).real
+    if (tr <= 0.0).any():
         raise ValidityError("chiral block has non-positive trace")
-    block = block / tr
-    return np.array([np.trace(block @ s).real for s in PAULI])
+    return pauli_components(block / tr[..., None, None])
 
 
 def polarization_fourvector(p, xi, mass: float, c: float = 1.0) -> np.ndarray:
@@ -312,7 +312,7 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     n_steps = whole_steps(tau_end, step)
     if sample_stride <= 0:
         sample_stride = max(1, n_steps // 2000)
-    sample_count(n_steps, sample_stride)
+    t_grid = np.empty(sample_count(n_steps, sample_stride))
     a = (f.charge / f.mass) * field_tensor_mixed(f) * step
     a2 = a @ a
     rk4_step = np.eye(4) + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
@@ -322,30 +322,22 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     scale = _conservation_scale(mc, w0)
 
     y = np.column_stack([p0, w0])
-    times = [0.0]
-    p_series = [p0.copy()]
-    w_series = [w0.copy()]
-
-    def record(tau: float, y_now: np.ndarray) -> None:
-        p_now = y_now[:, 0]
-        w_now = y_now[:, 1]
-        drift_pp = abs(minkowski_dot(p_now, p_now) - pp_ref)
-        drift_pw = abs(minkowski_dot(p_now, w_now))
-        drift_ww = abs(minkowski_dot(w_now, w_now) - ww_ref)
-        if max(drift_pp, drift_pw, drift_ww) > TOL.bmt_invariant_drift * scale:
-            raise IntegrationDivergedError(
-                "four-vector invariants drifted; reduce the step", tau
-            )
-        times.append(tau)
-        p_series.append(p_now.copy())
-        w_series.append(w_now.copy())
-
+    ys = np.empty(t_grid.shape + y.shape)  # (p, w) columns per sample
+    t_grid[0], ys[0], k = 0.0, y, 1
     for i in range(n_steps):
         y = rk4_step @ y
         if (i + 1) % sample_stride == 0 or i + 1 == n_steps:
-            record((i + 1) * step, y)
+            tau = (i + 1) * step
+            p_now, w_now = y[:, 0], y[:, 1]
+            drift = max(abs(minkowski_dot(p_now, p_now) - pp_ref),
+                        abs(minkowski_dot(p_now, w_now)),
+                        abs(minkowski_dot(w_now, w_now) - ww_ref))
+            if drift > TOL.bmt_invariant_drift * scale:
+                raise IntegrationDivergedError(
+                    "four-vector invariants drifted; reduce the step", tau)
+            t_grid[k], ys[k] = tau, y
+            k += 1
 
-    t_grid = np.asarray(times)
     ku = sl2c_coefficients(params, t_grid[1:]).matrix()
     k4 = np.zeros((len(ku), 4, 4), dtype=complex)
     k4[:, :2, :2] = ku
@@ -354,9 +346,8 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     # carry opposite boosts and their relative size is physical
     k4 /= np.maximum(1.0, np.abs(k4).max(axis=(1, 2)))[:, None, None]
     raw = k4 @ theta0 @ k4.conj().swapaxes(1, 2)
-    thetas = (theta0, *(raw / np.trace(raw, axis1=1, axis2=2).real[:, None, None]))
-    p_arr = np.asarray(p_series)
-    w_arr = np.asarray(w_series)
+    raw /= np.trace(raw, axis1=1, axis2=2).real[:, None, None]
+    p_arr, w_arr = ys[..., 0], ys[..., 1]
     # lab time by trapezoid on dt/dtau = p0/mc
     rate = p_arr[:, 0] / mc
     t_lab = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t_grid))])
@@ -366,4 +357,4 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
         "xi": np.vstack([xi0, bloch_trajectory_general(params, xi0, t_grid[1:])]),
         "t_lab": t_lab,
     }
-    return Trajectory(times=t_grid, states=thetas, derived=derived)
+    return Trajectory(times=t_grid, states=np.concatenate([theta0[None], raw]), derived=derived)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, SingularNormalizationError, ValidityError
-from ..linalg import SIGMA_Z
+from ..linalg import dagger
 from ..qubit import CaseClass, QubitGeneratorParams, classify, sl2c_coefficients
 from ..states import bloch_to_density, density_matrix
 from ..tolerances import TOL
@@ -67,35 +67,38 @@ def block_case(p: JCParams, n: int) -> CaseClass:
 
 @dataclass(frozen=True)
 class JCBlockState:
-    """Weights lambda_n plus one 2x2 state per excitation block."""
+    """Weights lambda_n, shape (..., n_max+1), plus one 2x2 state per
+    excitation block, shape (..., n_max+1, 2, 2); the leading axes, if
+    any, index samples."""
 
     weights: np.ndarray
-    blocks: tuple
+    blocks: np.ndarray
 
     def __init__(self, weights, blocks) -> None:
         weights = np.asarray(weights, dtype=float)
-        blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
-        if weights.ndim != 1 or len(blocks) != weights.shape[0] or weights.size == 0:
+        blocks = np.asarray(blocks, dtype=complex)
+        if weights.ndim == 0 or weights.shape[-1] == 0 or blocks.shape != weights.shape + (2, 2):
             raise DomainError("need equal-length weights and blocks")
-        if weights.min() < -TOL.trace_one or weights.max() > 1.0 + TOL.trace_one:
+        if ((weights < -TOL.trace_one) | (weights > 1.0 + TOL.trace_one)).any():
             raise DomainError("weights must lie in [0, 1]")
-        if abs(weights.sum() - 1.0) > TOL.trace_one:
-            raise ValidityError(f"weights sum to {weights.sum()!r}, not 1")
-        blocks = tuple(density_matrix(b) for b in blocks)
+        total = weights.sum(axis=-1)
+        off = np.abs(total - 1.0) > TOL.trace_one
+        if off.any():
+            raise ValidityError(f"weights sum to {float(total[off][0])!r}, not 1")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", density_matrix(blocks))
 
     @property
     def n_max(self) -> int:
-        return self.weights.shape[0] - 1
+        return self.weights.shape[-1] - 1
 
     @classmethod
     def coherent_field(cls, p: JCParams, nbar: float, xi) -> "JCBlockState":
         """Poisson photon-number weights (mean nbar, truncated and
         renormalized at n_max) with the same atomic Bloch vector in
         every block."""
-        if nbar < 0.0:
-            raise DomainError("nbar must be non-negative")
+        if not 0.0 <= nbar < math.inf:
+            raise DomainError(f"nbar must be finite and non-negative, got {nbar!r}")
         n = np.arange(p.n_max + 1)
         if nbar > 0.0:
             # exp(n ln nbar - ln n! - nbar) underflows to 0 where the
@@ -107,54 +110,50 @@ class JCBlockState:
         if total <= 0.0:
             raise DomainError("truncated Poisson weights vanished; raise n_max")
         rho = bloch_to_density(np.asarray(xi, dtype=float))
-        return cls(w / total, tuple(rho.copy() for _ in n))
+        return cls(w / total, np.broadcast_to(rho, (p.n_max + 1, 2, 2)))
 
     def full_density(self) -> np.ndarray:
-        """The direct-sum density matrix, dimension 2(n_max+1)."""
+        """The direct-sum density matrices, shape (..., dim, dim) with
+        dim = 2(n_max+1)."""
         dim = 2 * (self.n_max + 1)
-        out = np.zeros((dim, dim), dtype=complex)
-        for k, (w, b) in enumerate(zip(self.weights, self.blocks)):
-            out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = w * b
+        out = np.zeros(self.weights.shape[:-1] + (dim, dim), dtype=complex)
+        weighted = self.weights[..., None, None] * self.blocks
+        for k in range(self.n_max + 1):
+            out[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = weighted[..., k, :, :]
         return out
 
-    def atomic_inversion(self) -> float:
-        """Weighted mean of <sigma_3> over the blocks."""
-        return float(
-            sum(
-                w * np.trace(b @ SIGMA_Z).real
-                for w, b in zip(self.weights, self.blocks)
-            )
-        )
+    def atomic_inversion(self):
+        """Weighted mean of <sigma_3> over the blocks, shape (...)."""
+        sz = self.blocks[..., 0, 0].real - self.blocks[..., 1, 1].real
+        return (self.weights * sz).sum(axis=-1)
 
 
-def jc_evolve(p: JCParams, s0: JCBlockState, t: float) -> JCBlockState:
-    """Propagate every block by its closed-form SL(2,C) element and
-    reweight by the block trace ratio."""
-    if s0.n_max != p.n_max:
+def jc_evolve(p: JCParams, s0: JCBlockState, t) -> JCBlockState:
+    """Propagate every block of s0 by its closed-form SL(2,C) element
+    and reweight by the block trace ratio. t is a scalar or an array of
+    times; the result carries its shape in front of the block axes."""
+    if s0.weights.shape != (p.n_max + 1,):
         raise DomainError("state block count does not match n_max")
-    new_blocks = []
-    traces = np.empty(p.n_max + 1)
-    for n in range(p.n_max + 1):
-        k = sl2c_coefficients(p.block_params(n), t).matrix()
-        raw = k @ s0.blocks[n] @ k.conj().T
-        tr = np.trace(raw).real
-        if not np.isfinite(tr) or tr <= 0.0:
-            # K is invertible, so this can only be floating-point range
-            # exhaustion at extreme times
-            raise SingularNormalizationError(f"block {n} trace left double range")
-        traces[n] = tr
-        new_blocks.append(raw / tr)
+    k = np.stack([sl2c_coefficients(p.block_params(n), t).matrix()
+                  for n in range(p.n_max + 1)], axis=-3)
+    raw = k @ s0.blocks @ dagger(k)
+    traces = np.trace(raw, axis1=-2, axis2=-1).real
+    # K is invertible, so a bad trace can only be floating-point range
+    # exhaustion at extreme times
+    bad = ~(np.isfinite(traces) & (traces > 0.0))
+    if bad.any():
+        n = int(np.nonzero(bad)[-1][0])
+        raise SingularNormalizationError(f"block {n} trace left double range")
     raw_weights = s0.weights * traces
-    total = raw_weights.sum()
-    if total <= 0.0 or not np.isfinite(total):
+    total = raw_weights.sum(axis=-1)
+    if not (np.isfinite(total) & (total > 0.0)).all():
         raise SingularNormalizationError("all block weights vanished")
-    return JCBlockState(raw_weights / total, tuple(new_blocks))
+    return JCBlockState(raw_weights / total[..., None], raw / traces[..., None, None])
 
 
-def jc_mean_energy(p: JCParams, s: JCBlockState) -> float:
-    """Sum_n lambda_n tr(rho_n H_n), field phase term included."""
-    total = 0.0
-    for n in range(p.n_max + 1):
-        h = p.omega_f * (n + 0.5) * np.eye(2, dtype=complex) + 0.5 * p.omega_a * SIGMA_Z
-        total += s.weights[n] * np.trace(s.blocks[n] @ h).real
-    return float(total)
+def jc_mean_energy(p: JCParams, s: JCBlockState):
+    """Sum_n lambda_n tr(rho_n H_n), field phase term included; shape (...)."""
+    field = p.omega_f * (np.arange(p.n_max + 1) + 0.5)
+    up = s.blocks[..., 0, 0].real * (field + 0.5 * p.omega_a)
+    down = s.blocks[..., 1, 1].real * (field - 0.5 * p.omega_a)
+    return (s.weights * (up + down)).sum(axis=-1)

@@ -236,7 +236,7 @@ def neutrino_evolve(c: NeutrinoConfig, psi0, L_end: float, step: float,
     n1 = 2.0 * (psi[:, 0].conjugate() * psi[:, 1]).real
     n2 = 2.0 * (psi[:, 0].conjugate() * psi[:, 1]).imag
     n3 = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
-    states = tuple(np.outer(row, row.conjugate()) for row in psi)
+    states = psi[:, :, None] * psi.conj()[:, None, :]
     derived = {
         "psi": psi,
         "survival": np.abs(psi[:, 0]) ** 2,

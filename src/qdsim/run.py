@@ -113,17 +113,10 @@ def _oracle(gen: Generator, xi, icfg: dict) -> Trajectory:
     return evolve(gen, bloch_to_density(xi), cfg)
 
 
-def _bloch_series(traj: Trajectory) -> np.ndarray:
-    return np.array([density_to_bloch(rho) for rho in traj.states])
-
-
-def _closed_vs_ode(name: str, closed_form, ode: Trajectory, blochs=None) -> CheckResult:
-    """Largest Bloch distance between an RK4 trajectory (or its Bloch
-    series, when already computed) and closed_form(times) at its sample times."""
-    if blochs is None:
-        blochs = _bloch_series(ode)
-    ref = closed_form(ode.times)
-    dist = np.linalg.norm(blochs - ref, axis=1).max()
+def _closed_vs_ode(name: str, closed_form, ode: Trajectory) -> CheckResult:
+    """Largest Bloch distance between an RK4 trajectory and
+    closed_form(times) at its sample times."""
+    dist = np.linalg.norm(density_to_bloch(ode.states) - closed_form(ode.times), axis=1).max()
     return CheckResult(name, float(dist), TOL.closed_vs_ode)
 
 
@@ -160,7 +153,7 @@ def _run_qubit_closed_form(scn: Scenario, icfg: dict, check: bool):
     cols["p_plus"] = 0.5 * (1.0 + blochs @ w_hat)
     cols["p_minus"] = 0.5 * (1.0 - blochs @ w_hat)
     cols["rabi"] = rabi_probability(np.linalg.norm(params.g), w_norm, times)
-    traj = Trajectory(times=times, states=tuple(bloch_to_density(blochs)), derived=cols)
+    traj = Trajectory(times=times, states=bloch_to_density(blochs), derived=cols)
 
     checks, notes = [], []
     if check:
@@ -208,14 +201,14 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
         profile = inverted_morse_profile(p["q"], p["nu"])
         gen_at = qubit_rate_generator(omega, direction, profile)
         traj = evolve(gen_at, bloch_to_density(xi), cfg)
-        g_norm_series = np.array([profile(t) for t in traj.times])
+        g_norm_series = profile(traj.times)
         try:
             t_in = nu.instability_locator(profile, float(np.linalg.norm(omega)),
                                           lo=0.0, hi=icfg["t_end"])
             notes.append(f"|g(t)| = |omega| crossing at t_in = {t_in:.1f}")
         except NoCrossingError:
             notes.append("no |g(t)| = |omega| crossing inside the run window")
-    blochs = _bloch_series(traj)
+    blochs = density_to_bloch(traj.states)
     cols = _qubit_columns(blochs)
     cols["g_norm"] = g_norm_series
     traj = Trajectory(times=traj.times, states=traj.states, derived=cols)
@@ -224,8 +217,7 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
         if profile_kind == "constant":
             params = QubitGeneratorParams(omega, np.asarray(p["g"], dtype=float))
             checks.append(_closed_vs_ode(
-                "closed-form-vs-ode", lambda t: bloch_trajectory_general(params, xi, t),
-                traj, blochs))
+                "closed-form-vs-ode", lambda t: bloch_trajectory_general(params, xi, t), traj))
         picks = np.linspace(0, len(traj) - 1, min(8, len(traj))).astype(int)
         violation = 0.0
         for k in picks:
@@ -247,7 +239,7 @@ def _run_single_lindblad(scn: Scenario, icfg: dict, check: bool):
     xi = np.asarray(p["xi"], dtype=float)
     times = _grid(icfg["t_end"], icfg.get("step", 1e-3))
     blochs = single_lindblad_trajectory(slp, xi, times)
-    traj = Trajectory(times=times, states=tuple(bloch_to_density(blochs)),
+    traj = Trajectory(times=times, states=bloch_to_density(blochs),
                       derived=_qubit_columns(blochs))
 
     checks, notes = [], []
@@ -271,19 +263,14 @@ def _run_jaynes_cummings(scn: Scenario, icfg: dict, check: bool):
     xi = np.asarray(p["xi"], dtype=float)
     s0 = jc.JCBlockState.coherent_field(params, p["nbar"], xi)
     times = _grid(icfg["t_end"], icfg.get("step", 1e-3))
-    snapshots = []
-    for t in times:
-        snapshots.append(jc.jc_evolve(params, s0, t) if t > 0.0 else s0)
-    weights = np.array([s.weights for s in snapshots])
+    s = jc.jc_evolve(params, s0, times)
     cols = {
-        "inversion": np.array([s.atomic_inversion() for s in snapshots]),
-        "weights_sum": weights.sum(axis=1),
-        "mean_energy": np.array([jc.jc_mean_energy(params, s) for s in snapshots]),
+        "inversion": s.atomic_inversion(),
+        "weights_sum": s.weights.sum(axis=1),
+        "mean_energy": jc.jc_mean_energy(params, s),
+        **{f"lambda{n}": s.weights[:, n] for n in range(params.n_max + 1)},
     }
-    for n in range(params.n_max + 1):
-        cols[f"lambda{n}"] = weights[:, n]
-    states = tuple(s.full_density() for s in snapshots)
-    traj = Trajectory(times=times, states=states, derived=cols)
+    traj = Trajectory(times=times, states=s.full_density(), derived=cols)
 
     checks, notes = [], []
     damped = [n for n in range(params.n_max + 1)
@@ -292,7 +279,7 @@ def _run_jaynes_cummings(scn: Scenario, icfg: dict, check: bool):
     if check:
         checks.append(
             CheckResult(
-                "weights-sum", float(np.abs(weights.sum(axis=1) - 1.0).max()), TOL.weight_sum
+                "weights-sum", float(np.abs(cols["weights_sum"] - 1.0).max()), TOL.weight_sum
             )
         )
         k_star = int(np.argmax(s0.weights))
@@ -367,9 +354,7 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
         # from rest the normalized upper chiral block of Theta retraces the
         # closed-form spin; a boosted block is a two-sided slant, not a state
         if np.allclose(p0, dirac.rest_momentum(f.mass, f.c), rtol=0.0, atol=TOL.rest_start):
-            via_theta = np.array(
-                [dirac.bloch_from_chiral_block(th) for th in traj.states]
-            )
+            via_theta = dirac.bloch_from_chiral_block(traj.states)
             checks.append(
                 CheckResult(
                     "spin-from-theta-vs-closed",

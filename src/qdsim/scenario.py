@@ -3,11 +3,12 @@
 Grammar: blank lines and full-line comments (#) are skipped; a trailing
 # outside parentheses starts a comment; '[name]' opens a section;
 'key = value' assigns within the current section. Values are typed per
-key: floats, ints, booleans (true/false), identifiers, identifier
-lists (comma separated), vectors '(a, b, c)' of length 3 or 4, and raw
-strings (kept verbatim). Unknown sections, unknown keys, duplicate
-keys, and type mismatches are rejected with their line numbers; every
-scenario kind declares which keys it requires.
+key: finite floats, ints, booleans (true/false), identifiers, identifier
+lists (comma separated), vectors '(a, b, c)' of finite floats of length
+3 or 4, and raw strings (kept verbatim). Unknown sections, unknown keys,
+duplicate keys, type mismatches and nan or infinite numbers are
+rejected with their line numbers; every scenario kind declares which
+keys it requires.
 
 parse_scenario and serialize_scenario are mutual inverses on valid
 scenarios, which the tests exercise directly.
@@ -15,6 +16,7 @@ scenarios, which the tests exercise directly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -203,10 +205,10 @@ def _parse_value(tag: str, text: str, line_no: int, column: int):
             raise ScenarioSyntaxError(f"not an integer: {text!r}", line_no, column)
     if tag == "float":
         try:
-            return float(text)
+            values = (float(text),)
         except ValueError:
             raise ScenarioSyntaxError(f"not a number: {text!r}", line_no, column)
-    if tag in ("vec3", "vec4"):
+    elif tag in ("vec3", "vec4"):
         if not (text.startswith("(") and text.endswith(")")):
             raise ScenarioSyntaxError("vector must be written (a, b, c)", line_no, column)
         parts = text[1:-1].split(",")
@@ -216,10 +218,14 @@ def _parse_value(tag: str, text: str, line_no: int, column: int):
                 f"expected {want} components, got {len(parts)}", line_no, column
             )
         try:
-            return tuple(float(p) for p in parts)
+            values = tuple(float(p) for p in parts)
         except ValueError:
             raise ScenarioSyntaxError(f"non-numeric component in {text!r}", line_no, column)
-    raise AssertionError(f"unhandled type tag {tag}")
+    else:
+        raise AssertionError(f"unhandled type tag {tag}")
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"line {line_no}, column {column}: non-finite number in {text!r}")
+    return values[0] if tag == "float" else values
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -5,21 +5,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, ValidityError
-from .linalg import ID2, PAULI, as_operator, dagger, is_hermitian
+from .linalg import ID2, PAULI, as_operator, dagger, is_hermitian, pauli_components
 from .tolerances import TOL
 
 
 def density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, positive to tolerance."""
-    rho = as_operator(rho)
-    if not is_hermitian(rho):
+    """Validate a density matrix, or each matrix of a stack (..., d, d):
+    Hermitian, unit trace, positive to tolerance."""
+    rho = as_operator(rho, stack=True)
+    if not np.all(is_hermitian(rho)):
         raise ValidityError("density matrix is not Hermitian to tolerance")
-    tr = complex(np.trace(rho)).real
-    if abs(tr - 1.0) > TOL.trace_one:
-        raise ValidityError(f"density matrix trace is {tr!r}, expected 1")
-    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if w.min() < TOL.eigenvalue_floor:
-        raise ValidityError(f"density matrix has eigenvalue {w.min():.3e} below the floor")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > TOL.trace_one
+    if off.any():
+        raise ValidityError(f"density matrix trace is {float(tr[off][0])!r}, expected 1")
+    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min(initial=np.inf)
+    if w < TOL.eigenvalue_floor:
+        raise ValidityError(f"density matrix has eigenvalue {w:.3e} below the floor")
     return rho
 
 
@@ -55,10 +57,11 @@ def bloch_to_density(n) -> np.ndarray:
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
+    """Bloch vectors, shape (..., 3), of 2x2 density matrices (..., 2, 2)."""
     rho = density_matrix(rho)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise DimensionError("Bloch coordinates are defined for 2x2 states only")
-    return np.array([float(np.trace(rho @ s).real) for s in PAULI])
+    return pauli_components(rho)
 
 
 def purity(rho: np.ndarray) -> float:

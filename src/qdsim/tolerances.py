@@ -35,6 +35,7 @@ class Tolerances:
     ode_hermitian_drift: float = 1e-8
     whole_steps_rel: float = 1e-9      # |t_end/step - n| <= rel * n for a whole step count n
     max_samples: int = 10**6           # stored samples a run may ask for, checked before allocating
+    max_steps: int = 10**7             # fixed steps a run may ask for, checked before stepping
 
     # relativistic spin transport
     on_shell_rel: float = 1e-8         # |p.p - (mc)^2| relative to (mc)^2

@@ -124,6 +124,19 @@ def test_chiral_block_requires_positive_trace():
         dirac.bloch_from_chiral_block(np.diag([-1.0, 0.0, 1.0, 1.0]).astype(complex))
     with pytest.raises(DomainError):
         dirac.bloch_from_chiral_block(np.eye(2, dtype=complex))
+    stack = np.stack([np.eye(4, dtype=complex) / 4.0, np.diag([-1.0, 0.0, 1.0, 1.0])])
+    with pytest.raises(ValidityError):
+        dirac.bloch_from_chiral_block(stack)
+
+
+def test_chiral_block_of_a_stack_equals_the_per_matrix_calls():
+    p0 = dirac.rest_momentum(FIELDS.mass, FIELDS.c)
+    traj = dirac.bmt_evolve(FIELDS, p0, (0.6, 0.0, 0.8), tau_end=20.0, step=0.01,
+                            sample_stride=50)
+    assert traj.states.shape == (len(traj), 4, 4)
+    got = dirac.bloch_from_chiral_block(traj.states)
+    assert got.shape == (len(traj), 3)
+    assert np.array_equal(got, np.array([dirac.bloch_from_chiral_block(th) for th in traj.states]))
 
 
 def test_bmt_evolution_routes_agree():

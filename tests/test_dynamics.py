@@ -167,7 +167,8 @@ def test_time_dependent_generator_is_built_once_per_stage_time():
     assert all(np.array_equal(a, b) for a, b in zip(varying.states, constant.states))
 
 
-BAD_HORIZONS = [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, 0.3)]
+# the last one is a whole number of steps, one past TOL.max_steps
+BAD_HORIZONS = [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, 0.3), (10000.001, 1e-3)]
 
 
 def test_whole_steps():

@@ -1,11 +1,14 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from qdsim.errors import DomainError
+from qdsim.errors import DomainError, ValidityError
 from qdsim.models import jaynes_cummings as jc
 from qdsim.qubit import CaseClass, bloch_trajectory_general
+from qdsim.run import run
+from qdsim.scenario import parse_scenario
 from qdsim.states import density_to_bloch
 
 PARAMS = jc.JCParams(omega_f=1.0, omega_a=6.0, g=1.9, n_max=16)
@@ -49,8 +52,9 @@ def test_coherent_field_weights():
     assert np.abs(s.weights - poisson / poisson.sum()).max() <= 1e-15
     vacuum = jc.JCBlockState.coherent_field(PARAMS, 0.0, (0, 0, 1.0))
     assert vacuum.weights[0] == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        jc.JCBlockState.coherent_field(PARAMS, -1.0, (0, 0, 1.0))
+    for nbar in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            jc.JCBlockState.coherent_field(PARAMS, nbar, (0, 0, 1.0))
 
 
 def test_evolution_preserves_weight_sum():
@@ -104,3 +108,64 @@ def test_evolve_rejects_mismatched_state():
     s0 = jc.JCBlockState.coherent_field(other, 2.0, (0, 0, 1.0))
     with pytest.raises(DomainError):
         jc.jc_evolve(PARAMS, s0, 1.0)
+
+
+def test_grid_matches_the_scalar_calls():
+    # t = 0, a time inside the series window of every block, and late
+    # times where blocks 9..16 have damped and 0..8 still oscillate
+    s0 = jc.JCBlockState.coherent_field(PARAMS, 4.0, (0.6, 0.0, 0.8))
+    grid = np.array([0.0, 1e-6, 0.3, 1.3, 4.0, 8.0])
+    s = jc.jc_evolve(PARAMS, s0, grid)
+    assert s.weights.shape == (6, 17) and s.blocks.shape == (6, 17, 2, 2)
+    assert s.atomic_inversion().shape == (6,)
+    assert jc.jc_mean_energy(PARAMS, s).shape == (6,)
+    assert s.full_density().shape == (6, 34, 34)
+    assert jc.jc_evolve(PARAMS, s0, np.zeros(0)).blocks.shape == (0, 17, 2, 2)
+    for k, t in enumerate(grid):
+        one = jc.jc_evolve(PARAMS, s0, t)
+        assert np.abs(s.weights[k] - one.weights).max() <= 1e-15
+        assert np.abs(s.blocks[k] - one.blocks).max() <= 1e-15
+        assert abs(s.atomic_inversion()[k] - one.atomic_inversion()) <= 1e-15
+        assert abs(jc.jc_mean_energy(PARAMS, s)[k] - jc.jc_mean_energy(PARAMS, one)) <= 1e-14
+        assert np.array_equal(s.full_density()[k], one.full_density())
+
+
+def test_grid_past_the_exponential_cap_raises_like_the_scalar_call():
+    s0 = jc.JCBlockState.coherent_field(PARAMS, 4.0, (0, 0, 1.0))
+    with pytest.raises(ValidityError) as scalar:
+        jc.jc_evolve(PARAMS, s0, 1000.0)
+    with pytest.raises(ValidityError) as grid:
+        jc.jc_evolve(PARAMS, s0, np.array([0.0, 1.0, 1000.0]))
+    assert str(grid.value) == str(scalar.value)
+
+
+def test_stacked_state_validates_every_sample():
+    s0 = jc.JCBlockState.coherent_field(PARAMS, 4.0, (0, 0, 1.0))
+    s = jc.jc_evolve(PARAMS, s0, np.array([0.0, 1.0, 2.0]))
+    blocks = s.blocks.copy()
+    blocks[1, 5] = np.diag([1.5, -0.5])
+    with pytest.raises(ValidityError):
+        jc.JCBlockState(s.weights, blocks)
+    weights = s.weights.copy()
+    weights[2, 0] += 1e-6
+    with pytest.raises(ValidityError):
+        jc.JCBlockState(weights, s.blocks)
+    with pytest.raises(DomainError):
+        jc.JCBlockState(s.weights, s.blocks[:, :-1])
+
+
+def test_shipped_scenario_makes_one_closed_form_call_per_block(tmp_path, monkeypatch):
+    calls = []
+    real = jc.sl2c_coefficients
+
+    def counted(params, t):
+        calls.append(np.shape(t))
+        return real(params, t)
+
+    monkeypatch.setattr(jc, "sl2c_coefficients", counted)
+    text = resources.files("qdsim").joinpath("scenarios", "jc_collapse_blocks.scn").read_text()
+    traj, report = run(parse_scenario(text), out_dir=str(tmp_path), check=False)
+    assert len(calls) == PARAMS.n_max + 1
+    assert set(calls) == {(len(traj),)}
+    assert traj.states.shape == (len(traj), 34, 34)
+    assert report.all_passed

@@ -5,12 +5,14 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qdsim
+from qdsim import cli
 from qdsim.cli import main
 from qdsim.errors import DomainError
 from qdsim.run import _qubit_columns, run_file
@@ -245,7 +247,8 @@ def _run_cli(cmd):
     return subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
 
 
-BAD_HORIZONS = [("inf", "0.001"), ("nan", "0.001"), ("1.0", "0.3")]
+# the last one is a whole number of steps, one past TOL.max_steps
+BAD_HORIZONS = [("inf", "0.001"), ("nan", "0.001"), ("1.0", "0.3"), ("10000.001", "0.001")]
 
 
 def _with_horizon(text, t_end, step):
@@ -279,22 +282,81 @@ def test_bad_horizons_fail_alone_in_a_batch(tmp_path, pass_file):
 
 
 def test_oversized_sample_grid_fails_alone_in_a_batch(tmp_path, pass_file):
-    # 10^15 + 1 sample times would need 7 PiB; the cap rejects the file
-    # before allocating and the files around it still report
+    # 10^15 + 1 sample times would need 7 PiB, and their 10^15 steps are
+    # refused first; 5*10^6 steps pass the step cap and their samples are
+    # refused before allocating; the files around them still report
     huge = tmp_path / "huge.scn"
     huge.write_text(_with_horizon(PASS_SCN, "1e15", "1.0"))
+    many = tmp_path / "many.scn"
+    many.write_text(_with_horizon(PASS_SCN, "5e6", "1.0"))
     ok2 = tmp_path / "ok2.scn"
     ok2.write_text(PASS_SCN.replace("cli-pass", "cli-second")
                    .replace("pass.csv", "second.csv").replace("pass.svg", "second.svg"))
     proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(pass_file), str(huge),
+                     str(many), str(ok2), "--no-check", "--out-dir", str(tmp_path / "o")])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    errors = proc.stderr.strip().splitlines()
+    assert len(errors) == 2
+    assert errors[0].startswith(f"scenario {huge}: error:") and "steps" in errors[0]
+    assert errors[1].startswith(f"scenario {many}: error:") and "samples" in errors[1]
+    assert "scenario cli-pass" in proc.stdout and "scenario cli-second" in proc.stdout
+    assert proc.stdout.count(": ok") == 2
+
+
+def test_non_finite_parameter_fails_alone_in_a_batch(tmp_path, pass_file):
+    # nbar = nan used to run as the vacuum field and report ok
+    text = resources.files("qdsim").joinpath("scenarios", "jc_collapse_blocks.scn").read_text()
+    line_no = text.splitlines().index("nbar = 4.0") + 1
+    bad = tmp_path / "nan.scn"
+    bad.write_text(text.replace("nbar = 4.0", "nbar = nan"))
+    ok2 = tmp_path / "ok2.scn"
+    ok2.write_text(PASS_SCN.replace("cli-pass", "cli-second")
+                   .replace("pass.csv", "second.csv").replace("pass.svg", "second.svg"))
+    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(pass_file), str(bad),
                      str(ok2), "--no-check", "--out-dir", str(tmp_path / "o")])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stdout + proc.stderr
     errors = proc.stderr.strip().splitlines()
     assert len(errors) == 1
-    assert errors[0].startswith(f"scenario {huge}: error:") and "samples" in errors[0]
+    assert errors[0].startswith(f"scenario {bad}: error: line {line_no}, column 7:")
     assert "scenario cli-pass" in proc.stdout and "scenario cli-second" in proc.stdout
     assert proc.stdout.count(": ok") == 2
+
+
+class _PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records the size asked for and
+    runs the tasks in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_jobs_never_exceed_files_or_cores(tmp_path, pass_file, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+    ok2 = tmp_path / "ok2.scn"
+    ok2.write_text(PASS_SCN.replace("pass.csv", "second.csv").replace("pass.svg", "second.svg"))
+    argv = ["run", str(pass_file), str(ok2), "--no-check", "--out-dir", str(tmp_path / "o"),
+            "--jobs", "5000"]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert main(argv) == 0
+    assert _PoolRecorder.sizes == [2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(argv) == 0
+    assert main(argv[:2] + argv[3:]) == 0
+    assert _PoolRecorder.sizes == [2]  # one core or one file: no pool at all
 
 
 def test_log_axis_drop_is_a_report_note(tmp_path):
@@ -309,10 +371,11 @@ def test_log_axis_drop_is_a_report_note(tmp_path):
         in proc.stdout
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs over a second of import time, paid by every run
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
+def test_import_leaves_scipy_stats_out(module):
+    # each costs a large part of the import time every run pays
     proc = _run_cli([sys.executable, "-c",
-                     "import sys, qdsim; print('scipy.stats' in sys.modules)"])
+                     f"import sys, qdsim.cli; print({module!r} in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -113,6 +113,43 @@ def test_vector_arity_error_carries_position():
     assert "expected 3" in str(err.value)
 
 
+BMT = """\
+[scenario]
+kind = bmt
+
+[bmt]
+e = (0.0, 0.5, 0.0)
+b = (0.0, 0.0, 1.0)
+xi = (0.0, 0.0, 1.0)
+p = (1.0, 0.0, 0.0, 0.0)
+charge = 1.0
+
+[integrator]
+t_end = 1.0
+"""
+
+
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, tag", [("charge", "float"), ("e", "vec3"), ("p", "vec4"),
+                                      ("t_end", "float")])
+def test_non_finite_numbers_are_rejected_with_their_position(key, tag, literal):
+    lines = BMT.splitlines()
+    line_no = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(f"{key} ="))
+    value = lines[line_no - 1].split("= ", 1)[1]
+    if tag == "float":
+        value = literal
+    else:
+        parts = value[1:-1].split(", ")
+        parts[1] = literal
+        value = "(" + ", ".join(parts) + ")"
+    lines[line_no - 1] = f"{key}   = {value}"
+    with pytest.raises(DomainError) as err:
+        parse_scenario("\n".join(lines) + "\n")
+    # the value column is the 1-based position just past the '='
+    assert str(err.value).startswith(f"line {line_no}, column {len(key) + 5}:")
+    assert literal in str(err.value)
+
+
 def test_scalar_type_errors():
     with pytest.raises(ScenarioSyntaxError):
         parse_scenario(MINIMAL.replace("4.0", "fast"))

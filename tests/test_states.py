@@ -80,3 +80,38 @@ def test_state_vector_validates_norm():
         state_vector([3.0, 4.0])
     v = state_vector([0.6, 0.8j])
     assert v.dtype == complex
+
+
+def test_density_matrix_validates_every_matrix_of_a_stack(rng):
+    blochs = rng.normal(size=(5, 3))
+    blochs *= 0.9 / np.linalg.norm(blochs, axis=1).max()
+    stack = bloch_to_density(blochs)
+    assert np.array_equal(density_matrix(stack), stack)
+    assert density_matrix(stack.reshape(5, 1, 2, 2)).shape == (5, 1, 2, 2)
+    bad_cases = (
+        np.array([[0.5, 0.5], [0.1, 0.5]]),  # not Hermitian
+        np.diag([0.7, 0.7]),                 # trace 1.4
+        np.diag([1.5, -0.5]),                # negative eigenvalue
+    )
+    for bad in bad_cases:
+        with pytest.raises(ValidityError) as single:
+            density_matrix(bad)
+        broken = stack.copy()
+        broken[3] = bad
+        with pytest.raises(ValidityError) as stacked:
+            density_matrix(broken)
+        assert str(stacked.value) == str(single.value)
+    with pytest.raises(DimensionError):
+        density_matrix(np.zeros((5, 2, 3)))
+
+
+def test_density_to_bloch_of_a_stack_equals_the_per_matrix_calls(rng):
+    blochs = rng.normal(size=(40, 3))
+    blochs /= np.linalg.norm(blochs, axis=1, keepdims=True) * rng.uniform(1.0, 3.0, size=(40, 1))
+    stack = bloch_to_density(blochs)
+    got = density_to_bloch(stack)
+    assert got.shape == (40, 3)
+    assert np.array_equal(got, np.array([density_to_bloch(rho) for rho in stack]))
+    assert density_to_bloch(stack[0]).shape == (3,)
+    with pytest.raises(DimensionError):
+        density_to_bloch(np.stack([np.eye(3) / 3.0] * 2))
