@@ -35,7 +35,7 @@ def _execute(task):
     """Worker body: returns (exit_code, text). Picklable for --jobs."""
     path, out_dir, check, step, t_end = task
     try:
-        _, report = run_file(path, out_dir=out_dir, check=check, step=step, t_end=t_end)
+        *_, report = run_file(path, out_dir=out_dir, check=check, step=step, t_end=t_end)
     except QdsimError as exc:
         return 1, f"scenario {path}: error: {exc}"
     except OSError as exc:

@@ -112,16 +112,6 @@ class JCBlockState:
         rho = bloch_to_density(np.asarray(xi, dtype=float))
         return cls(w / total, np.broadcast_to(rho, (p.n_max + 1, 2, 2)))
 
-    def full_density(self) -> np.ndarray:
-        """The direct-sum density matrices, shape (..., dim, dim) with
-        dim = 2(n_max+1)."""
-        dim = 2 * (self.n_max + 1)
-        out = np.zeros(self.weights.shape[:-1] + (dim, dim), dtype=complex)
-        weighted = self.weights[..., None, None] * self.blocks
-        for k in range(self.n_max + 1):
-            out[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = weighted[..., k, :, :]
-        return out
-
     def atomic_inversion(self):
         """Weighted mean of <sigma_3> over the blocks, shape (...)."""
         sz = self.blocks[..., 0, 0].real - self.blocks[..., 1, 1].real
@@ -137,6 +127,7 @@ def jc_evolve(p: JCParams, s0: JCBlockState, t) -> JCBlockState:
     k = np.stack([sl2c_coefficients(p.block_params(n), t).matrix()
                   for n in range(p.n_max + 1)], axis=-3)
     raw = k @ s0.blocks @ dagger(k)
+    del k  # one (..., n_max+1, 2, 2) array fewer alive while the blocks are validated
     traces = np.trace(raw, axis1=-2, axis2=-1).real
     # K is invertible, so a bad trace can only be floating-point range
     # exhaustion at extreme times
@@ -148,7 +139,8 @@ def jc_evolve(p: JCParams, s0: JCBlockState, t) -> JCBlockState:
     total = raw_weights.sum(axis=-1)
     if not (np.isfinite(total) & (total > 0.0)).all():
         raise SingularNormalizationError("all block weights vanished")
-    return JCBlockState(raw_weights / total[..., None], raw / traces[..., None, None])
+    raw /= traces[..., None, None]
+    return JCBlockState(raw_weights / total[..., None], raw)
 
 
 def jc_mean_energy(p: JCParams, s: JCBlockState):

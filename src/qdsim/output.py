@@ -1,9 +1,10 @@
-"""CSV and SVG emitters for sampled trajectories.
+"""CSV and SVG emitters for a scenario's column table.
 
-CSV: header 't,<observables>', 17 significant digits, LF endings, '.'
-decimal point regardless of locale. SVG: self-contained static line
-plot assembled from text primitives so that two runs of the same
-scenario produce byte-identical files.
+The table is the sample times plus an ordered dict of 1-d real columns,
+one value per time. CSV: header 't,<observables>', 17 significant
+digits, LF endings, '.' decimal point regardless of locale. SVG:
+self-contained static line plot assembled from text primitives so that
+two runs of the same scenario produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,39 +13,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory
-from .errors import DomainError, ValidityError
+from .errors import DimensionError, DomainError, ValidityError
 
 
-def _series_columns(traj: Trajectory, observables=None) -> dict:
-    """Pick 1-d real derived series, either the requested names or all."""
-    available = {}
-    for name, arr in traj.derived.items():
-        a = np.asarray(arr)
-        if a.ndim == 1 and a.dtype.kind in "fiu":
-            available[name] = a.astype(float)
-    if observables is None:
-        if not available:
-            raise ValidityError("trajectory has no scalar observable series")
-        return available
+def _series_columns(times: np.ndarray, columns: dict, observables=None) -> dict:
+    """The requested columns, or all in table order, each checked to be a
+    real series with one value per sample time."""
+    names = list(columns) if observables is None else list(observables)
+    if not names:
+        raise ValidityError("trajectory has no scalar observable series")
     out = {}
-    for name in observables:
-        if name not in available:
-            raise DomainError(
-                f"unknown observable {name!r}; available: {sorted(available)}"
-            )
-        out[name] = available[name]
+    for name in names:
+        if name not in columns:
+            raise DomainError(f"unknown observable {name!r}; available: {sorted(columns)}")
+        a = np.asarray(columns[name])
+        if a.shape != times.shape or a.dtype.kind not in "fiu":
+            raise DimensionError(f"column {name!r} is {a.dtype} of shape {a.shape}; "
+                                 f"expected real numbers of shape {times.shape}")
+        out[name] = a.astype(float)
     return out
 
 
-def emit_csv(traj: Trajectory, path, observables=None) -> None:
-    if len(traj) == 0:
+def emit_csv(times, columns: dict, path, observables=None) -> None:
+    times = np.asarray(times, dtype=float)
+    if len(times) == 0:
         raise ValidityError("refusing to write an empty trajectory")
-    cols = _series_columns(traj, observables)
+    cols = _series_columns(times, columns, observables)
     names = list(cols)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(names) + "\n")
-        for i, t in enumerate(traj.times):
+        for i, t in enumerate(times):
             row = [f"{t:.17g}"] + [f"{cols[n][i]:.17g}" for n in names]
             fh.write(",".join(row) + "\n")
 
@@ -61,7 +59,6 @@ class PlotSpec:
     title: str = ""
     observables: tuple = ()
     x_label: str = "t"
-    y_label: str = ""
     log_x: bool = False
 
 
@@ -72,22 +69,27 @@ def _ticks(lo: float, hi: float, n: int = 6):
     return list(raw)
 
 
+def _escape(text: str) -> str:
+    """Text content for SVG: the XML metacharacters &, < and > as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     s = f"{v:.4g}"
     return "0" if s == "-0" else s
 
 
-def emit_svg(traj: Trajectory, plot: PlotSpec, path) -> int:
+def emit_svg(times, columns: dict, plot: PlotSpec, path) -> int:
     """Write the plot; returns how many samples with t <= 0 a log axis dropped."""
-    if len(traj) == 0:
+    t = np.asarray(times, dtype=float)
+    if len(t) == 0:
         raise ValidityError("refusing to plot an empty trajectory")
-    cols = _series_columns(traj, plot.observables or None)
-    t = np.asarray(traj.times, dtype=float)
+    cols = _series_columns(t, columns, plot.observables or None)
     mask = t > 0.0 if plot.log_x else np.ones(t.shape[0], dtype=bool)
     if not mask.any():
         raise ValidityError("no samples remain after removing t <= 0 for the log axis")
     x = np.log10(t[mask]) if plot.log_x else t[mask]
-    series = {name: np.asarray(arr)[mask] for name, arr in cols.items()}
+    series = {name: arr[mask] for name, arr in cols.items()}
 
     x_lo, x_hi = float(x.min()), float(x.max())
     if x_hi <= x_lo:
@@ -115,7 +117,7 @@ def emit_svg(traj: Trajectory, plot: PlotSpec, path) -> int:
     if plot.title:
         out.append(
             f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{plot.title}</text>'
+            f'font-family="sans-serif" font-size="15">{_escape(plot.title)}</text>'
         )
     # frame
     out.append(
@@ -152,13 +154,6 @@ def emit_svg(traj: Trajectory, plot: PlotSpec, path) -> int:
         f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{x_title}</text>'
     )
-    if plot.y_label:
-        ycenter = (_MT + _H - _MB) / 2
-        out.append(
-            f'<text x="18" y="{ycenter:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {ycenter:.1f})">{plot.y_label}</text>'
-        )
     for k, (name, ys) in enumerate(series.items()):
         color = PALETTE[k % len(PALETTE)]
         pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, ys))

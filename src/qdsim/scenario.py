@@ -293,7 +293,7 @@ def parse_scenario(text: str) -> Scenario:
         if not out.get("csv") and not out.get("svg"):
             raise DomainError("an [output] section needs a csv or svg path")
 
-    _validate_domains(kind, sections[param_section])
+    _validate_domains(kind, sections[param_section], sections["integrator"])
     name = head.get("name", kind)
     return Scenario(
         kind=kind,
@@ -313,8 +313,15 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def _validate_domains(kind: str, params: dict) -> None:
+# closed-form kinds evaluate at every step of their time grid
+_SAMPLED_AT_EVERY_STEP = ("qubit-closed-form", "single-lindblad", "jaynes-cummings")
+
+
+def _validate_domains(kind: str, params: dict, integrator: dict) -> None:
     """Early unit checks that do not need a model built."""
+    if "sample_stride" in integrator and kind in _SAMPLED_AT_EVERY_STEP:
+        raise DomainError(f"sample_stride does not apply to kind {kind}, which samples "
+                          "every step; set step instead")
     xi = params.get("xi")
     if xi is not None:
         norm = sum(v * v for v in xi) ** 0.5

@@ -43,15 +43,21 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, np.conjugate(psi))
 
 
-def bloch_to_density(n) -> np.ndarray:
-    """rho = (I + n.sigma)/2 for real Bloch vectors n of shape (..., 3),
-    each with |n| <= 1; the states come back with shape (..., 2, 2)."""
+def bloch_vectors(n) -> np.ndarray:
+    """Validate real Bloch vectors of shape (..., 3): each |n| <= 1 to tolerance."""
     n = np.asarray(n, dtype=float)
     if n.ndim == 0 or n.shape[-1] != 3:
         raise DimensionError(f"expected 3-vectors, got shape {n.shape}")
     r = np.linalg.norm(n, axis=-1)
     if (r > 1.0 + TOL.bloch_ball).any():
         raise ValidityError(f"Bloch vector has length {float(r.max())!r} > 1")
+    return n
+
+
+def bloch_to_density(n) -> np.ndarray:
+    """rho = (I + n.sigma)/2 for real Bloch vectors n of shape (..., 3),
+    each with |n| <= 1; the states come back with shape (..., 2, 2)."""
+    n = bloch_vectors(n)
     x, y, z = (n[..., k, None, None] for k in range(3))
     return 0.5 * (ID2 + x * PAULI[0] + y * PAULI[1] + z * PAULI[2])
 

@@ -15,7 +15,8 @@ import qdsim
 from qdsim import cli
 from qdsim.cli import main
 from qdsim.errors import DomainError
-from qdsim.run import _qubit_columns, run_file
+from qdsim.run import _qubit_columns, run, run_file
+from qdsim.scenario import parse_scenario
 from qdsim.states import bloch_to_density, purity, von_neumann_entropy
 
 PASS_SCN = """\
@@ -99,7 +100,7 @@ def fail_file(tmp_path):
 
 def test_run_file_writes_outputs(tmp_path, pass_file):
     out = tmp_path / "out"
-    traj, report = run_file(pass_file, out_dir=str(out))
+    times, _, report = run_file(pass_file, out_dir=str(out))
     assert report.all_passed
     assert (out / "pass.csv").exists()
     assert (out / "pass.svg").exists()
@@ -111,7 +112,7 @@ def test_run_file_writes_outputs(tmp_path, pass_file):
     assert report.lines()[-1].endswith("ok")
     header = (out / "pass.csv").read_text().splitlines()[0]
     assert header == "t,n3,p_minus"
-    assert traj.times[-1] == pytest.approx(1.0)
+    assert times[-1] == pytest.approx(1.0)
 
 
 def test_run_file_is_deterministic(tmp_path, pass_file):
@@ -123,10 +124,10 @@ def test_run_file_is_deterministic(tmp_path, pass_file):
 
 
 def test_run_file_overrides(tmp_path, pass_file):
-    traj, _ = run_file(pass_file, out_dir=str(tmp_path / "o"), check=False,
-                       step=0.01, t_end=0.5)
-    assert traj.times[-1] == pytest.approx(0.5)
-    assert traj.times[1] - traj.times[0] == pytest.approx(0.01)
+    times, _, _ = run_file(pass_file, out_dir=str(tmp_path / "o"), check=False,
+                           step=0.01, t_end=0.5)
+    assert times[-1] == pytest.approx(0.5)
+    assert times[1] - times[0] == pytest.approx(0.01)
 
 
 def test_qubit_columns_match_the_state_functions():
@@ -162,6 +163,23 @@ def test_cli_ode_happy_path_exits_zero(tmp_path, capsys):
     assert "check closed-form-vs-ode" in out
     assert "check generator-consistency" in out
     assert "FAIL" not in out
+
+
+def test_generator_consistency_says_when_no_pick_engaged(tmp_path):
+    # the Morse rates are about 0.007: every first-order residual lies
+    # under TOL.generator_residual_floor, so the ratio tests nothing
+    text = resources.files("qdsim").joinpath("scenarios", "instability_morse.scn").read_text()
+    *_, report = run(parse_scenario(text), out_dir=str(tmp_path / "m"), t_end=200.0)
+    assert report.all_passed
+    assert "generator-consistency" in [c.name for c in report.checks]
+    assert ("generator-consistency: 0 of 8 picks above the residual floor 1e-09; "
+            "ratio not tested") in report.notes
+    # O(1) rates engage every pick, so no such note
+    p = tmp_path / "ode_pass.scn"
+    p.write_text(ODE_PASS_SCN)
+    *_, report = run_file(p, out_dir=str(tmp_path / "c"))
+    assert report.all_passed
+    assert not [n for n in report.notes if n.startswith("generator-consistency")]
 
 
 def test_cli_check_failure_exits_two(tmp_path, fail_file, capsys):
@@ -302,6 +320,22 @@ def test_oversized_sample_grid_fails_alone_in_a_batch(tmp_path, pass_file):
     assert errors[1].startswith(f"scenario {many}: error:") and "samples" in errors[1]
     assert "scenario cli-pass" in proc.stdout and "scenario cli-second" in proc.stdout
     assert proc.stdout.count(": ok") == 2
+
+
+def test_ignored_sample_stride_fails_alone_in_a_batch(tmp_path, pass_file):
+    # a closed-form kind samples every step; sample_stride = 10 used to be
+    # ignored without a word and write all 101 rows
+    bad = tmp_path / "stride.scn"
+    bad.write_text(PASS_SCN.replace("step = 0.001", "step = 0.01\nsample_stride = 10"))
+    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(bad), str(pass_file),
+                     "--no-check", "--out-dir", str(tmp_path / "o")])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    errors = proc.stderr.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"scenario {bad}: error:")
+    assert "sample_stride" in errors[0] and "set step instead" in errors[0]
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
 
 
 def test_non_finite_parameter_fails_alone_in_a_batch(tmp_path, pass_file):

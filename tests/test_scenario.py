@@ -216,6 +216,32 @@ def test_domain_validation():
     assert parse_scenario(neutrino.replace("vacuum", "msw")).kind == "neutrino"
 
 
+def _shipped_with_stride(stem: str) -> str:
+    text = files("qdsim").joinpath("scenarios", f"{stem}.scn").read_text()
+    if "sample_stride" not in text:
+        text = text.replace("[integrator]\n", "[integrator]\nsample_stride = 10\n")
+    return text
+
+
+@pytest.mark.parametrize("stem, kind", [
+    ("damped_rabi_w6_g4", "qubit-closed-form"),
+    ("lindblad_entropy_plateau", "single-lindblad"),
+    ("jc_collapse_blocks", "jaynes-cummings"),
+])
+def test_sample_stride_refused_where_every_step_is_sampled(stem, kind):
+    with pytest.raises(DomainError) as err:
+        parse_scenario(_shipped_with_stride(stem))
+    msg = str(err.value)
+    assert "sample_stride" in msg and kind in msg and "set step instead" in msg
+    assert "\n" not in msg
+
+
+@pytest.mark.parametrize("stem", ["instability_morse", "bmt_spin_damping_a",
+                                  "neutrino_msw_10mev"])
+def test_stepping_kinds_keep_sample_stride(stem):
+    assert parse_scenario(_shipped_with_stride(stem)).integrator["sample_stride"] > 1
+
+
 def test_output_needs_a_path():
     with pytest.raises(DomainError):
         parse_scenario(MINIMAL + "\n[output]\nobservables = n3\n")

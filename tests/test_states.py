@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from qdsim.errors import DimensionError, ValidityError
 from qdsim.states import (
     bloch_to_density,
+    bloch_vectors,
     density_matrix,
     density_to_bloch,
     maximally_mixed,
@@ -38,8 +39,14 @@ def test_bloch_rejects_outside_ball():
     assert stacked.shape == (3, 2, 2)
     for n, rho in zip(inside, stacked):
         assert np.array_equal(rho, bloch_to_density(n))
-    with pytest.raises(ValidityError):
-        bloch_to_density(np.vstack([inside, [(0.8, 0.8, 0.8)]]))
+    outside = np.vstack([inside, [(0.8, 0.8, 0.8)]])
+    with pytest.raises(ValidityError) as via_density:
+        bloch_to_density(outside)
+    # the runners check their Bloch columns without building states
+    assert np.array_equal(bloch_vectors(inside), inside)
+    with pytest.raises(ValidityError) as via_vectors:
+        bloch_vectors(outside)
+    assert str(via_vectors.value) == str(via_density.value)
     with pytest.raises(DimensionError):
         bloch_to_density(np.zeros((3, 2)))
 
