@@ -9,7 +9,7 @@ import argparse
 
 from qdsim.dynamics import inverted_morse_profile
 from qdsim.errors import NoCrossingError
-from qdsim.models.neutrino import instability_locator
+from qdsim.rootfind import find_crossing
 
 
 def main() -> None:
@@ -31,8 +31,8 @@ def main() -> None:
         for nu in args.nu:
             profile = inverted_morse_profile(q, nu)
             try:
-                t_in = instability_locator(profile, omega_norm=args.omega,
-                                           lo=0.0, hi=args.horizon)
+                t_in = find_crossing(lambda t: profile(t) - args.omega,
+                                     0.0, args.horizon, xtol=1.0)
                 cells.append(f"{t_in:12.1f}")
             except NoCrossingError:
                 cells.append(f"{'-':>12}")

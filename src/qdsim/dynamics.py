@@ -14,7 +14,7 @@ fixed-step integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -128,12 +128,11 @@ def sample_count(n_steps: int, stride: int) -> int:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sample times, the sampled states stacked in one array (N, d, d),
-    or (N, d) for kets, plus named derived real series."""
+    """Sample times and the sampled states stacked in one array: (N, d, d)
+    density matrices, (N, d) kets, or what a model's step carries."""
 
     times: np.ndarray
     states: np.ndarray
-    derived: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -142,9 +141,6 @@ class Trajectory:
             raise DimensionError("times and states must have equal length")
         if t.shape[0] > 1 and not (np.diff(t) > 0.0).all():
             raise ValidityError("trajectory times must be strictly increasing")
-        for name, series in self.derived.items():
-            if np.asarray(series).shape[0] != t.shape[0]:
-                raise DimensionError(f"derived series {name!r} has wrong length")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", states)
 
@@ -154,6 +150,29 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+
+def _sampled_steps(advance, y0, n_steps: int, h: float, stride: int,
+                   check_sample=None) -> Trajectory:
+    """The one sampling loop of every fixed-step run: stores y0 at t = 0
+    and the state after every stride-th step and after the last, each
+    vetted first by check_sample(y, t). advance(i, y, m) steps y from
+    step i across m steps. y0 is read only for the storage shape and
+    dtype, so a scalar stepper keeps its Python numbers."""
+    first = np.asarray(y0)
+    times = np.empty(sample_count(n_steps, stride))
+    states = np.empty(times.shape + first.shape, dtype=first.dtype)
+    times[0], states[0] = 0.0, first
+    y, done = y0, 0
+    for k in range(1, times.shape[0]):
+        m = min(stride, n_steps - done)
+        y = advance(done, y, m)
+        done += m
+        t = done * h
+        if check_sample is not None:
+            check_sample(y, t)
+        times[k], states[k] = t, y
+    return Trajectory(times=times, states=states)
 
 
 def gksl_rhs(gen: Generator, rho: np.ndarray) -> np.ndarray:
@@ -236,9 +255,8 @@ def _check_ket_sample(psi: np.ndarray, t: float) -> None:
 
 
 def _rk4(gen, rhs, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Trajectory:
-    """Classical fixed-step RK4 on rhs(generator, y), sampled every
-    sample_stride steps and at the horizon; check_sample(y, t) vets
-    each sample before it is stored.
+    """Classical fixed-step RK4 on rhs(generator, y), sampled by
+    _sampled_steps with check_sample vetting each sample.
 
     gen is a Generator or a time -> Generator callable. A callable is
     queried once per distinct stage time: k2 and k3 share t + h/2, and
@@ -246,28 +264,26 @@ def _rk4(gen, rhs, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Traje
     """
     at = gen if callable(gen) else lambda t: gen
     h = cfg.step
-    n_steps = whole_steps(cfg.t_end, h)
-    times = np.empty(sample_count(n_steps, cfg.sample_stride))
-    states = np.empty(times.shape + y0.shape, dtype=complex)
-    times[0], states[0] = 0.0, y0
-    y, k = y0, 1
-    gen_t = at(0.0)
-    for i in range(n_steps):
-        t = i * h
-        g_mid = at(t + 0.5 * h)
-        g_end = at(t + h)
-        k1 = rhs(gen_t, y)
-        k2 = rhs(g_mid, y + (0.5 * h) * k1)
-        k3 = rhs(g_mid, y + (0.5 * h) * k2)
-        k4 = rhs(g_end, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        gen_t = g_end
-        if (i + 1) % cfg.sample_stride == 0 or i + 1 == n_steps:
-            t_now = (i + 1) * h
-            check_sample(y, t_now)
-            times[k], states[k] = t_now, y
-            k += 1
-    return Trajectory(times=times, states=states)
+    gen_t = None
+
+    def advance(i0, y, m):
+        nonlocal gen_t
+        g_start = at(0.0) if i0 == 0 else gen_t
+        for i in range(i0, i0 + m):
+            t = i * h
+            g_mid = at(t + 0.5 * h)
+            g_end = at(t + h)
+            k1 = rhs(g_start, y)
+            k2 = rhs(g_mid, y + (0.5 * h) * k1)
+            k3 = rhs(g_mid, y + (0.5 * h) * k2)
+            k4 = rhs(g_end, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            g_start = g_end
+        gen_t = g_start
+        return y
+
+    return _sampled_steps(advance, y0, whole_steps(cfg.t_end, h), h,
+                          cfg.sample_stride, check_sample)
 
 
 def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:

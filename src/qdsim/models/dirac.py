@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import Generator, Trajectory, sample_count, whole_steps
+from ..dynamics import Generator, Trajectory, _sampled_steps, whole_steps
 from ..errors import (
     DomainError,
     IntegrationDivergedError,
@@ -43,7 +43,7 @@ from ..errors import (
     ValidityError,
 )
 from ..linalg import ID2, PAULI, dagger, pauli_components, pauli_dot
-from ..qubit import QubitGeneratorParams, bloch_trajectory_general, sl2c_coefficients
+from ..qubit import QubitGeneratorParams, sl2c_coefficients
 from ..states import bloch_to_density
 from ..tolerances import TOL
 
@@ -287,17 +287,17 @@ def _conservation_scale(mc: float, w: np.ndarray) -> float:
 
 def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
                sample_stride: int = 0) -> Trajectory:
-    """Proper-time evolution carrying (p, w, xi, Theta).
+    """Proper-time evolution of the momentum p and polarization w; the
+    states are the sampled (p, w) columns, shape (N, 4, 2).
 
     (p, w) advance by fixed-step RK4 on the linear force law; with
-    constant fields the RK4 step is a single precomputed matrix. xi
-    comes from the closed-form qubit flow, Theta from conjugation by
-    diag(K_u, (K_u^dag)^{-1}). Conservation of p.p, p.w and
-    w.w + (mc/2)^2 xi0^2 is enforced at every sample; drift beyond
-    TOL.bmt_invariant_drift relative aborts the run. The horizon must be
-    a whole number of steps (see whole_steps). sample_stride = 0 chooses
-    a stride capping storage near 2000 samples; lab time accumulates as
-    dt = (p0/mc) dtau.
+    constant fields the RK4 step is a single precomputed matrix.
+    Conservation of p.p, p.w and w.w + (mc/2)^2 xi0^2 is enforced at
+    every sample; drift beyond TOL.bmt_invariant_drift relative aborts
+    the run. The horizon must be a whole number of steps (see
+    whole_steps). sample_stride = 0 chooses a stride capping storage
+    near 2000 samples. The spin xi at the sample times is
+    bloch_trajectory_general, Theta is spinor_density_flow.
     """
     p0 = np.asarray(p0, dtype=float)
     xi0 = np.asarray(xi0, dtype=float)
@@ -306,13 +306,10 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
         raise DomainError("need positive step and tau_end")
     mc = f.mass * f.c
     w0 = polarization_fourvector(p0, xi0, f.mass, f.c)
-    params = f.qubit_params
-    theta0 = spinor_density(p0, xi0, f.mass, f.c)
 
     n_steps = whole_steps(tau_end, step)
     if sample_stride <= 0:
         sample_stride = max(1, n_steps // 2000)
-    t_grid = np.empty(sample_count(n_steps, sample_stride))
     a = (f.charge / f.mass) * field_tensor_mixed(f) * step
     a2 = a @ a
     rk4_step = np.eye(4) + a + a2 / 2.0 + (a @ a2) / 6.0 + (a2 @ a2) / 24.0
@@ -321,24 +318,30 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     ww_ref = minkowski_dot(w0, w0)  # equals -(mc/2)^2 xi0^2
     scale = _conservation_scale(mc, w0)
 
-    y = np.column_stack([p0, w0])
-    ys = np.empty(t_grid.shape + y.shape)  # (p, w) columns per sample
-    t_grid[0], ys[0], k = 0.0, y, 1
-    for i in range(n_steps):
-        y = rk4_step @ y
-        if (i + 1) % sample_stride == 0 or i + 1 == n_steps:
-            tau = (i + 1) * step
-            p_now, w_now = y[:, 0], y[:, 1]
-            drift = max(abs(minkowski_dot(p_now, p_now) - pp_ref),
-                        abs(minkowski_dot(p_now, w_now)),
-                        abs(minkowski_dot(w_now, w_now) - ww_ref))
-            if drift > TOL.bmt_invariant_drift * scale:
-                raise IntegrationDivergedError(
-                    "four-vector invariants drifted; reduce the step", tau)
-            t_grid[k], ys[k] = tau, y
-            k += 1
+    def advance(i, y, m):
+        for _ in range(m):
+            y = rk4_step @ y
+        return y
 
-    ku = sl2c_coefficients(params, t_grid[1:]).matrix()
+    def check_invariants(y, tau):
+        p_now, w_now = y[:, 0], y[:, 1]
+        drift = max(abs(minkowski_dot(p_now, p_now) - pp_ref),
+                    abs(minkowski_dot(p_now, w_now)),
+                    abs(minkowski_dot(w_now, w_now) - ww_ref))
+        if drift > TOL.bmt_invariant_drift * scale:
+            raise IntegrationDivergedError(
+                "four-vector invariants drifted; reduce the step", tau)
+
+    return _sampled_steps(advance, np.column_stack([p0, w0]), n_steps, step,
+                          sample_stride, check_invariants)
+
+
+def spinor_density_flow(f: EMFieldConfig, p0, xi0, tau) -> np.ndarray:
+    """Theta(tau) = K Theta0 K^dag / tr(...) for proper times tau of
+    shape (N,), with Theta0 = spinor_density(p0, xi0) and
+    K = diag(K_u, (K_u^dag)^{-1}); shape (N, 4, 4)."""
+    theta0 = spinor_density(p0, xi0, f.mass, f.c)
+    ku = sl2c_coefficients(f.qubit_params, tau).matrix()
     k4 = np.zeros((len(ku), 4, 4), dtype=complex)
     k4[:, :2, :2] = ku
     k4[:, 2:, 2:] = np.linalg.inv(ku.conj().swapaxes(1, 2))
@@ -347,14 +350,11 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     k4 /= np.maximum(1.0, np.abs(k4).max(axis=(1, 2)))[:, None, None]
     raw = k4 @ theta0 @ k4.conj().swapaxes(1, 2)
     raw /= np.trace(raw, axis1=1, axis2=2).real[:, None, None]
-    p_arr, w_arr = ys[..., 0], ys[..., 1]
-    # lab time by trapezoid on dt/dtau = p0/mc
-    rate = p_arr[:, 0] / mc
-    t_lab = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t_grid))])
-    derived = {
-        "p": p_arr,
-        "w": w_arr,
-        "xi": np.vstack([xi0, bloch_trajectory_general(params, xi0, t_grid[1:])]),
-        "t_lab": t_lab,
-    }
-    return Trajectory(times=t_grid, states=np.concatenate([theta0[None], raw]), derived=derived)
+    return raw
+
+
+def lab_time(f: EMFieldConfig, tau, p) -> np.ndarray:
+    """Lab time at proper times tau by trapezoid on dt/dtau = p0/mc,
+    for momenta p of shape (N, 4) sampled at tau."""
+    rate = p[:, 0] / (f.mass * f.c)
+    return np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(tau))])

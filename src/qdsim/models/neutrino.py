@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import Generator, Trajectory, sample_count, whole_steps
-from ..errors import DomainError, IntegrationDivergedError, ValidityError
+from ..dynamics import Generator, Trajectory, _sampled_steps, whole_steps
+from ..errors import DomainError, IntegrationDivergedError
 from ..rootfind import find_crossing
 from ..states import state_vector
 
@@ -97,18 +97,27 @@ class NeutrinoConfig:
         return math.cos(chi) * perp + math.sin(chi) * along
 
 
+def _potential_profile(c: NeutrinoConfig):
+    """V(L) as a closure over c's constants, L unchecked: the stepper
+    calls it four times per step."""
+    scale, rs = c.v_scale, c.r_s_km
+    c4, c3, c2, c1, c0 = POLY_COEFFS
+
+    def potential(L):
+        if L > CUTOFF_KM:
+            return 0.0
+        x = L / rs
+        return scale * ((((c4 * x + c3) * x + c2) * x + c1) * x + c0)
+
+    return potential
+
+
 def neutrino_potential(c: NeutrinoConfig, L: float) -> float:
     """Matter potential in neV: v_scale * quartic(L/R_S) up to the
     cutoff radius, zero beyond it."""
     if L < 0.0:
         raise DomainError("L must be non-negative")
-    if L > CUTOFF_KM:
-        return 0.0
-    x = L / c.r_s_km
-    acc = 0.0
-    for coef in POLY_COEFFS:
-        acc = acc * x + coef
-    return c.v_scale * acc
+    return _potential_profile(c)(L)
 
 
 def neutrino_generator(c: NeutrinoConfig, L: float) -> Generator:
@@ -131,44 +140,57 @@ def msw_resonance(c: NeutrinoConfig, lo: float = 0.0, hi: float = CUTOFF_KM,
                          xtol=xtol)
 
 
-def instability_locator(source, omega_norm: float = None, lo: float = 0.0,
-                        hi: float = None, xtol: float = 1.0) -> float:
-    """Root of |g(.)| = |omega| by bisection to absolute tolerance xtol.
+def instability_locator(c: NeutrinoConfig, lo: float = 0.0, hi: float = CUTOFF_KM,
+                        xtol: float = 1.0) -> float:
+    """Distance where |g| = V(L) reaches the vacuum |omega|, by bisection
+    to absolute tolerance xtol."""
+    omega_norm = float(np.linalg.norm(c.vacuum_omega()))
+    return find_crossing(lambda L: neutrino_potential(c, L) - omega_norm, lo, hi,
+                         xtol=xtol)
 
-    Accepts either a NeutrinoConfig (profile V(L) against the vacuum
-    |omega|, bracket [0, cutoff]) or any callable rate profile plus an
-    explicit omega_norm and bracket.
+
+def flavor_columns(psi: np.ndarray) -> dict:
+    """Electron survival |a|^2 and the Bloch components of the flavor
+    kets psi = (a, b), one row per sample."""
+    a, b = psi[:, 0], psi[:, 1]
+    return {
+        "survival": np.abs(a) ** 2,
+        "n1": 2.0 * (a.conjugate() * b).real,
+        "n2": 2.0 * (a.conjugate() * b).imag,
+        "n3": np.abs(a) ** 2 - np.abs(b) ** 2,
+    }
+
+
+def neutrino_evolve(c: NeutrinoConfig, psi0, L_end: float, step: float,
+                    sample_stride: int = 0) -> Trajectory:
+    """Propagate a flavor state from the solar core outward.
+
+    psi0 = None starts in the electron flavor (1, 0). The states are
+    the sampled flavor kets, shape (N, 2); sample_stride = 0 chooses a
+    stride capping storage near 8000 samples. The scalar RK4 stepper
+    works on the two amplitudes as Python complex numbers and
+    renormalizes after every step; the damping mode carries the
+    quasi-linear counter-rate, the msw mode is linear.
     """
-    if isinstance(source, NeutrinoConfig):
-        profile = lambda L: neutrino_potential(source, L)
-        omega_norm = float(np.linalg.norm(source.vacuum_omega()))
-        hi = CUTOFF_KM if hi is None else hi
-    else:
-        profile = source
-        if omega_norm is None or hi is None:
-            raise DomainError("callable profile needs omega_norm and hi")
-    return find_crossing(lambda t: profile(t) - omega_norm, lo, hi, xtol=xtol)
+    if psi0 is None:
+        psi0 = np.array([1.0, 0.0], dtype=complex)
+    psi0 = state_vector(psi0)
+    if psi0.shape != (2,):
+        raise DomainError("flavor state must be two-dimensional")
+    if step <= 0.0 or L_end <= 0.0:
+        raise DomainError("need positive step and L_end")
+    n_steps = whole_steps(L_end, step)
+    if sample_stride <= 0:
+        sample_stride = max(1, n_steps // 8000)
 
-
-def _evolve_amplitudes(c: NeutrinoConfig, a, b, n_steps, h, stride):
-    """Shared scalar RK4 core; returns sample lists. The damping mode
-    carries the quasi-linear counter-rate, the msw mode is linear."""
+    h = step
     half_eps = 0.5 * c.eps
     w = c.vacuum_omega()
-    wx = w[0]
-    wz_vac = w[2]
+    wx, wz_vac = float(w[0]), float(w[2])
     if c.mode == "damping":
         d = c.g_direction()
-        dx, dz = d[0], d[2]
-    scale, rs = c.v_scale, c.r_s_km
-    c4, c3_, c2_, c1_, c0 = POLY_COEFFS
-
-    def potential(L):
-        if L > CUTOFF_KM:
-            return 0.0
-        x = L / rs
-        return scale * ((((c4 * x + c3_) * x + c2_) * x + c1_) * x + c0)
-
+        dx, dz = float(d[0]), float(d[2])
+    potential = _potential_profile(c)
     msw = c.mode == "msw"
 
     def rhs(L, a, b):
@@ -186,62 +208,22 @@ def _evolve_amplitudes(c: NeutrinoConfig, a, b, n_steps, h, stride):
         db = half_eps * ((-1j * wx + gx) * a + (1j * wz_vac - gz - gn) * b)
         return da, db
 
-    samples_l = [0.0]
-    samples_a = [a]
-    samples_b = [b]
-    for i in range(n_steps):
-        L = i * h
-        k1a, k1b = rhs(L, a, b)
-        k2a, k2b = rhs(L + 0.5 * h, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-        k3a, k3b = rhs(L + 0.5 * h, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-        k4a, k4b = rhs(L + h, a + h * k3a, b + h * k3b)
-        a = a + (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
-        b = b + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
-        norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
-        if not 0.0 < norm < 2.0:
-            raise IntegrationDivergedError("amplitude norm left (0, 2)", (i + 1) * h)
-        a /= norm
-        b /= norm
-        if (i + 1) % stride == 0 or i + 1 == n_steps:
-            samples_l.append((i + 1) * h)
-            samples_a.append(a)
-            samples_b.append(b)
-    return samples_l, samples_a, samples_b
+    def advance(i0, y, m):
+        a, b = y
+        for i in range(i0, i0 + m):
+            L = i * h
+            k1a, k1b = rhs(L, a, b)
+            k2a, k2b = rhs(L + 0.5 * h, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+            k3a, k3b = rhs(L + 0.5 * h, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+            k4a, k4b = rhs(L + h, a + h * k3a, b + h * k3b)
+            a = a + (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
+            b = b + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
+            norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
+            if not 0.0 < norm < 2.0:
+                raise IntegrationDivergedError("amplitude norm left (0, 2)", (i + 1) * h)
+            a /= norm
+            b /= norm
+        return a, b
 
-
-def neutrino_evolve(c: NeutrinoConfig, psi0, L_end: float, step: float,
-                    sample_stride: int = 0) -> Trajectory:
-    """Propagate a flavor state from the solar core outward.
-
-    psi0 = None starts in the electron flavor (1, 0). Samples store the
-    flavor projector; derived series carry the amplitudes, the Bloch
-    components, and the electron survival probability.
-    """
-    if psi0 is None:
-        psi0 = np.array([1.0, 0.0], dtype=complex)
-    psi0 = state_vector(psi0)
-    if psi0.shape != (2,):
-        raise DomainError("flavor state must be two-dimensional")
-    if step <= 0.0 or L_end <= 0.0:
-        raise DomainError("need positive step and L_end")
-    n_steps = whole_steps(L_end, step)
-    if sample_stride <= 0:
-        sample_stride = max(1, n_steps // 8000)
-    sample_count(n_steps, sample_stride)
-    ls, as_, bs = _evolve_amplitudes(c, complex(psi0[0]), complex(psi0[1]),
-                                     n_steps, step, sample_stride)
-    psi = np.column_stack([np.asarray(as_), np.asarray(bs)])
-    if not np.isfinite(psi).all():
-        raise IntegrationDivergedError("non-finite amplitudes", ls[-1])
-    n1 = 2.0 * (psi[:, 0].conjugate() * psi[:, 1]).real
-    n2 = 2.0 * (psi[:, 0].conjugate() * psi[:, 1]).imag
-    n3 = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
-    states = psi[:, :, None] * psi.conj()[:, None, :]
-    derived = {
-        "psi": psi,
-        "survival": np.abs(psi[:, 0]) ** 2,
-        "n1": n1,
-        "n2": n2,
-        "n3": n3,
-    }
-    return Trajectory(times=np.asarray(ls), states=states, derived=derived)
+    return _sampled_steps(advance, (complex(psi0[0]), complex(psi0[1])),
+                          n_steps, h, sample_stride)

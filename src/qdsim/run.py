@@ -47,6 +47,7 @@ from .qubit import (
     single_lindblad_trajectory,
     sl2c_coefficients,
 )
+from .rootfind import find_crossing
 from .scenario import Scenario, parse_scenario
 from .states import bloch_to_density, bloch_vectors, density_to_bloch
 from .tolerances import TOL
@@ -201,9 +202,10 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
         gen_at = qubit_rate_generator(omega, direction, profile)
         traj = evolve(gen_at, bloch_to_density(xi), cfg)
         g_norm_series = profile(traj.times)
+        omega_norm = float(np.linalg.norm(omega))
         try:
-            t_in = nu.instability_locator(profile, float(np.linalg.norm(omega)),
-                                          lo=0.0, hi=icfg["t_end"])
+            t_in = find_crossing(lambda t: profile(t) - omega_norm, 0.0, icfg["t_end"],
+                                 xtol=1.0)
             notes.append(f"|g(t)| = |omega| crossing at t_in = {t_in:.1f}")
         except NoCrossingError:
             notes.append("no |g(t)| = |omega| crossing inside the run window")
@@ -302,18 +304,18 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
         f, p0, xi0, icfg["t_end"], icfg.get("step", 1e-3),
         sample_stride=icfg.get("sample_stride", 0),
     )
-    p_arr = traj.derived["p"]
-    w_arr = traj.derived["w"]
-    xi_arr = traj.derived["xi"]
+    params = f.qubit_params
+    p_arr, w_arr = traj.states[..., 0], traj.states[..., 1]
+    xi_arr = np.vstack([xi0, bloch_trajectory_general(params, xi0, traj.times[1:])])
     cols = {
         "xi1": xi_arr[:, 0], "xi2": xi_arr[:, 1], "xi3": xi_arr[:, 2],
         "p0": p_arr[:, 0], "p1": p_arr[:, 1], "p2": p_arr[:, 2], "p3": p_arr[:, 3],
         "w0": w_arr[:, 0], "w1": w_arr[:, 1], "w2": w_arr[:, 2], "w3": w_arr[:, 3],
-        "t_lab": traj.derived["t_lab"],
+        "t_lab": dirac.lab_time(f, traj.times, p_arr),
     }
 
     checks, notes = [], []
-    tail = asymptote(f.qubit_params, xi0)
+    tail = asymptote(params, xi0)
     if tail is not None:
         notes.append(f"spin asymptote ({tail[0]:.6f}, {tail[1]:.6f}, {tail[2]:.6f})")
     if check:
@@ -331,7 +333,6 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
         # the RK4 four-vector flow and the 2x2 sigma-map conjugation are
         # the same Lorentz element; their agreement pins the field-tensor
         # sign conventions
-        params = f.qubit_params
         xp0 = dirac.four_to_sigma(p0)
         xw0 = dirac.four_to_sigma(
             dirac.polarization_fourvector(p0, xi0, f.mass, f.c))
@@ -351,7 +352,8 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
         # from rest the normalized upper chiral block of Theta retraces the
         # closed-form spin; a boosted block is a two-sided slant, not a state
         if np.allclose(p0, dirac.rest_momentum(f.mass, f.c), rtol=0.0, atol=TOL.rest_start):
-            via_theta = dirac.bloch_from_chiral_block(traj.states)
+            theta = dirac.spinor_density_flow(f, p0, xi0, traj.times)
+            via_theta = dirac.bloch_from_chiral_block(theta)
             checks.append(
                 CheckResult(
                     "spin-from-theta-vs-closed",
@@ -371,7 +373,7 @@ def _run_neutrino(scn: Scenario, icfg: dict, check: bool):
         cfg, None, icfg["t_end"], icfg.get("step", 1.0),
         sample_stride=icfg.get("sample_stride", 0),
     )
-    cols = {name: traj.derived[name] for name in ("survival", "n1", "n2", "n3")}
+    cols = nu.flavor_columns(traj.states)
     checks, notes = [], []
     try:
         if cfg.mode == "msw":
@@ -383,8 +385,7 @@ def _run_neutrino(scn: Scenario, icfg: dict, check: bool):
     except NoCrossingError:
         notes.append("no matter/vacuum level crossing below the density cutoff")
     if check:
-        psi = traj.derived["psi"]
-        norms = np.linalg.norm(psi, axis=1)
+        norms = np.linalg.norm(traj.states, axis=1)
         checks.append(CheckResult("norm-preservation", float(np.abs(norms - 1.0).max()),
                                   TOL.norm_preservation))
     return traj.times, cols, checks, notes

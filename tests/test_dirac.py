@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdsim.errors import DomainError, PreconditionError, ValidityError
+from qdsim.errors import DomainError, IntegrationDivergedError, PreconditionError, ValidityError
 from qdsim.linalg import pauli_dot
 from qdsim.models import dirac
 from qdsim.qubit import bloch_trajectory_general, sl2c_coefficients
@@ -133,10 +133,11 @@ def test_chiral_block_of_a_stack_equals_the_per_matrix_calls():
     p0 = dirac.rest_momentum(FIELDS.mass, FIELDS.c)
     traj = dirac.bmt_evolve(FIELDS, p0, (0.6, 0.0, 0.8), tau_end=20.0, step=0.01,
                             sample_stride=50)
-    assert traj.states.shape == (len(traj), 4, 4)
-    got = dirac.bloch_from_chiral_block(traj.states)
+    theta = dirac.spinor_density_flow(FIELDS, p0, (0.6, 0.0, 0.8), traj.times)
+    assert theta.shape == (len(traj), 4, 4)
+    got = dirac.bloch_from_chiral_block(theta)
     assert got.shape == (len(traj), 3)
-    assert np.array_equal(got, np.array([dirac.bloch_from_chiral_block(th) for th in traj.states]))
+    assert np.array_equal(got, np.array([dirac.bloch_from_chiral_block(th) for th in theta]))
 
 
 def test_bmt_evolution_routes_agree():
@@ -144,11 +145,12 @@ def test_bmt_evolution_routes_agree():
     xi0 = np.array([0.0, 0.0, 1.0])
     traj = dirac.bmt_evolve(FIELDS, p0, xi0, tau_end=50.0, step=0.01, sample_stride=100)
     params = FIELDS.qubit_params
+    theta = dirac.spinor_density_flow(FIELDS, p0, xi0, traj.times)
 
     # chiral block of Theta retraces the closed-form spin from rest
     for k, tau in enumerate(traj.times):
         want = bloch_trajectory_general(params, xi0, float(tau))
-        got = dirac.bloch_from_chiral_block(traj.states[k])
+        got = dirac.bloch_from_chiral_block(theta[k])
         assert np.linalg.norm(got - want) <= 1e-10
 
     # four-vector transport equals the sigma-map conjugation
@@ -156,15 +158,15 @@ def test_bmt_evolution_routes_agree():
     for k, tau in enumerate(traj.times):
         ku = sl2c_coefficients(params, float(tau)).matrix()
         p_map = dirac.sigma_to_four(ku @ xp0 @ ku.conj().T)
-        assert np.abs(p_map - traj.derived["p"][k]).max() <= 1e-8
+        assert np.abs(p_map - traj.states[k, :, 0]).max() <= 1e-8
 
 
 def test_bmt_invariants_short_run():
     p0 = dirac.rest_momentum(FIELDS.mass, FIELDS.c)
     traj = dirac.bmt_evolve(FIELDS, p0, (0, 0, 1.0), tau_end=100.0, step=0.01,
                             sample_stride=500)
-    p = traj.derived["p"]
-    w = traj.derived["w"]
+    assert traj.states.shape == (len(traj), 4, 2)
+    p, w = traj.states[..., 0], traj.states[..., 1]
     mc2 = (FIELDS.mass * FIELDS.c) ** 2
     pp = p[:, 0] ** 2 - (p[:, 1:] ** 2).sum(axis=1)
     pw = p[:, 0] * w[:, 0] - (p[:, 1:] * w[:, 1:]).sum(axis=1)
@@ -179,9 +181,19 @@ def test_bmt_lab_time_outruns_proper_time():
     p0 = dirac.rest_momentum(FIELDS.mass, FIELDS.c)
     traj = dirac.bmt_evolve(FIELDS, p0, (0, 0, 1.0), tau_end=200.0, step=0.01,
                             sample_stride=2000)
-    t_lab = traj.derived["t_lab"]
+    t_lab = dirac.lab_time(FIELDS, traj.times, traj.states[..., 0])
     assert t_lab[-1] > traj.times[-1]
     assert (np.diff(t_lab) > 0.0).all()
+
+
+def test_bmt_invariant_drift_aborts_at_the_sample():
+    # a strong electric field at step 1 breaks p.p by the first stored sample
+    fields = dirac.EMFieldConfig((0.5, 0.0, 0.0), (3.0, 0.0, 0.0))
+    with pytest.raises(IntegrationDivergedError) as err:
+        dirac.bmt_evolve(fields, dirac.rest_momentum(1.0), (0, 0, 1.0), tau_end=20.0,
+                         step=1.0, sample_stride=5)
+    assert str(err.value) == "four-vector invariants drifted; reduce the step (at t=5.0)"
+    assert type(err.value.time) is float and err.value.time == 5.0
 
 
 def test_bmt_rejects_off_shell_start():

@@ -218,10 +218,44 @@ def test_steppers_refuse_more_samples_than_the_cap():
         _grid(1e15, 1.0)  # 7 PiB of sample times if it were allocated
 
 
+def _rk4_density(h, stride):
+    gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.0))
+    rho0 = bloch_to_density((0.3, 0.0, 0.4))
+    return evolve(gen, rho0, IntegratorConfig(t_end=10 * h, step=h, sample_stride=stride)), rho0
+
+
+def _rk4_ket(h, stride):
+    gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.0))
+    psi0 = np.array([0.6, 0.8], dtype=complex)
+    cfg = IntegratorConfig(t_end=10 * h, step=h, sample_stride=stride)
+    return evolve_state_vector(gen, psi0, cfg), psi0
+
+
+def _neutrino(h, stride):
+    c = nu.NeutrinoConfig(energy_gev=0.01, mode="damping")
+    return nu.neutrino_evolve(c, None, 10 * h, h, sample_stride=stride), np.array([1.0, 0.0])
+
+
+def _bmt(h, stride):
+    fields = dirac.EMFieldConfig((0.001, 0.0, 0.0), (0.0, 0.0, 0.05))
+    p0, xi0 = dirac.rest_momentum(1.0), np.array([0.0, 0.0, 1.0])
+    traj = dirac.bmt_evolve(fields, p0, xi0, 10 * h, h, sample_stride=stride)
+    return traj, np.column_stack([p0, dirac.polarization_fourvector(p0, xi0, 1.0)])
+
+
+@pytest.mark.parametrize("run", [_rk4_density, _rk4_ket, _neutrino, _bmt])
+def test_every_stepper_samples_on_the_shared_grid(run):
+    # 10 steps at stride 3: t = 0, steps 3, 6, 9 and the last
+    h = 0.01
+    traj, y0 = run(h, 3)
+    assert np.array_equal(traj.times, np.array([0, 3, 6, 9, 10]) * h)
+    assert np.array_equal(traj.states[0], y0)
+    assert traj.states.shape == (5,) + y0.shape
+
+
 def test_trajectory_validation():
     rho = bloch_to_density((0, 0, 1))
     with pytest.raises(Exception):
         Trajectory(times=np.array([0.0, 0.0]), states=(rho, rho))
-    t = Trajectory(times=np.array([0.0, 1.0]), states=(rho, rho),
-                   derived={"x": np.array([1.0, 2.0])})
+    t = Trajectory(times=np.array([0.0, 1.0]), states=(rho, rho))
     assert len(t) == 2 and np.allclose(t.final_state, rho)

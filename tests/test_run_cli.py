@@ -358,6 +358,23 @@ def test_non_finite_parameter_fails_alone_in_a_batch(tmp_path, pass_file):
     assert proc.stdout.count(": ok") == 2
 
 
+@pytest.mark.parametrize("mode", ["msw", "damping"])
+def test_overflowing_neutrino_run_exits_one_with_one_line(tmp_path, mode):
+    # v_scale = 1e300 overflows the first step; numpy-scalar arithmetic
+    # used to print RuntimeWarnings on stderr around the error line
+    text = resources.files("qdsim").joinpath("scenarios", "neutrino_msw_10mev.scn").read_text()
+    bad = tmp_path / "overflow.scn"
+    bad.write_text(text.replace("mode = msw", f"mode = {mode}")
+                   .replace("v_scale = 8.019782651241507e-05", "v_scale = 1e300")
+                   .replace("t_end = 1391400.0", "t_end = 10.0"))
+    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(bad), "--no-check",
+                     "--out-dir", str(tmp_path / "o")])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    errors = proc.stderr.strip().splitlines()
+    assert errors == [f"scenario {bad}: error: amplitude norm left (0, 2) (at t=1.0)"]
+
+
 class _PoolRecorder:
     """Stands in for ProcessPoolExecutor: records the size asked for and
     runs the tasks in this process."""
