@@ -80,17 +80,11 @@ class Generator:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """One RK4 run's horizon, step and stride; whole_steps and sample_count vet them."""
+
     t_end: float
     step: float = 1e-3
     sample_stride: int = 1
-
-    def __post_init__(self) -> None:
-        if self.step <= 0.0:
-            raise DomainError("integrator step must be positive")
-        if self.t_end < 0.0:
-            raise DomainError("t_end must be nonnegative")
-        if self.sample_stride < 1:
-            raise DomainError("sample_stride must be at least 1")
 
 
 def whole_steps(t_end: float, step: float) -> int:
@@ -118,8 +112,11 @@ def whole_steps(t_end: float, step: float) -> int:
 
 def sample_count(n_steps: int, stride: int) -> int:
     """Samples a run of n_steps stores: t = 0, every stride-th step and
-    the last. More than TOL.max_samples raises DomainError, so no caller
-    allocates storage sized by an unchecked horizon."""
+    the last. The one stride rule: a stride below 1 raises DomainError,
+    as do more than TOL.max_samples samples, so no caller allocates
+    storage sized by an unchecked horizon."""
+    if stride < 1:
+        raise DomainError(f"sample_stride must be at least 1, got {stride!r}")
     n = 1 + -(-n_steps // stride)
     if n > TOL.max_samples:
         raise DomainError(f"{n} samples requested; at most {TOL.max_samples} are stored")

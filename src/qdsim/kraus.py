@@ -89,13 +89,6 @@ class KrausFamily:
             )
         return raw / tr
 
-    def selection_weight(self, rho: np.ndarray) -> float:
-        """tr(F rho), the normalizing trace (a probability in operation mode)."""
-        rho = density_matrix(rho)
-        if rho.shape != (self.dim, self.dim):
-            raise DimensionError("state dimension does not match the Kraus family")
-        return float(np.trace(self.effect_operator() @ rho).real)
-
     def compose(self, other: "KrausFamily") -> "KrausFamily":
         """The family of all products K_a L_b, implementing self after other."""
         if self.dim != other.dim:
@@ -136,21 +129,17 @@ def reweighted_ensemble(family: KrausFamily, split: EnsembleSplit) -> np.ndarray
     """Weights p_i tr(F rho_i) / tr(F rho_mix) carried through the map.
 
     These are the coefficients for which the normalized image of the
-    mixture equals the reweighted mixture of normalized images.
+    mixture equals the reweighted mixture of normalized images. tr(F rho)
+    is the normalizing trace, a selection probability in operation mode.
     """
-    mix = split.mixture()
-    denom = family.selection_weight(density_matrix(mix))
+    f = family.effect_operator()
+    if split.states[0].shape != f.shape:
+        raise DimensionError("state dimension does not match the Kraus family")
+    denom = float(np.trace(f @ split.mixture()).real)
     if denom <= TOL.singular_trace:
         raise SingularNormalizationError(
             f"mixture selection weight is {denom:.3e}; cannot reweight"
         )
     return np.array(
-        [p * family.selection_weight(m) / denom for p, m in zip(split.weights, split.states)]
+        [p * float(np.trace(f @ m).real) / denom for p, m in zip(split.weights, split.states)]
     )
-
-
-def ensemble_coefficient(family: KrausFamily, split: EnsembleSplit, i: int) -> float:
-    """The i-th mapped mixture weight p_i tr(F rho_i) / tr(F rho_mix)."""
-    if not 0 <= i < split.weights.shape[0]:
-        raise DimensionError(f"ensemble index {i} out of range")
-    return float(reweighted_ensemble(family, split)[i])

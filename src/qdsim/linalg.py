@@ -61,9 +61,10 @@ def pauli_components(a: np.ndarray) -> np.ndarray:
     return np.stack([np.trace(a @ s, axis1=-2, axis2=-1).real for s in PAULI], axis=-1)
 
 
-def is_hermitian(a: np.ndarray, rel: float = TOL.hermitian_rel):
-    """A bool for one matrix, a bool array for a stack."""
-    return frobenius(a - dagger(a)) <= rel * np.maximum(frobenius(a), 1.0)
+def is_hermitian(a: np.ndarray):
+    """||a - a^dag||_F <= TOL.hermitian_rel * max(||a||_F, 1): a bool for
+    one matrix, a bool array for a stack."""
+    return frobenius(a - dagger(a)) <= TOL.hermitian_rel * np.maximum(frobenius(a), 1.0)
 
 
 def _expm_2x2(a: np.ndarray) -> np.ndarray:

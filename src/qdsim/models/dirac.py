@@ -286,7 +286,7 @@ def _conservation_scale(mc: float, w: np.ndarray) -> float:
 
 
 def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
-               sample_stride: int = 0) -> Trajectory:
+               sample_stride: int = None) -> Trajectory:
     """Proper-time evolution of the momentum p and polarization w; the
     states are the sampled (p, w) columns, shape (N, 4, 2).
 
@@ -295,20 +295,20 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     Conservation of p.p, p.w and w.w + (mc/2)^2 xi0^2 is enforced at
     every sample; drift beyond TOL.bmt_invariant_drift relative aborts
     the run. The horizon must be a whole number of steps (see
-    whole_steps). sample_stride = 0 chooses a stride capping storage
-    near 2000 samples. The spin xi at the sample times is
-    bloch_trajectory_general, Theta is spinor_density_flow.
+    whole_steps); tau_end = 0 gives the single tau = 0 sample.
+    sample_stride = None chooses a stride capping storage near 2000
+    samples; a given stride must be at least 1 (see sample_count). p0
+    must lie on the mass shell (see polarization_fourvector). The spin
+    xi at the sample times is bloch_trajectory_general, Theta is
+    spinor_density_flow.
     """
     p0 = np.asarray(p0, dtype=float)
     xi0 = np.asarray(xi0, dtype=float)
-    _check_on_shell(p0, f.mass, f.c)
-    if step <= 0.0 or tau_end <= 0.0:
-        raise DomainError("need positive step and tau_end")
     mc = f.mass * f.c
     w0 = polarization_fourvector(p0, xi0, f.mass, f.c)
 
     n_steps = whole_steps(tau_end, step)
-    if sample_stride <= 0:
+    if sample_stride is None:
         sample_stride = max(1, n_steps // 2000)
     a = (f.charge / f.mass) * field_tensor_mixed(f) * step
     a2 = a @ a

@@ -32,6 +32,14 @@ from ..states import bloch_to_density, density_matrix
 from ..tolerances import TOL
 
 
+def _check_block_storage(n_max: int, samples: int) -> None:
+    """Refuse more than TOL.max_samples block states before allocating any."""
+    stored = samples * (n_max + 1)
+    if stored > TOL.max_samples:
+        raise DomainError(f"n_max = {n_max} over {samples} sample(s) stores {stored} "
+                          f"block states; at most {TOL.max_samples} are stored")
+
+
 @dataclass(frozen=True)
 class JCParams:
     omega_f: float
@@ -44,6 +52,7 @@ class JCParams:
             raise ValidityError("frequencies and coupling must be finite")
         if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
             raise DomainError("n_max must be an integer >= 1")
+        _check_block_storage(self.n_max, 1)
 
     def block_rates(self, n: int):
         """(omega_n, g_n) rate vectors of excitation block n."""
@@ -124,6 +133,7 @@ def jc_evolve(p: JCParams, s0: JCBlockState, t) -> JCBlockState:
     times; the result carries its shape in front of the block axes."""
     if s0.weights.shape != (p.n_max + 1,):
         raise DomainError("state block count does not match n_max")
+    _check_block_storage(p.n_max, np.size(t))
     k = np.stack([sl2c_coefficients(p.block_params(n), t).matrix()
                   for n in range(p.n_max + 1)], axis=-3)
     raw = k @ s0.blocks @ dagger(k)

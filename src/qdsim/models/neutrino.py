@@ -23,9 +23,15 @@ The quasi-linear state-vector equation
 preserves the norm identically (the last term is the counter-rate), so
 the integrator renormalizes each step and the stored samples carry
 norm errors at rounding level. The stepper works on the two complex
-amplitudes directly; a 1 km step resolves the fastest precession
-(about 0.04 rad/km near the core) to RK4 accuracy far below the
-tolerances in play.
+amplitudes directly, which turn at (eps/2)|omega| (msw) or up to
+(eps/2)|g| (damping). At the calibrated v_scale = 8.0e-5 of the shipped
+10 MeV scenarios that is about 0.03 rad/km near the core, and a 1 km
+step resolves it to RK4 accuracy far below the tolerances in play.
+With the default v_scale = 0.012 it is about 4.7 rad/km: a 1 km step
+lies past RK4's stability limit of about 2.8 rad per step, so
+neutrino_evolve(NeutrinoConfig(energy_gev=0.01), None, 2000.0, 1.0)
+raises "amplitude norm left (0, 2)"; a run at that scale needs steps
+well below 0.6 km.
 """
 
 from __future__ import annotations
@@ -132,21 +138,18 @@ def neutrino_generator(c: NeutrinoConfig, L: float) -> Generator:
     return Generator.qubit(c.eps * omega, c.eps * g)
 
 
-def msw_resonance(c: NeutrinoConfig, lo: float = 0.0, hi: float = CUTOFF_KM,
-                  xtol: float = 1.0) -> float:
-    """Distance where V(L) = D cos 2theta (the level crossing)."""
+def msw_resonance(c: NeutrinoConfig) -> float:
+    """Distance in [0, CUTOFF_KM] where V(L) = D cos 2theta (the level
+    crossing), by bisection to 1 km."""
     target = c.delta_nev * math.cos(2.0 * c.theta12)
-    return find_crossing(lambda L: neutrino_potential(c, L) - target, lo, hi,
-                         xtol=xtol)
+    return find_crossing(lambda L: neutrino_potential(c, L) - target, 0.0, CUTOFF_KM)
 
 
-def instability_locator(c: NeutrinoConfig, lo: float = 0.0, hi: float = CUTOFF_KM,
-                        xtol: float = 1.0) -> float:
-    """Distance where |g| = V(L) reaches the vacuum |omega|, by bisection
-    to absolute tolerance xtol."""
+def instability_locator(c: NeutrinoConfig) -> float:
+    """Distance in [0, CUTOFF_KM] where |g| = V(L) reaches the vacuum
+    |omega|, by bisection to 1 km."""
     omega_norm = float(np.linalg.norm(c.vacuum_omega()))
-    return find_crossing(lambda L: neutrino_potential(c, L) - omega_norm, lo, hi,
-                         xtol=xtol)
+    return find_crossing(lambda L: neutrino_potential(c, L) - omega_norm, 0.0, CUTOFF_KM)
 
 
 def flavor_columns(psi: np.ndarray) -> dict:
@@ -162,25 +165,26 @@ def flavor_columns(psi: np.ndarray) -> dict:
 
 
 def neutrino_evolve(c: NeutrinoConfig, psi0, L_end: float, step: float,
-                    sample_stride: int = 0) -> Trajectory:
-    """Propagate a flavor state from the solar core outward.
+                    sample_stride: int = None) -> Trajectory:
+    """Propagate a flavor state from the solar core outward to L_end.
 
     psi0 = None starts in the electron flavor (1, 0). The states are
-    the sampled flavor kets, shape (N, 2); sample_stride = 0 chooses a
-    stride capping storage near 8000 samples. The scalar RK4 stepper
-    works on the two amplitudes as Python complex numbers and
-    renormalizes after every step; the damping mode carries the
-    quasi-linear counter-rate, the msw mode is linear.
+    the sampled flavor kets, shape (N, 2). L_end must be a whole number
+    of steps (see whole_steps); L_end = 0 gives the single L = 0 sample.
+    sample_stride = None chooses a stride capping storage near 8000
+    samples; a given stride must be at least 1 (see sample_count). The
+    scalar RK4 stepper works on the two amplitudes as Python complex
+    numbers and renormalizes after every step; the damping mode carries
+    the quasi-linear counter-rate, the msw mode is linear. A step past
+    RK4's stability limit (see the module docstring) raises.
     """
     if psi0 is None:
         psi0 = np.array([1.0, 0.0], dtype=complex)
     psi0 = state_vector(psi0)
     if psi0.shape != (2,):
         raise DomainError("flavor state must be two-dimensional")
-    if step <= 0.0 or L_end <= 0.0:
-        raise DomainError("need positive step and L_end")
     n_steps = whole_steps(L_end, step)
-    if sample_stride <= 0:
+    if sample_stride is None:
         sample_stride = max(1, n_steps // 8000)
 
     h = step

@@ -62,11 +62,9 @@ class PlotSpec:
     log_x: bool = False
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
-    if hi <= lo:
-        return [lo]
-    raw = np.linspace(lo, hi, n)
-    return list(raw)
+def _ticks(lo: float, hi: float):
+    """Six evenly spaced ticks; emit_svg has already widened lo < hi."""
+    return list(np.linspace(lo, hi, 6))
 
 
 def _escape(text: str) -> str:

@@ -21,12 +21,12 @@ def find_crossing(
     t_hi: float,
     *,
     xtol: float = 1.0,
-    max_iter: int = 200,
 ) -> float:
     """First root of `evaluate` in [t_lo, t_hi] by bisection.
 
     Requires a sign change over the bracket; an endpoint sitting exactly
-    on zero is returned as-is. xtol is an absolute time resolution.
+    on zero is returned as-is. xtol is an absolute time resolution; an
+    xtol below the float spacing of the bracket stops after 200 halvings.
     """
     if not (np.isfinite(t_lo) and np.isfinite(t_hi)) or t_hi <= t_lo:
         raise DomainError("need a finite bracket with t_lo < t_hi")
@@ -43,7 +43,7 @@ def find_crossing(
             f"no sign change over [{t_lo:g}, {t_hi:g}] (f={f_lo:.3e} .. {f_hi:.3e})"
         )
     lo, hi = t_lo, t_hi
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= xtol:
             break
         mid = 0.5 * (lo + hi)

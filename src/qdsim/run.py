@@ -31,6 +31,7 @@ from .dynamics import (
     whole_steps,
 )
 from .errors import DomainError, NoCrossingError
+from .linalg import dagger, pauli_components
 from .models import dirac
 from .models import jaynes_cummings as jc
 from .models import neutrino as nu
@@ -95,8 +96,6 @@ class RunReport:
 
 
 def _grid(t_end: float, dt: float) -> np.ndarray:
-    if t_end <= 0.0 or dt <= 0.0:
-        raise DomainError("need positive t_end and step")
     return dt * np.arange(sample_count(whole_steps(t_end, dt), 1))
 
 
@@ -106,7 +105,7 @@ def _oracle(gen: Generator, xi, icfg: dict) -> Trajectory:
     at most TOL.oracle_max_steps steps in all, sampled at about
     TOL.oracle_points comparison points. The step is t_end / n, so it
     always divides the horizon."""
-    t_end, step = icfg["t_end"], icfg.get("step", 1e-3)
+    t_end, step = icfg["t_end"], icfg["step"]
     split = max(1, math.ceil(step / TOL.oracle_step - TOL.whole_steps_rel))
     n = min(TOL.oracle_max_steps, whole_steps(t_end, step) * split)
     cfg = IntegratorConfig(t_end=t_end, step=t_end / n,
@@ -116,8 +115,9 @@ def _oracle(gen: Generator, xi, icfg: dict) -> Trajectory:
 
 def _closed_vs_ode(name: str, closed_form, ode: Trajectory) -> CheckResult:
     """Largest Bloch distance between an RK4 trajectory and
-    closed_form(times) at its sample times."""
-    dist = np.linalg.norm(density_to_bloch(ode.states) - closed_form(ode.times), axis=1).max()
+    closed_form(times) at its sample times. The samples are read as they
+    are: evolve has already held them to its drift bounds."""
+    dist = np.linalg.norm(pauli_components(ode.states) - closed_form(ode.times), axis=1).max()
     return CheckResult(name, float(dist), TOL.closed_vs_ode)
 
 
@@ -142,7 +142,7 @@ def _run_qubit_closed_form(scn: Scenario, icfg: dict, check: bool):
     params = QubitGeneratorParams(p["omega"], p["g"])
     xi = np.asarray(p["xi"], dtype=float)
     case_key = p.get("case", "auto")
-    times = _grid(icfg["t_end"], icfg.get("step", 1e-3))
+    times = _grid(icfg["t_end"], icfg["step"])
     general = lambda t: bloch_trajectory_general(params, xi, t)
     if case_key == "auto":
         blochs = general(times)
@@ -180,11 +180,7 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
     omega = np.asarray(p["omega"], dtype=float)
     xi = np.asarray(p["xi"], dtype=float)
     profile_kind = p.get("g_profile", "constant")
-    cfg = IntegratorConfig(
-        t_end=icfg["t_end"],
-        step=icfg.get("step", 1e-3),
-        sample_stride=icfg.get("sample_stride", 1),
-    )
+    cfg = IntegratorConfig(icfg["t_end"], icfg["step"], icfg.get("sample_stride", 1))
     checks, notes = [], []
     if profile_kind == "constant":
         g_vec = np.asarray(p["g"], dtype=float)
@@ -209,7 +205,7 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
             notes.append(f"|g(t)| = |omega| crossing at t_in = {t_in:.1f}")
         except NoCrossingError:
             notes.append("no |g(t)| = |omega| crossing inside the run window")
-    cols = _qubit_columns(density_to_bloch(traj.states))
+    cols = _qubit_columns(pauli_components(traj.states))
     cols["g_norm"] = g_norm_series
 
     if check:
@@ -221,11 +217,13 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
         violation, engaged = 0.0, 0
         for k in picks:
             gen_k = gen_at(traj.times[k])
-            e1 = finite_difference_generator_check(gen_k, traj.states[k], TOL.fd_step)
+            s = traj.states[k]  # within evolve's drift bounds, not density_matrix's
+            rho = (s + dagger(s)) / (2.0 * np.trace(s).real)
+            e1 = finite_difference_generator_check(gen_k, rho, TOL.fd_step)
             if e1 < TOL.generator_residual_floor:
                 continue  # map matches the generator to rounding already
             engaged += 1
-            e2 = finite_difference_generator_check(gen_k, traj.states[k], TOL.fd_step / 2.0)
+            e2 = finite_difference_generator_check(gen_k, rho, TOL.fd_step / 2.0)
             violation = max(violation, abs(e2 / e1 - 0.5))
         checks.append(
             CheckResult("generator-consistency", violation, TOL.generator_consistency)
@@ -241,7 +239,7 @@ def _run_single_lindblad(scn: Scenario, icfg: dict, check: bool):
     p = scn.parameters
     slp = SingleLindbladParams(p["g"], p["omega"], p["l"], p.get("kappa", 0.0))
     xi = np.asarray(p["xi"], dtype=float)
-    times = _grid(icfg["t_end"], icfg.get("step", 1e-3))
+    times = _grid(icfg["t_end"], icfg["step"])
     cols = _qubit_columns(bloch_vectors(single_lindblad_trajectory(slp, xi, times)))
 
     checks, notes = [], []
@@ -264,7 +262,7 @@ def _run_jaynes_cummings(scn: Scenario, icfg: dict, check: bool):
     params = jc.JCParams(p["omega_f"], p["omega_a"], p["g"], p["n_max"])
     xi = np.asarray(p["xi"], dtype=float)
     s0 = jc.JCBlockState.coherent_field(params, p["nbar"], xi)
-    times = _grid(icfg["t_end"], icfg.get("step", 1e-3))
+    times = _grid(icfg["t_end"], icfg["step"])
     s = jc.jc_evolve(params, s0, times)
     cols = {
         "inversion": s.atomic_inversion(),
@@ -300,10 +298,7 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
     )
     p0 = np.asarray(p["p"], dtype=float) if "p" in p else dirac.rest_momentum(f.mass, f.c)
     xi0 = np.asarray(p["xi"], dtype=float)
-    traj = dirac.bmt_evolve(
-        f, p0, xi0, icfg["t_end"], icfg.get("step", 1e-3),
-        sample_stride=icfg.get("sample_stride", 0),
-    )
+    traj = dirac.bmt_evolve(f, p0, xi0, icfg["t_end"], icfg["step"], icfg.get("sample_stride"))
     params = f.qubit_params
     p_arr, w_arr = traj.states[..., 0], traj.states[..., 1]
     xi_arr = np.vstack([xi0, bloch_trajectory_general(params, xi0, traj.times[1:])])
@@ -369,10 +364,7 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
 def _run_neutrino(scn: Scenario, icfg: dict, check: bool):
     p = dict(scn.parameters)
     cfg = nu.NeutrinoConfig(**p)
-    traj = nu.neutrino_evolve(
-        cfg, None, icfg["t_end"], icfg.get("step", 1.0),
-        sample_stride=icfg.get("sample_stride", 0),
-    )
+    traj = nu.neutrino_evolve(cfg, None, icfg["t_end"], icfg["step"], icfg.get("sample_stride"))
     cols = nu.flavor_columns(traj.states)
     checks, notes = [], []
     try:
@@ -411,15 +403,19 @@ def run(scn: Scenario, out_dir: str = ".", check: bool = True,
     """Execute one scenario: evolve, check, write outputs.
 
     step/t_end override the scenario's [integrator] values (the CLI
-    flags land here). Returns (times, columns, RunReport): the sample
-    times and the scenario's column table.
+    flags land here); the step defaults to 1 km for neutrino and 1e-3
+    otherwise. A scenario needs a positive horizon. Returns (times,
+    columns, RunReport): the sample times and the scenario's column table.
     """
     started = time.perf_counter()
     icfg = dict(scn.integrator)
+    icfg.setdefault("step", 1.0 if scn.kind == "neutrino" else 1e-3)
     if step is not None:
         icfg["step"] = step
     if t_end is not None:
         icfg["t_end"] = t_end
+    if not icfg["t_end"] > 0.0:
+        raise DomainError(f"a scenario needs a positive t_end, got {icfg['t_end']!r}")
     times, columns, checks, notes = _RUNNERS[scn.kind](scn, icfg, check)
     written = []
     for out in scn.outputs:

@@ -83,12 +83,14 @@ def test_finite_difference_residual_is_first_order(rng):
 
 
 def test_evolve_rejects_bad_config():
+    gen = Generator.qubit((0, 0, 3.0), (1.0, 0, 0))
+    rho0 = bloch_to_density((0, 0, 1))
     with pytest.raises(DomainError):
-        IntegratorConfig(t_end=1.0, step=0.0)
+        evolve(gen, rho0, IntegratorConfig(t_end=1.0, step=0.0))
     with pytest.raises(DomainError):
-        IntegratorConfig(t_end=-1.0)
+        evolve(gen, rho0, IntegratorConfig(t_end=-1.0))
     with pytest.raises(DomainError):
-        IntegratorConfig(t_end=1.0, sample_stride=0)
+        evolve(gen, rho0, IntegratorConfig(t_end=1.0, sample_stride=0))
 
 
 def test_evolve_sampling_and_trace(rng):
@@ -197,6 +199,9 @@ def test_sample_count():
     for n_steps, stride in ((TOL.max_samples, 1), (10**15, 1), (10**15, 10**8)):
         with pytest.raises(DomainError):
             sample_count(n_steps, stride)
+    for n_steps, stride in ((10, 0), (10, -5), (0, 0)):
+        with pytest.raises(DomainError, match="sample_stride must be at least 1"):
+            sample_count(n_steps, stride)
 
 
 def test_steppers_refuse_more_samples_than_the_cap():
@@ -218,32 +223,35 @@ def test_steppers_refuse_more_samples_than_the_cap():
         _grid(1e15, 1.0)  # 7 PiB of sample times if it were allocated
 
 
-def _rk4_density(h, stride):
+def _rk4_density(h, stride, n=10):
     gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.0))
     rho0 = bloch_to_density((0.3, 0.0, 0.4))
-    return evolve(gen, rho0, IntegratorConfig(t_end=10 * h, step=h, sample_stride=stride)), rho0
+    return evolve(gen, rho0, IntegratorConfig(t_end=n * h, step=h, sample_stride=stride)), rho0
 
 
-def _rk4_ket(h, stride):
+def _rk4_ket(h, stride, n=10):
     gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.0))
     psi0 = np.array([0.6, 0.8], dtype=complex)
-    cfg = IntegratorConfig(t_end=10 * h, step=h, sample_stride=stride)
+    cfg = IntegratorConfig(t_end=n * h, step=h, sample_stride=stride)
     return evolve_state_vector(gen, psi0, cfg), psi0
 
 
-def _neutrino(h, stride):
+def _neutrino(h, stride, n=10):
     c = nu.NeutrinoConfig(energy_gev=0.01, mode="damping")
-    return nu.neutrino_evolve(c, None, 10 * h, h, sample_stride=stride), np.array([1.0, 0.0])
+    return nu.neutrino_evolve(c, None, n * h, h, sample_stride=stride), np.array([1.0, 0.0])
 
 
-def _bmt(h, stride):
+def _bmt(h, stride, n=10):
     fields = dirac.EMFieldConfig((0.001, 0.0, 0.0), (0.0, 0.0, 0.05))
     p0, xi0 = dirac.rest_momentum(1.0), np.array([0.0, 0.0, 1.0])
-    traj = dirac.bmt_evolve(fields, p0, xi0, 10 * h, h, sample_stride=stride)
+    traj = dirac.bmt_evolve(fields, p0, xi0, n * h, h, sample_stride=stride)
     return traj, np.column_stack([p0, dirac.polarization_fourvector(p0, xi0, 1.0)])
 
 
-@pytest.mark.parametrize("run", [_rk4_density, _rk4_ket, _neutrino, _bmt])
+STEPPERS = [_rk4_density, _rk4_ket, _neutrino, _bmt]
+
+
+@pytest.mark.parametrize("run", STEPPERS)
 def test_every_stepper_samples_on_the_shared_grid(run):
     # 10 steps at stride 3: t = 0, steps 3, 6, 9 and the last
     h = 0.01
@@ -251,6 +259,20 @@ def test_every_stepper_samples_on_the_shared_grid(run):
     assert np.array_equal(traj.times, np.array([0, 3, 6, 9, 10]) * h)
     assert np.array_equal(traj.states[0], y0)
     assert traj.states.shape == (5,) + y0.shape
+
+
+@pytest.mark.parametrize("run", STEPPERS)
+def test_a_zero_horizon_is_the_single_start_sample(run):
+    traj, y0 = run(0.01, 3, n=0)
+    assert np.array_equal(traj.times, [0.0])
+    assert np.array_equal(traj.states, y0[None])
+
+
+@pytest.mark.parametrize("run", STEPPERS)
+@pytest.mark.parametrize("stride", [0, -5])
+def test_every_stepper_refuses_a_stride_below_one(run, stride):
+    with pytest.raises(DomainError, match="sample_stride must be at least 1"):
+        run(0.01, stride)
 
 
 def test_trajectory_validation():

@@ -103,6 +103,16 @@ def test_evolve_rejects_mismatched_state():
         jc.jc_evolve(PARAMS, s0, 1.0)
 
 
+def test_block_storage_is_refused_before_allocating():
+    # 10^13 + 1 blocks would ask numpy for terabytes
+    with pytest.raises(DomainError, match="block states"):
+        jc.JCParams(1.0, 6.0, 1.9, n_max=10**13)
+    s0 = jc.JCBlockState.coherent_field(PARAMS, 4.0, (0, 0, 1.0))
+    grid = np.linspace(0.0, 1.0, 60000)  # 60000 samples x 17 blocks
+    with pytest.raises(DomainError, match="block states"):
+        jc.jc_evolve(PARAMS, s0, grid)
+
+
 def test_grid_matches_the_scalar_calls():
     # t = 0, a time inside the series window of every block, and late
     # times where blocks 9..16 have damped and 0..8 still oscillate

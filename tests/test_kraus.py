@@ -10,7 +10,6 @@ from qdsim.errors import (
 from qdsim.kraus import (
     EnsembleSplit,
     KrausFamily,
-    ensemble_coefficient,
     reweighted_ensemble,
 )
 from qdsim.linalg import SIGMA_X, dagger
@@ -85,12 +84,16 @@ def test_quasilinear_coefficient_identity(rng):
     weights = rng.dirichlet(np.ones(3))
     split = EnsembleSplit(weights, states)
     direct = fam.apply_normalized(split.mixture())
-    rebuilt = sum(
-        ensemble_coefficient(fam, split, i) * fam.apply_normalized(states[i])
-        for i in range(3)
-    )
+    bar = reweighted_ensemble(fam, split)
+    rebuilt = sum(bar[i] * fam.apply_normalized(states[i]) for i in range(3))
     assert np.abs(direct - rebuilt).max() <= 1e-12
-    assert abs(reweighted_ensemble(fam, split).sum() - 1.0) <= 1e-12
+    assert abs(bar.sum() - 1.0) <= 1e-12
+
+
+def test_reweighting_refuses_a_split_of_another_dimension(rng):
+    split = EnsembleSplit((0.5, 0.5), (random_density(rng, 3), maximally_mixed(3)))
+    with pytest.raises(DimensionError):
+        reweighted_ensemble(random_family(rng, dim=2), split)
 
 
 def test_compose_order_and_semigroup(rng):
@@ -113,9 +116,6 @@ def test_ensemble_split_validation(rng):
         EnsembleSplit((0.5, 0.6), (rho, rho))
     with pytest.raises(DimensionError):
         EnsembleSplit((1.0,), (rho, rho))
-    with pytest.raises(DimensionError):
-        ensemble_coefficient(KrausFamily((np.eye(2),)),
-                             EnsembleSplit((1.0,), (rho,)), 3)
 
 
 def test_mixture_reconstructs(rng):

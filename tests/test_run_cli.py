@@ -15,7 +15,9 @@ import qdsim
 from qdsim import cli
 from qdsim.cli import main
 from qdsim.errors import DomainError
-from qdsim.run import _qubit_columns, run, run_file
+from qdsim.dynamics import IntegratorConfig, evolve
+from qdsim.qubit import QubitGeneratorParams, bloch_trajectory_general
+from qdsim.run import CheckResult, _closed_vs_ode, _qubit_columns, run, run_file
 from qdsim.scenario import parse_scenario
 from qdsim.states import bloch_to_density, purity, von_neumann_entropy
 
@@ -373,6 +375,126 @@ def test_overflowing_neutrino_run_exits_one_with_one_line(tmp_path, mode):
     assert proc.stdout == ""
     errors = proc.stderr.strip().splitlines()
     assert errors == [f"scenario {bad}: error: amplitude norm left (0, 2) (at t=1.0)"]
+
+
+def _shipped(stem):
+    return resources.files("qdsim").joinpath("scenarios", f"{stem}.scn").read_text()
+
+
+# one shipped file per kind
+KIND_STEMS = {
+    "qubit-closed-form": "damped_rabi_w6_g4",
+    "gksl-ode": "instability_morse",
+    "single-lindblad": "lindblad_entropy_plateau",
+    "jaynes-cummings": "jc_collapse_blocks",
+    "bmt": "bmt_spin_damping_a",
+    "neutrino": "neutrino_msw_10mev",
+}
+
+
+def _with_integrator_key(text, key, value):
+    """text with [integrator] key set to value, added if absent."""
+    lines = [l for l in text.splitlines() if not l.startswith(f"{key} =")]
+    at = lines.index("[integrator]") + 1
+    return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
+
+
+def _batch_errors(tmp_path, paths, *flags):
+    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", *map(str, paths), "--no-check",
+                     "--out-dir", str(tmp_path / "o"), *flags])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    return proc, proc.stderr.strip().splitlines()
+
+
+@pytest.mark.parametrize("stride", ["0", "-5"])
+def test_a_stride_below_one_fails_alike_for_every_stepping_kind(tmp_path, pass_file, stride):
+    # at -5 the bmt and neutrino runs used to fall back to their automatic stride
+    bad = []
+    for kind in ("gksl-ode", "bmt", "neutrino"):
+        p = tmp_path / f"{kind}.scn"
+        p.write_text(_with_integrator_key(_shipped(KIND_STEMS[kind]), "sample_stride", stride))
+        bad.append(p)
+    proc, errors = _batch_errors(tmp_path, [*bad, pass_file])
+    assert errors == [f"scenario {p}: error: sample_stride must be at least 1, got {stride}"
+                      for p in bad]
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
+
+
+def test_a_zero_horizon_fails_alike_for_every_kind(tmp_path, pass_file):
+    # in the file or from --t-end; the kinds used to fail five different
+    # ways, or write a one-row CSV
+    bad = []
+    for kind, stem in KIND_STEMS.items():
+        p = tmp_path / f"{stem}.scn"
+        p.write_text(_with_integrator_key(_shipped(stem), "t_end", "0"))
+        bad.append(p)
+    proc, errors = _batch_errors(tmp_path, [*bad, pass_file])
+    want = "error: a scenario needs a positive t_end, got 0.0"
+    assert errors == [f"scenario {p}: {want}" for p in bad]
+    assert "scenario cli-pass" in proc.stdout
+    shipped = [resources.files("qdsim").joinpath("scenarios", f"{stem}.scn")
+               for stem in KIND_STEMS.values()]
+    proc, errors = _batch_errors(tmp_path, shipped, "--t-end", "0")
+    assert errors == [f"scenario {p}: {want}" for p in shipped]
+    assert proc.stdout == ""
+
+
+def test_oversized_jc_block_count_fails_alone_in_a_batch(tmp_path, pass_file):
+    # n_max = 10^13 used to end the batch in numpy's allocation traceback
+    bad = tmp_path / "jc.scn"
+    bad.write_text(_shipped("jc_collapse_blocks").replace("n_max = 16", "n_max = 10000000000000"))
+    proc, errors = _batch_errors(tmp_path, [pass_file, bad])
+    assert len(errors) == 1
+    assert errors[0].startswith(f"scenario {bad}: error: n_max = 10000000000000")
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
+
+
+# a parabolic generator (|g| = |omega|, g perpendicular to omega) whose
+# RK4 samples drift from Hermiticity by up to 5.3e-10 over the run:
+# inside evolve's guard, beyond a fresh density matrix's tolerance
+PARABOLIC_SCN = """\
+[scenario]
+kind = gksl-ode
+name = parabolic-drift
+
+[qubit]
+omega = (0.12892142156148317, -1.0162355420775455, 0.7479898281952927)
+g = (1.0464962200814387, -0.33399432977934856, -0.6341432346348927)
+xi = (0.0, 0.0, 1.0)
+
+[integrator]
+t_end = 2000.0
+step = 0.5
+sample_stride = 400
+
+[output]
+csv = fast.csv
+"""
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_samples_within_the_stepper_guard_are_read_as_they_are(tmp_path, check):
+    scn = tmp_path / "fast.scn"
+    scn.write_text(PARABOLIC_SCN)
+    times, cols, report = run_file(scn, out_dir=str(tmp_path), check=check)
+    assert times[-1] == 2000.0 and len(times) == 11
+    assert set(cols) == {"n1", "n2", "n3", "purity", "entropy", "g_norm"}
+    assert (tmp_path / "fast.csv").exists()
+    assert report.all_passed
+    assert [c.name for c in report.checks] == (
+        ["closed-form-vs-ode", "generator-consistency"] if check else [])
+
+
+def test_the_rk4_oracle_comparison_reads_drifted_samples():
+    scn = parse_scenario(PARABOLIC_SCN)
+    p, icfg = scn.parameters, dict(scn.integrator)
+    params = QubitGeneratorParams(p["omega"], p["g"])
+    traj = evolve(params.generator(), bloch_to_density(p["xi"]),
+                  IntegratorConfig(icfg["t_end"], icfg["step"], icfg["sample_stride"]))
+    result = _closed_vs_ode("closed-form-vs-ode",
+                            lambda t: bloch_trajectory_general(params, p["xi"], t), traj)
+    assert isinstance(result, CheckResult) and result.passed
 
 
 class _PoolRecorder:
