@@ -176,6 +176,33 @@ def test_bmt_invariants_short_run():
     assert np.abs(ww - ww[0]).max() <= 1e-7 * mc2
 
 
+def test_bmt_runs_the_shipped_horizon_within_the_invariant_guard():
+    # bmt_spin_damping_a's fields to tau = 8000: R^100 built by binary
+    # squaring drifts p.p, p.w and w.w past TOL.bmt_invariant_drift
+    # before the end; built by successive products it does not
+    p0 = dirac.rest_momentum(FIELDS.mass, FIELDS.c)
+    traj = dirac.bmt_evolve(FIELDS, p0, (0.0, 0.0, 1.0), tau_end=8000.0, step=0.01,
+                            sample_stride=100)
+    assert len(traj) == 8001 and traj.times[-1] == 8000.0
+
+
+@pytest.mark.parametrize("stride, message", [
+    (1000, "state has non-finite entries"),
+    # p ~ 1e168 to 1e280 is finite, but p.p overflows to NaN
+    (60, "four-vector invariants drifted; reduce the step"),
+    (100, "four-vector invariants drifted; reduce the step"),
+])
+def test_bmt_refuses_an_overflowing_sample(stride, message):
+    # the step grows the state by about 600 between samples; NaN used to
+    # pass the invariant check (nan > tol is False), so the run stored it
+    fields = dirac.EMFieldConfig((1e3, 0.0, 0.0), (0.0, 0.0, 0.05))
+    tau_end = stride * 0.01
+    with pytest.raises(IntegrationDivergedError) as err:
+        dirac.bmt_evolve(fields, dirac.rest_momentum(1.0), (0, 0, 1.0), tau_end=tau_end,
+                         step=0.01, sample_stride=stride)
+    assert str(err.value) == f"{message} (at t={tau_end!r})"
+
+
 def test_bmt_lab_time_outruns_proper_time():
     # an accelerating electric field makes t_lab grow faster than tau
     p0 = dirac.rest_momentum(FIELDS.mass, FIELDS.c)

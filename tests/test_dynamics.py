@@ -19,8 +19,8 @@ from qdsim.dynamics import (
     state_vector_rhs,
     whole_steps,
 )
-from qdsim.errors import DomainError, UnsupportedModeError, ValidityError
-from qdsim.linalg import SIGMA_X, SIGMA_Z, frobenius
+from qdsim.errors import DomainError, IntegrationDivergedError, UnsupportedModeError, ValidityError
+from qdsim.linalg import SIGMA_X, SIGMA_Z, frobenius, pauli_dot
 from qdsim.models import dirac
 from qdsim.models import neutrino as nu
 from qdsim.run import _grid
@@ -147,6 +147,38 @@ def test_time_dependent_generator_tracks_profile():
     gen_at = qubit_rate_generator((0, 0, 0.003), (1.0, 0.0, 0.0), profile)
     g_mat = gen_at(500.0).damping
     assert frobenius(g_mat - 0.5 * profile(500.0) * SIGMA_X) <= 1e-15
+
+
+def test_rate_family_fills_the_caches_of_a_validated_generator():
+    # validated once when the family is made, then the same arithmetic as
+    # Generator(H, magnitude(t) * sigma_g), so RK4 samples stay bitwise equal
+    omega, g_dir = (0.00225, 0.0012990381056766578, -0.0015), (0.43, -0.75, -0.5)
+    profile = inverted_morse_profile(0.007, 0.0005)
+    gen_at = qubit_rate_generator(omega, g_dir, profile)
+    h, sig_g = 0.5 * pauli_dot(omega), 0.5 * pauli_dot(g_dir)
+    for t in (0.0, 0.25, 2821.0, 35000.0):
+        got, want = gen_at(t), Generator(h, profile(t) * sig_g)
+        for attr in ("hamiltonian", "damping", "_m", "_mh", "_w"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert got.lindblads == () and got._lpairs == ()
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidityError, match="operator contains non-finite entries"):
+            qubit_rate_generator(omega, g_dir, lambda t: bad)(1.0)
+    with pytest.raises(ValidityError):
+        qubit_rate_generator(omega, (math.nan, 0.0, 0.0), profile)
+
+
+def test_evolve_overflow_is_an_integration_error_without_warnings():
+    # RK4 far past its stability limit overflows between two samples; under
+    # the suite's filterwarnings = error a numpy RuntimeWarning would fail here
+    gen = Generator.qubit((0.0, 0.0, 1.0), (1e3, 0.0, 0.0))
+    cfg = IntegratorConfig(t_end=100.0, step=0.1, sample_stride=1000)
+    with pytest.raises(IntegrationDivergedError, match="state has non-finite entries"):
+        evolve(gen, bloch_to_density((0.0, 0.0, 1.0)), cfg)
+    gen_at = qubit_rate_generator((0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                                  inverted_morse_profile(1e4, 0.0005))
+    with pytest.raises(IntegrationDivergedError, match="state has non-finite entries"):
+        evolve(gen_at, bloch_to_density((0.0, 0.0, 1.0)), cfg)
 
 
 def test_time_dependent_generator_is_built_once_per_stage_time():

@@ -115,6 +115,73 @@ def test_evolve_damping_counter_rate_keeps_norm():
     assert abs(nu.flavor_columns(psi)["survival"][-1] - 1.0) > 1e-6
 
 
+def _vacuum_rk4_step(c, h):
+    """The RK4 step of the linear vacuum flow psi' = -i (eps/2) omega.sigma psi."""
+    ha = h * (-0.5j * c.eps) * pauli_dot(c.vacuum_omega())
+    return (np.eye(2) + ha + ha @ ha / 2.0 + ha @ ha @ ha / 6.0
+            + ha @ ha @ ha @ ha / 24.0)
+
+
+@pytest.mark.parametrize("config", [MSW_10MEV, DAMPING_10MEV], ids=["msw", "damping"])
+def test_evolve_past_the_cutoff_retraces_the_per_step_vacuum_map(config):
+    # from the first step whose stages all lie past the cutoff, the run
+    # must agree with the vacuum RK4 step applied one step at a time with
+    # per-step renormalization; stride 7 makes one chunk straddle it
+    h, stride, n = 20.0, 7, 20000
+    i_past = 18289  # the first i with i h > CUTOFF_KM
+    assert (i_past - 1) * h <= nu.CUTOFF_KM < i_past * h
+    traj = nu.neutrino_evolve(config, None, n * h, h, sample_stride=stride)
+    norms = np.linalg.norm(traj.states, axis=1)
+    assert np.abs(norms - 1.0).max() <= 1e-15
+
+    # every step before i_past is the scalar stepper, whatever the chunking
+    psi = nu.neutrino_evolve(config, None, i_past * h, h, sample_stride=n).final_state
+    r = _vacuum_rk4_step(config, h)
+    want = {}
+    for i in range(i_past, n):
+        psi = r @ psi
+        psi = psi / np.linalg.norm(psi)
+        want[i + 1] = psi
+    steps = np.rint(traj.times / h).astype(int)
+    past = steps > i_past
+    assert past.sum() > 200
+    got = traj.states[past]
+    ref = np.array([want[i] for i in steps[past]])
+    assert np.abs(got - ref).max() <= 1e-11
+
+
+@pytest.mark.parametrize("h, stride, low, high", [
+    # about 3.05 rad per 300 km step: |R| grows the ket by about 1.67 per
+    # step, so the 780 steps of the chunk that straddles the cutoff
+    # overflow |R^780 psi|^2
+    (300.0, 1000, 1.5, 2.0),
+    (300.0, 2000, 1.5, 2.0),
+    # about 2.03 rad per 200 km step: |R| shrinks the ket by about 0.73
+    # per step, so |R^1171 psi|^2 underflows
+    (200.0, 1500, 0.5, 1.0),
+])
+def test_evolve_past_the_cutoff_powers_a_step_that_scales_the_ket(h, stride, low, high):
+    # the powered route runs on R / sigma, so a coarse stride stores the
+    # finite unit ket that stride 1 stores
+    c = nu.NeutrinoConfig(energy_gev=0.01, mode="msw", v_scale=0.0)
+    sv = np.linalg.svd(_vacuum_rk4_step(c, h), compute_uv=False)
+    assert low < sv.min() <= sv.max() < high
+    coarse = nu.neutrino_evolve(c, None, 600000.0, h, sample_stride=stride)
+    fine = nu.neutrino_evolve(c, None, 600000.0, h, sample_stride=1)
+    assert abs(np.linalg.norm(coarse.final_state) - 1.0) <= 1e-15
+    assert np.abs(coarse.final_state - fine.final_state).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["msw", "damping"])
+def test_evolve_keeps_the_scalar_loop_where_the_vacuum_step_overflows(mode):
+    # R itself overflows at this step, so the run keeps the scalar
+    # stepper, whose guard names the first step, with no RuntimeWarning
+    c = nu.NeutrinoConfig(energy_gev=0.01, mode=mode, v_scale=0.0)
+    with pytest.raises(IntegrationDivergedError) as err:
+        nu.neutrino_evolve(c, None, L_end=1e301, step=1e300)
+    assert str(err.value) == "amplitude norm left (0, 2) (at t=1e+300)"
+
+
 @pytest.mark.parametrize("mode", ["msw", "damping"])
 def test_evolve_overflow_is_an_integration_error(mode):
     # the first step overflows; the per-step norm guard must name it,

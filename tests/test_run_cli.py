@@ -377,6 +377,85 @@ def test_overflowing_neutrino_run_exits_one_with_one_line(tmp_path, mode):
     assert errors == [f"scenario {bad}: error: amplitude norm left (0, 2) (at t=1.0)"]
 
 
+# rates far past RK4's stability limit at these steps: the state
+# overflows between two samples, and the stepper used to print numpy
+# RuntimeWarnings (or, for bmt, store NaN and fail later on an
+# unrelated error) instead of naming the sample
+OVERFLOW_SCNS = {
+    "gksl-ode": """\
+[scenario]
+kind = gksl-ode
+name = overflow-gksl
+
+[qubit]
+omega = (0.0, 0.0, 1.0)
+g = (1e3, 0.0, 0.0)
+xi = (0.0, 0.0, 1.0)
+
+[integrator]
+t_end = 100.0
+step = 0.1
+sample_stride = 1000
+
+[output]
+csv = gksl.csv
+""",
+    "inverted-morse": """\
+[scenario]
+kind = gksl-ode
+name = overflow-morse
+
+[qubit]
+omega = (0.0, 0.0, 1.0)
+g = (1.0, 0.0, 0.0)
+g_profile = inverted-morse
+q = 1e4
+nu = 0.0005
+xi = (0.0, 0.0, 1.0)
+
+[integrator]
+t_end = 100.0
+step = 0.1
+sample_stride = 1000
+
+[output]
+csv = morse.csv
+""",
+    "bmt": """\
+[scenario]
+kind = bmt
+name = overflow-bmt
+
+[bmt]
+e = (1e3, 0.0, 0.0)
+b = (0.0, 0.0, 0.05)
+xi = (0.0, 0.0, 1.0)
+
+[integrator]
+t_end = 10.0
+step = 0.01
+sample_stride = 1000
+
+[output]
+csv = bmt.csv
+""",
+}
+
+
+@pytest.mark.parametrize("check", ["--check", "--no-check"])
+@pytest.mark.parametrize("kind, t_end", [("gksl-ode", 100.0), ("inverted-morse", 100.0),
+                                         ("bmt", 10.0)])
+def test_overflowing_stepper_exits_one_with_one_line(tmp_path, kind, t_end, check):
+    bad = tmp_path / "overflow.scn"
+    bad.write_text(OVERFLOW_SCNS[kind])
+    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(bad), check,
+                     "--out-dir", str(tmp_path / "o")])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    errors = proc.stderr.strip().splitlines()
+    assert errors == [f"scenario {bad}: error: state has non-finite entries (at t={t_end})"]
+
+
 def _shipped(stem):
     return resources.files("qdsim").joinpath("scenarios", f"{stem}.scn").read_text()
 
