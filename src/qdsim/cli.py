@@ -52,15 +52,10 @@ def _run_batch(tasks, jobs: int) -> int:
             results = list(pool.map(_execute, tasks))
     else:
         results = [_execute(t) for t in tasks]
-    worst = 0
     for code, text in results:
-        stream = sys.stderr if code == 1 else sys.stdout
-        print(text, file=stream)
-        if code == 1:
-            worst = 1
-        elif code == 2 and worst != 1:
-            worst = 2
-    return worst
+        print(text, file=sys.stderr if code == 1 else sys.stdout)
+    # usage/parse errors (1) outrank check failures (2)
+    return max((code for code, _ in results), key=(0, 2, 1).index, default=0)
 
 
 def _shipped_scenarios():
@@ -89,15 +84,13 @@ def main(argv=None) -> int:
     fig_p.add_argument("--jobs", type=int, default=1)
 
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     if args.command == "run":
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
         tasks = [(p, args.out_dir, args.check, args.step, args.t_end)
                  for p in args.scenarios]
         return _run_batch(tasks, args.jobs)
     if args.command == "figures":
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
         paths = _shipped_scenarios()
         if not paths:
             print("no shipped scenarios found", file=sys.stderr)

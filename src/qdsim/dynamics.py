@@ -1,14 +1,13 @@
 """Nonlinear master-equation dynamics.
 
-The flow implemented here is, with M = G - iH and W = 2G + sum L_a^dag L_a,
+The flow is the normalized image of a linear, non-trace-preserving
+generator, with M = G - iH:
 
-    d/dt rho = M rho + rho M^dag + sum_a L_a rho L_a^dag - rho * tr(rho W)
+    d/dt rho = Lambda(rho) - tr Lambda(rho) * rho,
+    Lambda(rho) = M rho + rho M^dag + sum_a L_a rho L_a^dag.
 
-which conserves tr(rho) and reduces to the standard trace-preserving
-Lindblad form whenever W = 0. For L_a = 0 the flow is solved in closed
-form by the normalized conjugation rho(t) = K rho0 K^dag / tr(...) with
-K = exp((G - iH) t); that propagator doubles as the oracle for the
-fixed-step integrator.
+For L_a = 0 it is solved in closed form by rho(t) = K rho0 K^dag / tr(...)
+with K = exp((G - iH) t), the oracle for the fixed-step integrator.
 """
 
 from __future__ import annotations
@@ -54,22 +53,16 @@ class Generator:
         self._store(h, g, ls)
 
     def _store(self, h, g, ls) -> None:
-        """Set the parts and the combinations every rhs evaluation uses.
-        The one place they are computed, for __init__ and for the
-        pre-validated family of qubit_rate_generator alike."""
+        """Set the parts and what every rhs evaluation reuses: M = G - iH
+        and the halved jump pairs (L/sqrt2, (L/sqrt2)^dag). The one place
+        they are computed, for __init__ and for the pre-validated family
+        of qubit_rate_generator alike."""
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "damping", g)
         object.__setattr__(self, "lindblads", ls)
-        w = 2.0 * g
-        pairs = []
-        for l in ls:
-            lh = dagger(l)
-            w = w + lh @ l
-            pairs.append((l, lh))
         object.__setattr__(self, "_m", g - 1j * h)
-        object.__setattr__(self, "_mh", dagger(g - 1j * h))
-        object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_lpairs", tuple(pairs))
+        halves = tuple(l * math.sqrt(0.5) for l in ls)
+        object.__setattr__(self, "_lpairs", tuple((l, dagger(l)) for l in halves))
 
     @classmethod
     def qubit(cls, omega, g, lindblads=()) -> "Generator":
@@ -213,14 +206,17 @@ def _successive_powers(step: np.ndarray) -> Callable[[int], np.ndarray]:
 
 
 def gksl_rhs(gen: Generator, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the trace-conserving nonlinear master equation."""
+    """Lambda(rho) - tr Lambda(rho) * rho, the trace-conserving nonlinear
+    master equation. Lambda(rho) = X + X^dag with
+    X = M rho + sum_a (L_a/sqrt2) rho (L_a/sqrt2)^dag: one product for M
+    and one per jump operator, and Hermitian bit for bit."""
     if rho.shape != (gen.dim, gen.dim):
         raise DimensionError("state dimension does not match the generator")
-    out = gen._m @ rho + rho @ gen._mh
+    x = gen._m @ rho
     for l, lh in gen._lpairs:
-        out += l @ rho @ lh
-    gain = np.trace(rho @ gen._w).real
-    return out - gain * rho
+        x += l @ rho @ lh
+    lam = x + dagger(x)
+    return lam - np.trace(lam).real * rho
 
 
 def standard_lindblad_rhs(gen: Generator, rho: np.ndarray) -> np.ndarray:
@@ -229,19 +225,20 @@ def standard_lindblad_rhs(gen: Generator, rho: np.ndarray) -> np.ndarray:
         raise DimensionError("state dimension does not match the generator")
     h = gen.hamiltonian
     out = -1j * (h @ rho - rho @ h)
-    for l, lh in gen._lpairs:
+    for l in gen.lindblads:
+        lh = dagger(l)
         lhl = lh @ l
         out += l @ rho @ lh - 0.5 * (lhl @ rho + rho @ lhl)
     return out
 
 
 def state_vector_rhs(gen: Generator, psi: np.ndarray, kappa: float = 0.0) -> np.ndarray:
-    """d/dt psi = (-iH + G - <G> + i kappa) psi; norm-preserving for any kappa."""
+    """d/dt psi = x - (Re<psi|x> - i kappa) psi with x = (G - iH) psi, the
+    same as (-iH + G - <G> + i kappa) psi; norm-preserving for any kappa."""
     if gen.lindblads:
         raise UnsupportedModeError("state-vector form requires empty lindblads")
-    gpsi = gen.damping @ psi
-    mean_g = np.real(np.conjugate(psi) @ gpsi)
-    return (-1j) * (gen.hamiltonian @ psi) + gpsi - mean_g * psi + 1j * kappa * psi
+    x = gen._m @ psi
+    return x - (np.vdot(psi, x).real - 1j * kappa) * psi
 
 
 def closed_form_propagate(gen: Generator, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -278,7 +275,7 @@ def _check_density_sample(rho: np.ndarray, t: float) -> None:
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TOL.ode_trace_drift:
         raise IntegrationDivergedError(f"trace drift {tr - 1.0:.3e}", t)
-    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
+    w = np.linalg.eigvalsh(rho)
     if w.min() < TOL.eigenvalue_floor:
         raise IntegrationDivergedError(f"eigenvalue {w.min():.3e} below the floor", t)
 

@@ -45,7 +45,7 @@ from ..errors import (
 )
 from ..linalg import ID2, PAULI, dagger, pauli_components, pauli_dot
 from ..qubit import QubitGeneratorParams, sl2c_coefficients
-from ..states import bloch_to_density
+from ..states import bloch_to_density, bloch_vectors
 from ..tolerances import TOL
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -182,8 +182,7 @@ def polarization_fourvector(p, xi, mass: float, c: float = 1.0) -> np.ndarray:
     if p.shape != (4,) or xi.shape != (3,):
         raise DomainError("need a 4-vector p and 3-vector xi")
     _check_on_shell(p, mass, c)
-    if np.linalg.norm(xi) > 1.0 + TOL.bloch_ball:
-        raise DomainError("xi lies outside the unit ball")
+    bloch_vectors(xi)
     mc = mass * c
     pe = p[1:] @ xi
     w0 = 0.5 * pe
@@ -282,10 +281,6 @@ def field_tensor_mixed(f: EMFieldConfig) -> np.ndarray:
     return m
 
 
-def _conservation_scale(mc: float, w: np.ndarray) -> float:
-    return max(mc * mc, float(np.abs(w) @ np.abs(w)))
-
-
 def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
                sample_stride: int = None) -> Trajectory:
     """Proper-time evolution of the momentum p and polarization w; the
@@ -321,7 +316,7 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
 
     pp_ref = minkowski_dot(p0, p0)
     ww_ref = minkowski_dot(w0, w0)  # equals -(mc/2)^2 xi0^2
-    scale = _conservation_scale(mc, w0)
+    scale = max(mc * mc, float(np.abs(w0) @ np.abs(w0)))
 
     def advance(i, y, m):
         return power(m) @ y

@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import DomainError, SingularNormalizationError, ValidityError
 from ..linalg import dagger
 from ..qubit import CaseClass, QubitGeneratorParams, classify, sl2c_coefficients
-from ..states import bloch_to_density, density_matrix
+from ..states import bloch_to_density, check_density_stack
 from ..tolerances import TOL
 
 
@@ -94,8 +94,11 @@ class JCBlockState:
         off = np.abs(total - 1.0) > TOL.trace_one
         if off.any():
             raise ValidityError(f"weights sum to {float(total[off][0])!r}, not 1")
+        if not np.isfinite(blocks).all():
+            raise ValidityError("operator contains non-finite entries")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "blocks", density_matrix(blocks))
+        # in place: the blocks can be most of a run's memory
+        object.__setattr__(self, "blocks", check_density_stack(blocks))
 
     @property
     def n_max(self) -> int:
@@ -134,10 +137,10 @@ def jc_evolve(p: JCParams, s0: JCBlockState, t) -> JCBlockState:
     if s0.weights.shape != (p.n_max + 1,):
         raise DomainError("state block count does not match n_max")
     _check_block_storage(p.n_max, np.size(t))
-    k = np.stack([sl2c_coefficients(p.block_params(n), t).matrix()
-                  for n in range(p.n_max + 1)], axis=-3)
-    raw = k @ s0.blocks @ dagger(k)
-    del k  # one (..., n_max+1, 2, 2) array fewer alive while the blocks are validated
+    raw = np.empty(np.shape(t) + s0.blocks.shape, dtype=complex)
+    for n in range(p.n_max + 1):
+        k = sl2c_coefficients(p.block_params(n), t).matrix()
+        raw[..., n, :, :] = k @ s0.blocks[n] @ dagger(k)
     traces = np.trace(raw, axis1=-2, axis2=-1).real
     # K is invertible, so a bad trace can only be floating-point range
     # exhaustion at extreme times

@@ -33,6 +33,7 @@ from .errors import (
 from .kraus import KrausFamily
 from .linalg import PAULI, pauli_dot
 from .dynamics import Generator
+from .states import bloch_vectors
 from .tolerances import TOL
 
 
@@ -166,9 +167,7 @@ def _validated_bloch(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (3,):
         raise DomainError("xi must be a real 3-vector")
-    if float(np.linalg.norm(xi)) > 1.0 + TOL.bloch_ball:
-        raise DomainError("initial Bloch vector lies outside the unit ball")
-    return xi
+    return bloch_vectors(xi)
 
 
 def bloch_trajectory_general(params: QubitGeneratorParams, xi, t) -> np.ndarray:

@@ -269,9 +269,7 @@ def parse_scenario(text: str) -> Scenario:
         column = raw_line.index("=") + 2
         store[key] = _parse_value(schema[key], value_text, line_no, column)
 
-    if "scenario" not in sections:
-        raise ScenarioMissingKeyError("scenario", "kind")
-    head = sections["scenario"]
+    head = sections.get("scenario", {})
     for req in _REQUIRED["scenario"]:
         if req not in head:
             raise ScenarioMissingKeyError("scenario", req)
@@ -279,16 +277,10 @@ def parse_scenario(text: str) -> Scenario:
     if kind not in KINDS:
         raise DomainError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
     param_section = KIND_SECTION[kind]
-    if param_section not in sections:
-        raise ScenarioMissingKeyError(param_section, _REQUIRED[param_section][0])
-    for req in _REQUIRED[param_section]:
-        if req not in sections[param_section]:
-            raise ScenarioMissingKeyError(param_section, req)
-    if "integrator" not in sections:
-        raise ScenarioMissingKeyError("integrator", "t_end")
-    for req in _REQUIRED["integrator"]:
-        if req not in sections["integrator"]:
-            raise ScenarioMissingKeyError("integrator", req)
+    for section in (param_section, "integrator"):
+        for req in _REQUIRED[section]:
+            if req not in sections.get(section, {}):
+                raise ScenarioMissingKeyError(section, req)
     for out in outputs:
         if not out.get("csv") and not out.get("svg"):
             raise DomainError("an [output] section needs a csv or svg path")
@@ -316,6 +308,12 @@ def parse_scenario(text: str) -> Scenario:
 # closed-form kinds evaluate at every step of their time grid
 _SAMPLED_AT_EVERY_STEP = ("qubit-closed-form", "single-lindblad", "jaynes-cummings")
 
+# [qubit] keys each kind reads; gksl-ode reads q and nu only with inverted-morse
+_QUBIT_KEYS_READ = {
+    "qubit-closed-form": ("omega", "g", "xi", "case"),
+    "gksl-ode": ("omega", "g", "xi", "g_profile", "q", "nu"),
+}
+
 
 def _validate_domains(kind: str, params: dict, integrator: dict) -> None:
     """Early unit checks that do not need a model built."""
@@ -327,18 +325,21 @@ def _validate_domains(kind: str, params: dict, integrator: dict) -> None:
         norm = sum(v * v for v in xi) ** 0.5
         if norm > 1.0 + TOL.bloch_ball:
             raise DomainError(f"|xi| = {norm:.6g} lies outside the unit ball")
-    if kind in ("qubit-closed-form", "gksl-ode"):
+    if kind in _QUBIT_KEYS_READ:
         profile = params.get("g_profile", "constant")
         if profile not in ("constant", "inverted-morse"):
             raise DomainError(f"unknown g_profile {profile!r}")
-        if profile == "inverted-morse":
-            if kind != "gksl-ode":
-                raise DomainError("inverted-morse profile needs the gksl-ode kind")
-            if "q" not in params or "nu" not in params:
-                raise DomainError("inverted-morse profile needs keys q and nu")
         case = params.get("case", "auto")
         if case not in ("auto", "parabolic", "hyperbolic-damped", "oscillatory"):
             raise DomainError(f"unknown case {case!r}")
+        for key in params:
+            if key not in _QUBIT_KEYS_READ[kind]:
+                raise DomainError(f"[qubit] key {key!r} is not read by kind {kind}")
+            if key in ("q", "nu") and profile == "constant":
+                raise DomainError(f"[qubit] key {key!r} is not read by kind {kind} "
+                                  "with the constant g_profile")
+        if profile == "inverted-morse" and ("q" not in params or "nu" not in params):
+            raise DomainError("inverted-morse profile needs keys q and nu")
     if kind == "neutrino":
         mode = params.get("mode", "msw")
         if mode not in ("msw", "damping"):

@@ -9,17 +9,28 @@ from .linalg import ID2, PAULI, as_operator, dagger, is_hermitian, pauli_compone
 from .tolerances import TOL
 
 
+_CHUNK_ENTRIES = 1 << 14  # stack entries one validation pass reads at a time
+
+
 def density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix, or each matrix of a stack (..., d, d):
-    Hermitian, unit trace, positive to tolerance."""
-    rho = as_operator(rho, stack=True)
-    if not np.all(is_hermitian(rho)):
+    Hermitian, unit trace, positive to tolerance. Returns a copy."""
+    return check_density_stack(as_operator(rho, stack=True))
+
+
+def check_density_stack(rho: np.ndarray) -> np.ndarray:
+    """density_matrix's checks on a finite complex array (..., d, d), read
+    in place: no copy of the stack, and each temporary spans one chunk
+    of about _CHUNK_ENTRIES entries. Returns rho."""
+    flat = rho.reshape((-1,) + rho.shape[-2:])
+    chunks = np.array_split(flat, max(1, -(-flat.size // _CHUNK_ENTRIES)))
+    if not all(is_hermitian(c).all() for c in chunks):
         raise ValidityError("density matrix is not Hermitian to tolerance")
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    tr = np.trace(flat, axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > TOL.trace_one
     if off.any():
         raise ValidityError(f"density matrix trace is {float(tr[off][0])!r}, expected 1")
-    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min(initial=np.inf)
+    w = min(np.linalg.eigvalsh(0.5 * (c + dagger(c))).min(initial=np.inf) for c in chunks)
     if w < TOL.eigenvalue_floor:
         raise ValidityError(f"density matrix has eigenvalue {w:.3e} below the floor")
     return rho

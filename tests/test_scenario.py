@@ -216,6 +216,22 @@ def test_domain_validation():
     assert parse_scenario(neutrino.replace("vacuum", "msw")).kind == "neutrino"
 
 
+@pytest.mark.parametrize("kind, keys, refused", [
+    # gksl-ode integrates whatever rates it is given; it never reads case
+    ("gksl-ode", "case = parabolic\n", "'case'"),
+    ("gksl-ode", "q = 0.01\nnu = 0.001\n", "'q'"),
+    ("gksl-ode", "g_profile = constant\nnu = 0.001\n", "'nu'"),
+    ("qubit-closed-form", "g_profile = constant\n", "'g_profile'"),
+    ("qubit-closed-form", "q = 0.01\n", "'q'"),
+    ("qubit-closed-form", "nu = 0.001\n", "'nu'"),
+])
+def test_qubit_keys_a_kind_does_not_read_are_refused(kind, keys, refused):
+    with pytest.raises(DomainError) as err:
+        parse_scenario(with_qubit_keys(keys).replace("qubit-closed-form", kind))
+    msg = str(err.value)
+    assert refused in msg and kind in msg and "\n" not in msg
+
+
 def _shipped_with_stride(stem: str) -> str:
     text = files("qdsim").joinpath("scenarios", f"{stem}.scn").read_text()
     if "sample_stride" not in text:

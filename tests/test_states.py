@@ -3,6 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdsim.errors import DimensionError, ValidityError
+from qdsim.models import dirac
+from qdsim.qubit import (
+    QubitGeneratorParams,
+    SingleLindbladParams,
+    asymptote,
+    bloch_trajectory_general,
+    single_lindblad_trajectory,
+)
 from qdsim.states import (
     bloch_to_density,
     bloch_vectors,
@@ -18,6 +26,39 @@ from qdsim.states import (
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0)
 angle = st.floats(min_value=0.0, max_value=2.0 * np.pi)
+
+
+def test_every_xi_entry_point_refuses_a_vector_outside_the_ball_alike():
+    xi = (0.8, 0.8, 0.8)
+    params = QubitGeneratorParams((0.0, 0.0, 6.0), (4.0, 0.0, 1.0))
+    refusals = (
+        lambda: bloch_trajectory_general(params, xi, 1.0),
+        lambda: asymptote(params, xi),
+        lambda: single_lindblad_trajectory(SingleLindbladParams(0.5, 1.0, 0.3), xi, 1.0),
+        lambda: dirac.polarization_fourvector(dirac.rest_momentum(1.0), xi, 1.0),
+        lambda: bloch_to_density(xi),
+    )
+    messages = set()
+    for refuse in refusals:
+        with pytest.raises(ValidityError) as err:
+            refuse()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def test_a_stack_longer_than_one_chunk_is_checked_as_a_whole():
+    # density_matrix reads a long stack a chunk at a time; a bad matrix
+    # past the first chunk is found, and the message names the worst one
+    good = bloch_to_density(np.zeros((40000, 3)))
+    assert np.array_equal(density_matrix(good), good)
+    bad = good.copy()
+    bad[30000] = [[1.2, 0.0], [0.0, -0.2]]
+    bad[35000] = [[1.1, 0.0], [0.0, -0.1]]
+    with pytest.raises(ValidityError, match="eigenvalue -2.000e-01 below the floor"):
+        density_matrix(bad)
+    bad[39999, 0, 1] = 0.5
+    with pytest.raises(ValidityError, match="not Hermitian"):
+        density_matrix(bad)
 
 
 @given(r=unit_interval, theta=angle, phi=angle)
