@@ -219,19 +219,6 @@ def gksl_rhs(gen: Generator, rho: np.ndarray) -> np.ndarray:
     return lam - np.trace(lam).real * rho
 
 
-def standard_lindblad_rhs(gen: Generator, rho: np.ndarray) -> np.ndarray:
-    """Trace-preserving Lindblad form; the G field is ignored."""
-    if rho.shape != (gen.dim, gen.dim):
-        raise DimensionError("state dimension does not match the generator")
-    h = gen.hamiltonian
-    out = -1j * (h @ rho - rho @ h)
-    for l in gen.lindblads:
-        lh = dagger(l)
-        lhl = lh @ l
-        out += l @ rho @ lh - 0.5 * (lhl @ rho + rho @ lhl)
-    return out
-
-
 def state_vector_rhs(gen: Generator, psi: np.ndarray, kappa: float = 0.0) -> np.ndarray:
     """d/dt psi = x - (Re<psi|x> - i kappa) psi with x = (G - iH) psi, the
     same as (-iH + G - <G> + i kappa) psi; norm-preserving for any kappa."""

@@ -6,12 +6,8 @@ how mixture weights are reshuffled by the normalization: for a mixture
 sum_i p_i rho_i the image is the same mixture of the individually mapped
 states taken with weights p_i tr(F rho_i) / tr(F rho_mix). When F is
 proportional to the identity these weights reduce to p_i and the map is an
-ordinary linear channel.
-
-Two usage modes are distinguished. "evolution" places no constraint on F
-(the families that solve master equations grow F without bound), while
-"operation" additionally requires F <= I so that tr(F rho) can be read as
-a selection probability.
+ordinary linear channel. No bound is placed on F: the families that
+solve master equations grow it without bound.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, SingularNormalizationError, ValidityError
-from .linalg import as_operator, dagger, frobenius
+from .linalg import as_operator, dagger
 from .states import density_matrix
 from .tolerances import TOL
 
@@ -32,9 +28,8 @@ class KrausFamily:
     """An ordered family of Kraus operators on one Hilbert space."""
 
     operators: tuple = field()
-    mode: str = "evolution"
 
-    def __init__(self, operators, mode: str = "evolution") -> None:
+    def __init__(self, operators) -> None:
         ops = tuple(as_operator(k) for k in operators)
         if not ops:
             raise PreconditionError("a Kraus family needs at least one operator")
@@ -42,8 +37,6 @@ class KrausFamily:
         for k in ops:
             if k.shape != (dim, dim):
                 raise DimensionError("all Kraus operators must share one dimension")
-        if mode not in ("evolution", "operation"):
-            raise ValueError(f"unknown Kraus-family mode {mode!r}")
         if len(ops) > dim * dim:
             warnings.warn(
                 f"{len(ops)} Kraus operators on a dimension-{dim} space; "
@@ -51,14 +44,6 @@ class KrausFamily:
                 stacklevel=2,
             )
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "mode", mode)
-        if mode == "operation":
-            f = self.effect_operator()
-            w = np.linalg.eigvalsh(0.5 * (f + dagger(f)))
-            if w.max() > 1.0 + TOL.identity_effect:
-                raise ValidityError(
-                    f"operation-mode effect operator has eigenvalue {w.max():.6g} > 1"
-                )
 
     @property
     def dim(self) -> int:
@@ -67,10 +52,6 @@ class KrausFamily:
     def effect_operator(self) -> np.ndarray:
         """F = sum_a K_a^dag K_a."""
         return sum(dagger(k) @ k for k in self.operators)
-
-    def is_trace_preserving(self) -> bool:
-        f = self.effect_operator()
-        return frobenius(f - np.eye(self.dim)) <= TOL.identity_effect * max(1.0, frobenius(f))
 
     def apply_raw(self, rho: np.ndarray) -> np.ndarray:
         """sum_a K_a rho K_a^dag without normalization."""
@@ -93,9 +74,7 @@ class KrausFamily:
         """The family of all products K_a L_b, implementing self after other."""
         if self.dim != other.dim:
             raise DimensionError("cannot compose Kraus families of different dimension")
-        ops = tuple(k @ m for k in self.operators for m in other.operators)
-        mode = "operation" if self.mode == other.mode == "operation" else "evolution"
-        return KrausFamily(ops, mode=mode)
+        return KrausFamily(tuple(k @ m for k in self.operators for m in other.operators))
 
 
 @dataclass(frozen=True)
@@ -130,7 +109,7 @@ def reweighted_ensemble(family: KrausFamily, split: EnsembleSplit) -> np.ndarray
 
     These are the coefficients for which the normalized image of the
     mixture equals the reweighted mixture of normalized images. tr(F rho)
-    is the normalizing trace, a selection probability in operation mode.
+    is the normalizing trace.
     """
     f = family.effect_operator()
     if split.states[0].shape != f.shape:

@@ -2,10 +2,10 @@
 
 Dimensions here are tiny (2 for a qubit, 4 for a Dirac spinor, a few tens
 for coupled-oscillator blocks), so everything is plain dense numpy. The
-one piece of real numerics owned by this module is the closed-form 2x2
-matrix exponential through the Pauli decomposition; larger matrices are
-delegated to scipy's scaling-and-squaring Pade routine, imported only
-when needed. dagger, frobenius and is_hermitian also take stacks (..., d, d).
+closed-form 2x2 exponential of the paper is qubit.sl2c_coefficients;
+matrix_exponential delegates every size to scipy's scaling-and-squaring
+Pade routine, imported only when needed. dagger, frobenius and
+is_hermitian also take stacks (..., d, d).
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ def frobenius(a: np.ndarray):
     return np.linalg.norm(a, axis=(-2, -1))
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def pauli_dot(v) -> np.ndarray:
     """v . sigma for a real or complex 3-vector v."""
     v = np.asarray(v, dtype=complex)
@@ -67,32 +63,6 @@ def is_hermitian(a: np.ndarray):
     return frobenius(a - dagger(a)) <= TOL.hermitian_rel * np.maximum(frobenius(a), 1.0)
 
 
-def _expm_2x2(a: np.ndarray) -> np.ndarray:
-    # Split a = c*I + v.sigma; then exp(a) = e^c (cosh(s) I + sinh(s)/s v.sigma)
-    # with s = sqrt(v.v), branch-independent because cosh and sinh(s)/s are even.
-    c = 0.5 * (a[0, 0] + a[1, 1])
-    v0 = 0.5 * (a[0, 1] + a[1, 0])
-    v1 = 0.5j * (a[0, 1] - a[1, 0])
-    v2 = 0.5 * (a[0, 0] - a[1, 1])
-    z = v0 * v0 + v1 * v1 + v2 * v2
-    if abs(z) < TOL.expm_pauli_split:
-        # series in z = s^2 keeps full precision where sqrt would lose it
-        ch = 1.0 + z / 2.0 + z * z / 24.0
-        shc = 1.0 + z / 6.0 + z * z / 120.0
-    else:
-        s = np.sqrt(z)
-        ch = np.cosh(s)
-        shc = np.sinh(s) / s
-    ec = np.exp(c)
-    return ec * np.array(
-        [
-            [ch + shc * v2, shc * (v0 - 1.0j * v1)],
-            [shc * (v0 + 1.0j * v1), ch - shc * v2],
-        ],
-        dtype=complex,
-    )
-
-
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
     """exp(a) for a square matrix, refusing overflow-range arguments."""
     a = as_operator(a)
@@ -102,8 +72,6 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
             f"matrix exponential argument has 2-norm {norm2:.3g}, "
             f"beyond the supported {TOL.exp_argument_cap:g}"
         )
-    if a.shape == (2, 2):
-        return _expm_2x2(a)
     import scipy.linalg  # costs most of `import qdsim`; no shipped scenario needs it
 
     return scipy.linalg.expm(a)

@@ -31,12 +31,13 @@ at first order in tau, so no sign or factor convention can merge them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import (Generator, Trajectory, _rk4_linear_step, _sampled_steps,
-                        _successive_powers, whole_steps)
+from ..dynamics import (Trajectory, _rk4_linear_step, _sampled_steps, _successive_powers,
+                        whole_steps)
 from ..errors import (
     DomainError,
     IntegrationDivergedError,
@@ -47,8 +48,6 @@ from ..linalg import ID2, PAULI, dagger, pauli_components, pauli_dot
 from ..qubit import QubitGeneratorParams, sl2c_coefficients
 from ..states import bloch_to_density, bloch_vectors
 from ..tolerances import TOL
-
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 # Sign of the E-field entries of the mixed tensor F^mu_nu.  With the
 # lowered-index Pauli vector sigma_mu = (I, -sigma) the four-vector
@@ -97,8 +96,17 @@ def sigma_to_four(X) -> np.ndarray:
 
 
 def _check_on_shell(p: np.ndarray, mass: float, c: float) -> None:
-    mc2 = (mass * c) ** 2
-    if abs(minkowski_dot(p, p) - mc2) > TOL.on_shell_rel * mc2:
+    # Python floats overflow to inf and underflow to 0 without raising or
+    # warning; a (mc)^2 out of double range would make the shell test
+    # and every later division by mc meaningless
+    mc = float(mass) * float(c)
+    mc2 = mc * mc
+    if not (math.isfinite(mc2) and mc2 > 0.0):
+        raise DomainError(f"(mass*c)^2 = {mc2!r} is not a positive finite double")
+    # an overflowing p.p reads inf or nan, which fails the test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = abs(minkowski_dot(p, p) - mc2)
+    if not off <= TOL.on_shell_rel * mc2:
         raise PreconditionError("momentum is off the mass shell")
     if p[0] <= 0.0:
         raise PreconditionError("positive-energy branch required (p0 > 0)")
@@ -244,25 +252,6 @@ class EMFieldConfig:
     @property
     def qubit_params(self) -> QubitGeneratorParams:
         return QubitGeneratorParams(self.omega_vec, self.g_vec)
-
-    @classmethod
-    def from_rates(cls, omega, g, charge=1.0, mass=1.0, c=1.0, hbar=1.0) -> "EMFieldConfig":
-        """Fields that realize given precession/damping rate vectors."""
-        mu_b = charge * hbar / (2.0 * mass)
-        b = -np.asarray(omega, dtype=float) * hbar / (2.0 * mu_b)
-        e = np.asarray(g, dtype=float) * c * hbar / (2.0 * mu_b)
-        return cls(e, b, charge=charge, mass=mass, c=c, hbar=hbar)
-
-
-def em_spin_generator(f: EMFieldConfig) -> Generator:
-    """4x4 chiral-block generator: H = -(mu_B/hbar) diag(B.s, B.s),
-    G = (mu_B/(c hbar)) diag(E.s, -E.s)."""
-    z = np.zeros((2, 2), dtype=complex)
-    bs = pauli_dot(f.b_field)
-    es = pauli_dot(f.e_field)
-    h = -(f.mu_b / f.hbar) * np.block([[bs, z], [z, bs]])
-    g = (f.mu_b / (f.c * f.hbar)) * np.block([[es, z], [z, -es]])
-    return Generator(h, g)
 
 
 def field_tensor_mixed(f: EMFieldConfig) -> np.ndarray:

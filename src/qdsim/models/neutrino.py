@@ -33,7 +33,7 @@ stepper works on the two complex amplitudes directly, which turn at
 step resolves it to RK4 accuracy far below the tolerances in play.
 With the default v_scale = 0.012 it is about 4.7 rad/km: a 1 km step
 lies past RK4's stability limit of about 2.8 rad per step, so
-neutrino_evolve(NeutrinoConfig(energy_gev=0.01), None, 2000.0, 1.0)
+neutrino_evolve(NeutrinoConfig(energy_gev=0.01), 2000.0, 1.0)
 raises "amplitude norm left (0, 2)"; a run at that scale needs steps
 well below 0.6 km.
 """
@@ -45,11 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import (Generator, Trajectory, _rk4_linear_step, _sampled_steps,
-                        _successive_powers, whole_steps)
+from ..dynamics import (Trajectory, _rk4_linear_step, _sampled_steps, _successive_powers,
+                        whole_steps)
 from ..errors import DomainError, IntegrationDivergedError
 from ..rootfind import find_crossing
-from ..states import state_vector
 
 POLY_COEFFS = (519.0, -1630.0, 1844.0, -889.0, 154.910686)
 CUTOFF_KM = 365767.0
@@ -91,11 +90,6 @@ class NeutrinoConfig:
         return np.array([d * math.sin(2.0 * self.theta12), 0.0,
                          -d * math.cos(2.0 * self.theta12)])
 
-    def nu2_direction(self) -> np.ndarray:
-        """Bloch direction of the heavier vacuum mass eigenstate."""
-        return np.array([math.sin(2.0 * self.theta12), 0.0,
-                         -math.cos(2.0 * self.theta12)])
-
     def g_direction(self) -> np.ndarray:
         """Unit damping direction: perpendicular to the vacuum omega in
         the x-z plane (orientation +-1), tilted by g_tilt_rad toward
@@ -131,18 +125,6 @@ def neutrino_potential(c: NeutrinoConfig, L: float) -> float:
     return _potential_profile(c)(L)
 
 
-def neutrino_generator(c: NeutrinoConfig, L: float) -> Generator:
-    """2x2 flavor generator at distance L, rates in rad/km."""
-    if c.mode == "msw":
-        omega = c.vacuum_omega()
-        omega = omega + np.array([0.0, 0.0, neutrino_potential(c, L)])
-        g = np.zeros(3)
-    else:
-        omega = c.vacuum_omega()
-        g = neutrino_potential(c, L) * c.g_direction()
-    return Generator.qubit(c.eps * omega, c.eps * g)
-
-
 def msw_resonance(c: NeutrinoConfig) -> float:
     """Distance in [0, CUTOFF_KM] where V(L) = D cos 2theta (the level
     crossing), by bisection to 1 km."""
@@ -169,13 +151,12 @@ def flavor_columns(psi: np.ndarray) -> dict:
     }
 
 
-def neutrino_evolve(c: NeutrinoConfig, psi0, L_end: float, step: float,
+def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
                     sample_stride: int = None) -> Trajectory:
-    """Propagate a flavor state from the solar core outward to L_end.
-
-    psi0 = None starts in the electron flavor (1, 0). The states are
-    the sampled flavor kets, shape (N, 2). L_end must be a whole number
-    of steps (see whole_steps); L_end = 0 gives the single L = 0 sample.
+    """Propagate the electron flavor (1, 0) from the solar core outward
+    to L_end. The states are the sampled flavor kets, shape (N, 2).
+    L_end must be a whole number of steps (see whole_steps); L_end = 0
+    gives the single L = 0 sample.
     sample_stride = None chooses a stride capping storage near 8000
     samples; a given stride must be at least 1 (see sample_count). The
     scalar RK4 stepper works on the two amplitudes as Python complex
@@ -193,11 +174,6 @@ def neutrino_evolve(c: NeutrinoConfig, psi0, L_end: float, step: float,
     that no stride over- or underflows. Otherwise the scalar stepper
     runs to the end and its guard fires where it would.
     """
-    if psi0 is None:
-        psi0 = np.array([1.0, 0.0], dtype=complex)
-    psi0 = state_vector(psi0)
-    if psi0.shape != (2,):
-        raise DomainError("flavor state must be two-dimensional")
     n_steps = whole_steps(L_end, step)
     if sample_stride is None:
         sample_stride = max(1, n_steps // 8000)
@@ -272,5 +248,4 @@ def neutrino_evolve(c: NeutrinoConfig, psi0, L_end: float, step: float,
             b /= norm
         return a, b
 
-    return _sampled_steps(advance, (complex(psi0[0]), complex(psi0[1])),
-                          n_steps, h, sample_stride)
+    return _sampled_steps(advance, (1.0 + 0.0j, 0.0j), n_steps, h, sample_stride)

@@ -20,6 +20,7 @@ constructed explicitly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,13 @@ class QubitGeneratorParams:
             raise DomainError("omega and g must be real 3-vectors")
         if not (np.isfinite(omega).all() and np.isfinite(g).all()):
             raise ValidityError("omega and g must be finite")
+        # a finite g.g + omega.omega bounds the invariants c1, c2 and
+        # alpha^2 too; past it c2 = inf - inf turns every sample to nan
+        with np.errstate(over="ignore"):
+            squares = float(g @ g + omega @ omega)
+        if not math.isfinite(squares):
+            raise ValidityError(
+                f"|g|^2 + |omega|^2 = {squares!r} overflows; rates must stay below about 1e154")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "g", g)
 

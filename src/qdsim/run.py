@@ -363,7 +363,7 @@ def _run_bmt(scn: Scenario, icfg: dict, check: bool):
 
 def _run_neutrino(scn: Scenario, icfg: dict, check: bool):
     cfg = nu.NeutrinoConfig(**scn.parameters)
-    traj = nu.neutrino_evolve(cfg, None, icfg["t_end"], icfg["step"], icfg.get("sample_stride"))
+    traj = nu.neutrino_evolve(cfg, icfg["t_end"], icfg["step"], icfg.get("sample_stride"))
     cols = nu.flavor_columns(traj.states)
     checks, notes = [], []
     try:

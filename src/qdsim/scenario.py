@@ -9,16 +9,13 @@ lists (comma separated), vectors '(a, b, c)' of finite floats of length
 duplicate keys, type mismatches and nan or infinite numbers are
 rejected with their line numbers; every scenario kind declares which
 keys it requires.
-
-parse_scenario and serialize_scenario are mutual inverses on valid
-scenarios, which the tests exercise directly.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, QdsimError
 from .tolerances import TOL
@@ -344,44 +341,3 @@ def _validate_domains(kind: str, params: dict, integrator: dict) -> None:
         mode = params.get("mode", "msw")
         if mode not in ("msw", "damping"):
             raise DomainError(f"unknown neutrino mode {mode!r}")
-
-
-def _format_value(tag, value) -> str:
-    if tag in ("vec3", "vec4"):
-        return "(" + ", ".join(repr(float(v)) for v in value) + ")"
-    if tag == "ident_list":
-        return ", ".join(value)
-    if tag == "bool":
-        return "true" if value else "false"
-    if tag == "float":
-        return repr(float(value))
-    return str(value)
-
-
-def serialize_scenario(s: Scenario) -> str:
-    lines = ["[scenario]", f"kind = {s.kind}", f"name = {s.name}", ""]
-    section = KIND_SECTION[s.kind]
-    lines.append(f"[{section}]")
-    schema = _SCHEMA[section]
-    for key in schema:
-        if key in s.parameters:
-            lines.append(f"{key} = {_format_value(schema[key], s.parameters[key])}")
-    lines.append("")
-    lines.append("[integrator]")
-    for key in _SCHEMA["integrator"]:
-        if key in s.integrator:
-            lines.append(f"{key} = {_format_value(_SCHEMA['integrator'][key], s.integrator[key])}")
-    for out in s.outputs:
-        lines.append("")
-        lines.append("[output]")
-        if out.csv:
-            lines.append(f"csv = {out.csv}")
-        if out.svg:
-            lines.append(f"svg = {out.svg}")
-        if out.observables:
-            lines.append(f"observables = {', '.join(out.observables)}")
-        if out.log_x:
-            lines.append("log_x = true")
-        if out.title:
-            lines.append(f"title = {out.title}")
-    return "\n".join(lines) + "\n"

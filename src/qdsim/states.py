@@ -49,11 +49,6 @@ def state_vector(psi: np.ndarray) -> np.ndarray:
     return psi.copy()
 
 
-def projector(psi: np.ndarray) -> np.ndarray:
-    psi = state_vector(psi)
-    return np.outer(psi, np.conjugate(psi))
-
-
 def bloch_vectors(n) -> np.ndarray:
     """Validate real Bloch vectors of shape (..., 3): each |n| <= 1 to tolerance."""
     n = np.asarray(n, dtype=float)
@@ -93,9 +88,3 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     w = np.clip(w, 0.0, None)
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log(nz)))
-
-
-def maximally_mixed(dim: int) -> np.ndarray:
-    if dim < 1:
-        raise DimensionError("dimension must be positive")
-    return np.eye(dim, dtype=complex) / dim

@@ -20,14 +20,12 @@ class Tolerances:
     bloch_ball: float = 1e-9           # |n| may exceed 1 by this much
 
     # linear algebra
-    expm_pauli_split: float = 1e-12    # |v.v| below which the series branch is used
     sl2c_series: float = 1e-8          # |alpha^2 t^2/4| below which cosh/sinhc use their series
     sinhc_series: float = 1e-4         # |x| below which sinh(x)/x uses its series
     exp_argument_cap: float = 700.0    # reject exponentials beyond exp-overflow range
 
     # map normalization
     singular_trace: float = 1e-12      # tr(F rho) at or below this is a hard error
-    identity_effect: float = 1e-10     # ||F - I|| for the trace-preserving case
 
     # fixed-step integration drift, checked at sampled states
     ode_trace_drift: float = 1e-8

@@ -62,8 +62,9 @@ def emit(capsys):
 
 
 def bloch_of(rho) -> np.ndarray:
-    # raw Pauli projection: tolerant of integrator hermiticity drift that
-    # is below the run guards but above the state-validation tolerance
+    # raw Pauli projection: RK4 samples are exactly Hermitian, but their
+    # trace may drift within the run guard (TOL.ode_trace_drift), beyond
+    # the state-validation tolerance (TOL.trace_one)
     return np.array([np.trace(rho @ s).real for s in PAULI])
 
 
@@ -393,8 +394,8 @@ def test_criterion_13_neutrino_distances(emit):
     l_c_err = abs(nu.msw_resonance(msw) - 191300.0)
 
     l_end = 2.0 * msw.r_s_km
-    traj_m = nu.neutrino_evolve(msw, None, l_end, 1.0)
-    traj_d = nu.neutrino_evolve(damp, None, l_end, 1.0)
+    traj_m = nu.neutrino_evolve(msw, l_end, 1.0)
+    traj_d = nu.neutrino_evolve(damp, l_end, 1.0)
     # the linear mode never settles: compare its late-window mean against
     # the damped mode's limit
     window = traj_m.times >= 1e6

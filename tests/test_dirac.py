@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qdsim.errors import DomainError, IntegrationDivergedError, PreconditionError, ValidityError
-from qdsim.linalg import pauli_dot
 from qdsim.models import dirac
 from qdsim.qubit import bloch_trajectory_general, sl2c_coefficients
 
@@ -114,9 +113,10 @@ def test_field_config_rates():
     params = FIELDS.qubit_params
     assert np.allclose(np.cross(params.omega, FIELDS.b_field), 0.0, atol=1e-15)
     assert np.allclose(np.cross(params.g, FIELDS.e_field), 0.0, atol=1e-15)
-    rebuilt = dirac.EMFieldConfig.from_rates(params.omega, params.g)
-    assert np.allclose(rebuilt.e_field, FIELDS.e_field)
-    assert np.allclose(rebuilt.b_field, FIELDS.b_field)
+    # omega = -(2 mu_B / hbar) B and g = (2 mu_B / (c hbar)) E, mu_B = e hbar / 2m
+    mu_b = FIELDS.charge * FIELDS.hbar / (2.0 * FIELDS.mass)
+    assert np.allclose(params.omega, -(2.0 * mu_b / FIELDS.hbar) * FIELDS.b_field)
+    assert np.allclose(params.g, (2.0 * mu_b / (FIELDS.c * FIELDS.hbar)) * FIELDS.e_field)
 
 
 def test_chiral_block_requires_positive_trace():
@@ -231,6 +231,25 @@ def test_bmt_rejects_off_shell_start():
         # negative-energy branch
         dirac.bmt_evolve(FIELDS, np.array([-1.0, 0.0, 0.0, 0.0]), (0, 0, 1.0),
                          tau_end=1.0, step=0.01)
+    with pytest.raises(PreconditionError):
+        # p.p = inf - inf: nan, which no tolerance accepts
+        dirac.bmt_evolve(FIELDS, np.array([1e160, 1e160, 0.0, 0.0]), (0, 0, 1.0),
+                         tau_end=1.0, step=0.01)
+
+
+@pytest.mark.parametrize("mass", [1e200, 1e-200])
+def test_a_mass_shell_outside_double_range_is_refused(mass):
+    # (mc)^2 overflows to inf or underflows to 0: each function that
+    # checks the shell raises DomainError, not OverflowError
+    p = dirac.rest_momentum(mass)
+    calls = (lambda: dirac.boost_intertwiner(p, mass),
+             lambda: dirac.polarization_fourvector(p, (0, 0, 1.0), mass),
+             lambda: dirac.bloch_from_w(p, np.zeros(4), mass),
+             lambda: dirac.bmt_evolve(dirac.EMFieldConfig(FIELDS.e_field, FIELDS.b_field,
+                                                          mass=mass), p, (0, 0, 1.0), 1.0, 0.01))
+    for call in calls:
+        with pytest.raises(DomainError, match="not a positive finite double"):
+            call()
 
 
 @pytest.mark.parametrize("tau_end, step", [(math.inf, 0.01), (math.nan, 0.01), (1.0, 0.3)])
@@ -238,15 +257,6 @@ def test_bmt_rejects_a_horizon_off_the_step_grid(tau_end, step):
     p0 = dirac.rest_momentum(FIELDS.mass, FIELDS.c)
     with pytest.raises(DomainError):
         dirac.bmt_evolve(FIELDS, p0, (0, 0, 1.0), tau_end=tau_end, step=step)
-
-
-def test_spin_generator_matches_rate_vectors():
-    gen = dirac.em_spin_generator(FIELDS)
-    params = FIELDS.qubit_params
-    assert np.allclose(gen.hamiltonian[:2, :2], 0.5 * pauli_dot(params.omega),
-                       atol=1e-15)
-    assert np.allclose(gen.damping[:2, :2], 0.5 * pauli_dot(params.g), atol=1e-15)
-    assert np.allclose(gen.damping[2:, 2:], -0.5 * pauli_dot(params.g), atol=1e-15)
 
 
 def test_field_tensor_layout():
@@ -257,5 +267,5 @@ def test_field_tensor_layout():
     # magnetic block encodes dp/dtau = ... + p x B
     assert np.allclose(m[1:, 1:] @ np.array([1.0, 0.0, 0.0]),
                        np.cross([1.0, 0.0, 0.0], b))
-    lowered = dirac.ETA @ m
+    lowered = np.diag([1.0, -1.0, -1.0, -1.0]) @ m  # the metric lowers the first index
     assert np.allclose(lowered, -lowered.T, atol=1e-15)

@@ -12,20 +12,16 @@ from qdsim.kraus import (
     KrausFamily,
     reweighted_ensemble,
 )
-from qdsim.linalg import SIGMA_X, dagger
-from qdsim.states import bloch_to_density, maximally_mixed
+from qdsim.linalg import SIGMA_X
+from qdsim.states import bloch_to_density
 
 from conftest import random_density
 
 
-def random_family(rng, dim=2, count=2, mode="evolution"):
+def random_family(rng, dim=2, count=2):
     ops = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
            for _ in range(count)]
-    if mode == "operation":
-        # scale so that F <= I strictly
-        f = sum(dagger(k) @ k for k in ops)
-        ops = [k / np.sqrt(2.0 * np.linalg.eigvalsh(f).max()) for k in ops]
-    return KrausFamily(tuple(ops), mode=mode)
+    return KrausFamily(tuple(ops))
 
 
 def test_family_validation():
@@ -33,21 +29,13 @@ def test_family_validation():
         KrausFamily(())
     with pytest.raises(DimensionError):
         KrausFamily((np.eye(2), np.eye(3)))
-    with pytest.raises(ValueError):
-        KrausFamily((np.eye(2),), mode="projective")
-
-
-def test_operation_mode_rejects_large_effect():
-    with pytest.raises(ValidityError):
-        KrausFamily((2.0 * np.eye(2),), mode="operation")
 
 
 def test_effect_operator_and_trace_preserving():
     fam = KrausFamily((SIGMA_X,))
     assert np.allclose(fam.effect_operator(), np.eye(2))
-    assert fam.is_trace_preserving()
     fam2 = KrausFamily((0.5 * np.eye(2),))
-    assert not fam2.is_trace_preserving()
+    assert np.allclose(fam2.effect_operator(), 0.25 * np.eye(2))
 
 
 def test_trace_preserving_family_is_linear(rng):
@@ -91,7 +79,7 @@ def test_quasilinear_coefficient_identity(rng):
 
 
 def test_reweighting_refuses_a_split_of_another_dimension(rng):
-    split = EnsembleSplit((0.5, 0.5), (random_density(rng, 3), maximally_mixed(3)))
+    split = EnsembleSplit((0.5, 0.5), (random_density(rng, 3), np.eye(3) / 3))
     with pytest.raises(DimensionError):
         reweighted_ensemble(random_family(rng, dim=2), split)
 
@@ -119,7 +107,7 @@ def test_ensemble_split_validation(rng):
 
 
 def test_mixture_reconstructs(rng):
-    states = (random_density(rng), maximally_mixed(2))
+    states = (random_density(rng), np.eye(2) / 2)
     split = EnsembleSplit((0.25, 0.75), states)
     want = 0.25 * states[0] + 0.75 * states[1]
     assert np.abs(split.mixture() - want).max() <= 1e-15

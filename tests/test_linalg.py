@@ -9,7 +9,6 @@ from qdsim.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     as_operator,
-    commutator,
     dagger,
     frobenius,
     is_hermitian,
@@ -48,11 +47,6 @@ def test_as_operator_rejects_nonfinite():
         as_operator(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-def test_commutators():
-    a, b = SIGMA_X, SIGMA_Y
-    assert np.allclose(commutator(a, b), a @ b - b @ a)
-
-
 @given(v=vec3)
 def test_matrix_exponential_pauli_closed_form(v):
     # exp(i v.sigma) = cos|v| I + i sin|v| v_hat.sigma
@@ -89,13 +83,3 @@ def test_matrix_exponential_rejects_overflow_range():
     with pytest.raises(ValidityError):
         matrix_exponential(1e4 * SIGMA_Z)
 
-
-def test_matrix_exponential_2x2_matches_dense(rng):
-    # the Pauli-split fast path against the general routine on an
-    # embedded 2x2 block
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    big = np.zeros((3, 3), dtype=complex)
-    big[:2, :2] = a
-    got = matrix_exponential(a)
-    want = matrix_exponential(big)[:2, :2]
-    assert frobenius(got - want) <= 1e-10 * max(1.0, frobenius(want))

@@ -33,7 +33,6 @@ def test_vacuum_scales():
     w = MSW_10MEV.vacuum_omega()
     assert np.linalg.norm(w) == pytest.approx(4e-3, rel=1e-12)
     assert w[1] == 0.0 and w[0] > 0.0 and w[2] < 0.0
-    assert np.linalg.norm(MSW_10MEV.nu2_direction()) == pytest.approx(1.0)
 
 
 def test_damping_direction_geometry():
@@ -58,24 +57,6 @@ def test_potential_profile():
         nu.neutrino_potential(c, -1.0)
 
 
-def test_generator_assembly():
-    gen = nu.neutrino_generator(MSW_10MEV, 0.0)
-    want_omega = MSW_10MEV.vacuum_omega() + np.array(
-        [0.0, 0.0, nu.neutrino_potential(MSW_10MEV, 0.0)])
-    assert np.allclose(gen.hamiltonian,
-                       0.5 * MSW_10MEV.eps * pauli_dot(want_omega), atol=1e-15)
-    assert np.allclose(gen.damping, 0.0)
-
-    gen_d = nu.neutrino_generator(DAMPING_10MEV, 1e5)
-    v = nu.neutrino_potential(DAMPING_10MEV, 1e5)
-    assert np.allclose(gen_d.hamiltonian,
-                       0.5 * DAMPING_10MEV.eps
-                       * pauli_dot(DAMPING_10MEV.vacuum_omega()), atol=1e-15)
-    assert np.allclose(gen_d.damping,
-                       0.5 * DAMPING_10MEV.eps * v
-                       * pauli_dot(DAMPING_10MEV.g_direction()), atol=1e-15)
-
-
 def test_level_crossing_distances():
     # calibrated profile: resonance and instability radii for 10 MeV
     l_res = nu.msw_resonance(MSW_10MEV)
@@ -91,7 +72,7 @@ def test_level_crossing_distances():
 
 
 def test_evolve_msw_short_run():
-    traj = nu.neutrino_evolve(MSW_10MEV, None, L_end=2000.0, step=1.0,
+    traj = nu.neutrino_evolve(MSW_10MEV, L_end=2000.0, step=1.0,
                               sample_stride=100)
     psi = traj.states
     assert psi.shape == (len(traj), 2)
@@ -106,7 +87,7 @@ def test_evolve_msw_short_run():
 
 
 def test_evolve_damping_counter_rate_keeps_norm():
-    traj = nu.neutrino_evolve(DAMPING_10MEV, None, L_end=2000.0, step=1.0,
+    traj = nu.neutrino_evolve(DAMPING_10MEV, L_end=2000.0, step=1.0,
                               sample_stride=100)
     psi = traj.states
     norms = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
@@ -130,12 +111,12 @@ def test_evolve_past_the_cutoff_retraces_the_per_step_vacuum_map(config):
     h, stride, n = 20.0, 7, 20000
     i_past = 18289  # the first i with i h > CUTOFF_KM
     assert (i_past - 1) * h <= nu.CUTOFF_KM < i_past * h
-    traj = nu.neutrino_evolve(config, None, n * h, h, sample_stride=stride)
+    traj = nu.neutrino_evolve(config, n * h, h, sample_stride=stride)
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-15
 
     # every step before i_past is the scalar stepper, whatever the chunking
-    psi = nu.neutrino_evolve(config, None, i_past * h, h, sample_stride=n).final_state
+    psi = nu.neutrino_evolve(config, i_past * h, h, sample_stride=n).final_state
     r = _vacuum_rk4_step(config, h)
     want = {}
     for i in range(i_past, n):
@@ -166,8 +147,8 @@ def test_evolve_past_the_cutoff_powers_a_step_that_scales_the_ket(h, stride, low
     c = nu.NeutrinoConfig(energy_gev=0.01, mode="msw", v_scale=0.0)
     sv = np.linalg.svd(_vacuum_rk4_step(c, h), compute_uv=False)
     assert low < sv.min() <= sv.max() < high
-    coarse = nu.neutrino_evolve(c, None, 600000.0, h, sample_stride=stride)
-    fine = nu.neutrino_evolve(c, None, 600000.0, h, sample_stride=1)
+    coarse = nu.neutrino_evolve(c, 600000.0, h, sample_stride=stride)
+    fine = nu.neutrino_evolve(c, 600000.0, h, sample_stride=1)
     assert abs(np.linalg.norm(coarse.final_state) - 1.0) <= 1e-15
     assert np.abs(coarse.final_state - fine.final_state).max() <= 1e-12
 
@@ -178,7 +159,7 @@ def test_evolve_keeps_the_scalar_loop_where_the_vacuum_step_overflows(mode):
     # stepper, whose guard names the first step, with no RuntimeWarning
     c = nu.NeutrinoConfig(energy_gev=0.01, mode=mode, v_scale=0.0)
     with pytest.raises(IntegrationDivergedError) as err:
-        nu.neutrino_evolve(c, None, L_end=1e301, step=1e300)
+        nu.neutrino_evolve(c, L_end=1e301, step=1e300)
     assert str(err.value) == "amplitude norm left (0, 2) (at t=1e+300)"
 
 
@@ -188,20 +169,18 @@ def test_evolve_overflow_is_an_integration_error(mode):
     # with no numpy RuntimeWarning on the way
     c = nu.NeutrinoConfig(energy_gev=0.01, mode=mode, v_scale=1e300)
     with pytest.raises(IntegrationDivergedError) as err:
-        nu.neutrino_evolve(c, None, L_end=10.0, step=1.0)
+        nu.neutrino_evolve(c, L_end=10.0, step=1.0)
     assert type(err.value.time) is float and err.value.time == 1.0
 
 
 @pytest.mark.parametrize("L_end, step", [(math.inf, 1.0), (math.nan, 1.0), (1.0, 0.3)])
 def test_evolve_rejects_a_horizon_off_the_step_grid(L_end, step):
     with pytest.raises(DomainError):
-        nu.neutrino_evolve(DAMPING_10MEV, None, L_end, step)
+        nu.neutrino_evolve(DAMPING_10MEV, L_end, step)
 
 
 def test_evolve_input_validation():
     with pytest.raises(DomainError):
-        nu.neutrino_evolve(MSW_10MEV, None, L_end=-1.0, step=1.0)
+        nu.neutrino_evolve(MSW_10MEV, L_end=-1.0, step=1.0)
     with pytest.raises(DomainError):
-        nu.neutrino_evolve(MSW_10MEV, None, L_end=10.0, step=0.0)
-    with pytest.raises(DomainError):
-        nu.neutrino_evolve(MSW_10MEV, np.array([1.0, 0.0, 0.0]), 10.0, 1.0)
+        nu.neutrino_evolve(MSW_10MEV, L_end=10.0, step=0.0)

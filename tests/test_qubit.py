@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from qdsim.dynamics import IntegratorConfig, evolve
 from qdsim.errors import DomainError, PreconditionError, ValidityError
-from qdsim.linalg import frobenius, pauli_dot
+from qdsim.linalg import frobenius, matrix_exponential, pauli_dot
 from qdsim.qubit import (
     CaseClass,
     QubitGeneratorParams,
@@ -149,6 +149,16 @@ def test_array_calls_equal_stacked_scalar_calls(rng, case, w, g):
         got = form(GRID)
         assert got.shape == (len(GRID), 3)
         assert np.abs(got - [form(t) for t in GRID]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("case, w, g", LAYOUTS)
+def test_sl2c_matrix_matches_scipy_expm(case, w, g):
+    # K = exp(t alpha.sigma / 2) against scipy's Pade expm, inside and
+    # outside the series window
+    p = QubitGeneratorParams(w, g)
+    for t, k in zip(GRID, sl2c_coefficients(p, GRID).matrix()):
+        want = matrix_exponential(0.5 * t * pauli_dot(p.alpha))
+        assert frobenius(k - want) <= 1e-12 * frobenius(want)
 
 
 def test_single_lindblad_array_call_equals_stacked_scalar_calls(rng):

@@ -529,9 +529,37 @@ def test_oversized_jc_block_count_fails_alone_in_a_batch(tmp_path, pass_file):
     assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
 
 
-# a parabolic generator (|g| = |omega|, g perpendicular to omega) whose
-# RK4 samples drift from Hermiticity by up to 5.3e-10 over the run:
-# inside evolve's guard, beyond a fresh density matrix's tolerance
+def test_a_mass_out_of_double_range_fails_alone_in_a_batch(tmp_path, pass_file):
+    # (mass * c)^2 at 1e200 used to raise OverflowError and end the batch
+    # in a traceback; at 1e-200 it underflows to 0, a later divisor
+    bad = []
+    for mass in ("1e200", "1e-200"):
+        p = tmp_path / f"bmt_{mass}.scn"
+        p.write_text(_shipped("bmt_spin_damping_a").replace("[bmt]\n", f"[bmt]\nmass = {mass}\n"))
+        bad.append(p)
+    proc, errors = _batch_errors(tmp_path, [bad[0], pass_file, bad[1]])
+    assert errors == [f"scenario {p}: error: (mass*c)^2 = {v} is not a positive finite double"
+                      for p, v in zip(bad, ("inf", "0.0"))]
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
+
+
+@pytest.mark.parametrize("rate", ["1e155", "1e160", "1e300"])
+def test_qubit_rates_whose_squares_overflow_are_refused(tmp_path, pass_file, rate):
+    # g.g = inf made c2 = inf - inf: every CSV row was nan, and the run exited 0
+    bad = tmp_path / "rates.scn"
+    bad.write_text(PASS_SCN.replace("(0.0, 0.0, 6.0)", f"(0.0, 0.0, {rate})")
+                   .replace("(4.0, 0.0, 0.0)", f"({rate}, 0.0, 0.0)"))
+    proc, errors = _batch_errors(tmp_path, [bad, pass_file])
+    assert len(errors) == 1
+    assert errors[0].startswith(f"scenario {bad}: error: |g|^2 + |omega|^2 = inf overflows")
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
+
+
+# a parabolic generator (|g| = |omega|, g perpendicular to omega) at a
+# coarse step. Its RK4 samples are exactly Hermitian, since gksl_rhs
+# returns X + X^dag; they once drifted by up to 5.3e-10, beyond a fresh
+# density matrix's tolerance, so the run pins that samples are read as
+# they are
 PARABOLIC_SCN = """\
 [scenario]
 kind = gksl-ode

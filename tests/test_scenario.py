@@ -6,12 +6,10 @@ from qdsim.dynamics import whole_steps
 from qdsim.errors import DomainError
 from qdsim.scenario import (
     KINDS,
-    Scenario,
     ScenarioKeyError,
     ScenarioMissingKeyError,
     ScenarioSyntaxError,
     parse_scenario,
-    serialize_scenario,
 )
 
 MINIMAL = """\
@@ -263,24 +261,9 @@ def test_output_needs_a_path():
         parse_scenario(MINIMAL + "\n[output]\nobservables = n3\n")
 
 
-def test_round_trip_on_shipped_scenarios():
+def test_every_shipped_scenario_parses():
     scn_dir = files("qdsim") / "scenarios"
     names = sorted(p.name for p in scn_dir.iterdir() if p.name.endswith(".scn"))
     assert len(names) >= 14
-    kinds_seen = set()
-    for name in names:
-        text = (scn_dir / name).read_text()
-        first = parse_scenario(text)
-        again = parse_scenario(serialize_scenario(first))
-        assert again == first, name
-        kinds_seen.add(first.kind)
+    kinds_seen = {parse_scenario((scn_dir / name).read_text()).kind for name in names}
     assert kinds_seen == set(KINDS)
-
-
-def test_serialize_emits_parseable_defaults():
-    s = Scenario(kind="neutrino", name="demo",
-                 parameters={"energy_gev": 0.01, "mode": "damping"},
-                 integrator={"t_end": 100.0, "step": 1.0})
-    again = parse_scenario(serialize_scenario(s))
-    assert again.parameters["mode"] == "damping"
-    assert again.integrator["step"] == 1.0

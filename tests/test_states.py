@@ -16,8 +16,6 @@ from qdsim.states import (
     bloch_vectors,
     density_matrix,
     density_to_bloch,
-    maximally_mixed,
-    projector,
     purity,
     state_vector,
     von_neumann_entropy,
@@ -109,18 +107,11 @@ def test_purity_matches_bloch_radius(r):
 
 def test_entropy_limits():
     assert von_neumann_entropy(bloch_to_density((0, 0, 1))) == pytest.approx(0.0, abs=1e-12)
-    assert von_neumann_entropy(maximally_mixed(2)) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(np.log(2.0), abs=1e-12)
     # entropy depends on the Bloch radius only
     s1 = von_neumann_entropy(bloch_to_density((0.3, 0.0, 0.4)))
     s2 = von_neumann_entropy(bloch_to_density((0.0, 0.5, 0.0)))
     assert abs(s1 - s2) <= 1e-12
-
-
-def test_projector_and_fidelity(rng):
-    raw = rng.normal(size=3) + 1j * rng.normal(size=3)
-    psi = state_vector(raw / np.linalg.norm(raw))
-    p = projector(psi)
-    assert np.allclose(p @ p, p)
 
 
 def test_state_vector_validates_norm():
