@@ -8,12 +8,19 @@ generator, with M = G - iH:
 
 For L_a = 0 it is solved in closed form by rho(t) = K rho0 K^dag / tr(...)
 with K = exp((G - iH) t), the oracle for the fixed-step integrator.
+
+evolve steps the real coordinates y of rho: its diagonal, then the real
+and the imaginary parts of its upper triangle. There Lambda is a fixed
+real d^2 x d^2 matrix A and tr Lambda a fixed row c, so each RK4 stage
+is one product z = B y with B = [A; c] and the rate z[:-1] - z[-1] y.
+gksl_rhs is the same equation on the complex matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,6 +70,15 @@ class Generator:
         object.__setattr__(self, "_m", g - 1j * h)
         halves = tuple(l * math.sqrt(0.5) for l in ls)
         object.__setattr__(self, "_lpairs", tuple((l, dagger(l)) for l in halves))
+
+    @cached_property
+    def _b(self) -> np.ndarray:
+        """B = [A; c] of evolve's coordinate stage, built on first use.
+        The drift -iH and the rest of M with the jumps are applied apart,
+        so that qubit_rate_generator, whose B is linear in the magnitude
+        of G, fills the same matrix bit for bit."""
+        return (_coordinate_generator(-1j * self.hamiltonian, (), self.dim)
+                + _coordinate_generator(self.damping, self._lpairs, self.dim))
 
     @classmethod
     def qubit(cls, omega, g, lindblads=()) -> "Generator":
@@ -205,18 +221,82 @@ def _successive_powers(step: np.ndarray) -> Callable[[int], np.ndarray]:
     return power
 
 
+def _linear_image(m: np.ndarray, lpairs, rho: np.ndarray) -> np.ndarray:
+    """Lambda(rho) = X + X^dag with X = M rho + sum_a (L_a/sqrt2) rho
+    (L_a/sqrt2)^dag, for one matrix or a stack: one product for M and one
+    per jump operator, and Hermitian bit for bit."""
+    x = m @ rho
+    for l, lh in lpairs:
+        x += l @ rho @ lh
+    return x + dagger(x)
+
+
 def gksl_rhs(gen: Generator, rho: np.ndarray) -> np.ndarray:
     """Lambda(rho) - tr Lambda(rho) * rho, the trace-conserving nonlinear
-    master equation. Lambda(rho) = X + X^dag with
-    X = M rho + sum_a (L_a/sqrt2) rho (L_a/sqrt2)^dag: one product for M
-    and one per jump operator, and Hermitian bit for bit."""
+    master equation on the complex matrix rho (see _linear_image)."""
     if rho.shape != (gen.dim, gen.dim):
         raise DimensionError("state dimension does not match the generator")
-    x = gen._m @ rho
-    for l, lh in gen._lpairs:
-        x += l @ rho @ lh
-    lam = x + dagger(x)
+    lam = _linear_image(gen._m, gen._lpairs, rho)
     return lam - np.trace(lam).real * rho
+
+
+def _to_coordinates(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., d^2) of the Hermitian part of rho (..., d, d):
+    the diagonal, then the real and the imaginary parts of the upper
+    triangle, row by row."""
+    herm = 0.5 * (rho + dagger(rho))
+    upper = herm[(...,) + np.triu_indices(rho.shape[-1], 1)]
+    return np.concatenate([herm.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag],
+                          axis=-1)
+
+
+def _from_coordinates(y: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian matrices (..., d, d) with coordinates y (..., d^2).
+    Each conjugate pair is written from the same two reals, so the
+    result is Hermitian bit for bit."""
+    rows, cols = np.triu_indices(d, 1)
+    p = rows.size
+    rho = np.zeros(y.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    rho[..., diag, diag] = y[..., :d]
+    upper = y[..., d:d + p] + 1j * y[..., d + p:]
+    rho[..., rows, cols] = upper
+    rho[..., cols, rows] = upper.conj()
+    return rho
+
+
+_BASIS_CHUNK_ENTRIES = 1 << 16  # basis-matrix entries one pass of _coordinate_generator holds
+
+
+def _coordinate_generator(m: np.ndarray, lpairs, d: int) -> np.ndarray:
+    """B = [A; c] of shape (d^2 + 1, d^2): A maps the coordinates of rho to
+    those of Lambda(rho) and c to tr Lambda(rho). Its columns are
+    _linear_image of the coordinate basis, taken a chunk at a time.
+    B grows as d^4, so d is capped by TOL.max_coordinate_dim before B
+    is allocated."""
+    if d > TOL.max_coordinate_dim:
+        raise DomainError(f"evolve steps a ({d}^2 + 1) x {d}^2 real generator matrix; "
+                          f"at most d = {TOL.max_coordinate_dim} is supported")
+    n = d * d
+    b = np.empty((n + 1, n))
+    chunk = max(1, _BASIS_CHUNK_ENTRIES // n)
+    for k in range(0, n, chunk):
+        unit = np.eye(min(chunk, n - k), n, k)  # coordinate vectors k, k + 1, ...
+        lam = _linear_image(m, lpairs, _from_coordinates(unit, d))
+        cols = slice(k, k + unit.shape[0])
+        b[:n, cols] = _to_coordinates(lam).T
+        b[n, cols] = np.trace(lam, axis1=-2, axis2=-1).real
+    return b
+
+
+def _coordinate_rhs(gen: Generator, y: np.ndarray) -> np.ndarray:
+    """gksl_rhs in coordinates: z = B y, then Lambda - tr(Lambda) rho is
+    z[:-1] - z[-1] y."""
+    b = gen._b
+    if b.shape[1] != y.shape[0]:
+        raise DimensionError("state dimension does not match the generator")
+    z = b.dot(y)
+    return z[:-1] - y * z[-1]
 
 
 def state_vector_rhs(gen: Generator, psi: np.ndarray, kappa: float = 0.0) -> np.ndarray:
@@ -277,7 +357,9 @@ def _check_ket_sample(psi: np.ndarray, t: float) -> None:
 
 def _rk4(gen, rhs, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Trajectory:
     """Classical fixed-step RK4 on rhs(generator, y), sampled by
-    _sampled_steps with check_sample vetting each sample.
+    _sampled_steps with check_sample vetting each sample. y is what the
+    caller steps: the real coordinates of a density matrix for evolve,
+    the complex ket for evolve_state_vector.
 
     gen is a Generator or a time -> Generator callable. A callable is
     queried once per distinct stage time: k2 and k3 share t + h/2, and
@@ -308,10 +390,20 @@ def _rk4(gen, rhs, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Traje
 
 
 def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
-    """RK4 on gksl_rhs; every sample must keep the density-matrix
-    invariants to the ode_* drift bounds and the eigenvalue floor, and a
-    breach raises with the offending time."""
-    return _rk4(gen, gksl_rhs, density_matrix(rho0), cfg, _check_density_sample)
+    """RK4 on the master equation in the real coordinates of rho, one
+    product with the generator's B per stage (see the module docstring).
+
+    The start is read as its Hermitian part, which density_matrix has
+    held within TOL.hermitian_rel of it. Samples are rebuilt as
+    matrices, exactly Hermitian; each must keep the trace within the
+    ode_* drift bounds and the eigenvalues above the floor, and a breach
+    raises with the offending time.
+    """
+    rho0 = density_matrix(rho0)
+    d = rho0.shape[0]
+    check = lambda y, t: _check_density_sample(_from_coordinates(y, d), t)
+    traj = _rk4(gen, _coordinate_rhs, _to_coordinates(rho0), cfg, check)
+    return Trajectory(traj.times, _from_coordinates(traj.states, d))
 
 
 def evolve_state_vector(gen, psi0: np.ndarray, cfg: IntegratorConfig,
@@ -344,11 +436,16 @@ def qubit_rate_generator(omega_vec, g_direction,
     matrix is Hermitian, so at(t) only checks that magnitude(t) keeps
     G(t) finite, raising ValidityError as Generator does, and then fills
     the same caches as Generator(H, magnitude(t) * sigma_g) with the same
-    arithmetic: an RK4 run queries the family twice per step.
+    arithmetic: an RK4 run queries the family twice per step. Its B is
+    B_H + magnitude(t) * B_sigma from two matrices built here; for a
+    traceless 2x2 sigma_g each entry of B_sigma is one entry of sigma_g,
+    twice one, or zero, so this is Generator's B bit for bit.
     """
     base = Generator(0.5 * pauli_dot(np.asarray(omega_vec, dtype=float)),
                      0.5 * pauli_dot(np.asarray(g_direction, dtype=float)))
     h, sig_g = base.hamiltonian, base.damping
+    b_h = _coordinate_generator(-1j * h, (), 2)
+    b_sig = _coordinate_generator(sig_g, (), 2)
     # |f| * largest |entry| finite keeps every entry of f * sig_g finite
     sig_max = float(np.abs(sig_g).max())
 
@@ -358,6 +455,7 @@ def qubit_rate_generator(omega_vec, g_direction,
             raise ValidityError("operator contains non-finite entries")
         gen = object.__new__(Generator)
         gen._store(h, f * sig_g, ())
+        object.__setattr__(gen, "_b", b_h + f * b_sig)
         return gen
 
     return at

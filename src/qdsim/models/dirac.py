@@ -32,6 +32,7 @@ at first order in tau, so no sign or factor convention can merge them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,11 @@ def boost_intertwiner(p, mass: float, c: float = 1.0) -> np.ndarray:
         raise DomainError("p must be a 4-vector")
     _check_on_shell(p, mass, c)
     mc = mass * c
+    # the shell admits (mc)^2 up to the double range, this product only a
+    # quarter of it
+    if not float(p[0]) + mc <= sys.float_info.max / (2.0 * mc):
+        raise DomainError(f"mass*c = {mc!r} is too large for the boost: "
+                          "2 mc (p0 + mc) overflows a double")
     sp = pauli_dot(p[1:])
     root = np.sqrt(2.0 * mc * (p[0] + mc))
     upper = ((p[0] + mc) * ID2 - sp) / root

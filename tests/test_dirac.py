@@ -252,6 +252,16 @@ def test_a_mass_shell_outside_double_range_is_refused(mass):
             call()
 
 
+def test_a_mass_whose_boost_overflows_is_refused():
+    # (mc)^2 is a finite double at mass 1e154, but 2 mc (p0 + mc) is not:
+    # under filterwarnings = error an overflow warning would fail here
+    for mass in (1e154, 7e153):
+        with pytest.raises(DomainError, match="2 mc \\(p0 \\+ mc\\) overflows a double"):
+            dirac.boost_intertwiner(dirac.rest_momentum(mass), mass)
+    v = dirac.boost_intertwiner(dirac.rest_momentum(6e153), 6e153)
+    assert np.isfinite(v).all()
+
+
 @pytest.mark.parametrize("tau_end, step", [(math.inf, 0.01), (math.nan, 0.01), (1.0, 0.3)])
 def test_bmt_rejects_a_horizon_off_the_step_grid(tau_end, step):
     p0 = dirac.rest_momentum(FIELDS.mass, FIELDS.c)

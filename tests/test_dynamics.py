@@ -7,6 +7,9 @@ from qdsim.dynamics import (
     Generator,
     IntegratorConfig,
     Trajectory,
+    _coordinate_rhs,
+    _from_coordinates,
+    _to_coordinates,
     closed_form_propagate,
     evolve,
     evolve_state_vector,
@@ -18,7 +21,13 @@ from qdsim.dynamics import (
     state_vector_rhs,
     whole_steps,
 )
-from qdsim.errors import DomainError, IntegrationDivergedError, UnsupportedModeError, ValidityError
+from qdsim.errors import (
+    DimensionError,
+    DomainError,
+    IntegrationDivergedError,
+    UnsupportedModeError,
+    ValidityError,
+)
 from qdsim.linalg import SIGMA_X, SIGMA_Z, frobenius, pauli_dot
 from qdsim.models import dirac
 from qdsim.models import neutrino as nu
@@ -79,14 +88,81 @@ def test_rhs_is_the_normalized_image_of_the_linear_generator(rng):
 
 @pytest.mark.parametrize("lindblads", [(), (0.4 * LOWER,)])
 def test_evolve_samples_from_a_hermitian_start_are_exactly_hermitian(lindblads):
-    # Lambda = X + X^dag is Hermitian bit for bit and RK4 combines such
-    # matrices with real weights, so no rounding drift from Hermiticity
+    # evolve steps real coordinates and writes each conjugate pair of a
+    # sample from the same two reals, so no rounding drift from Hermiticity
     gen = Generator.qubit((0.3, -1.1, 0.8), (1.0, -0.3, -0.7), lindblads)
     traj = evolve(gen, bloch_to_density((0.1, -0.2, 0.3)),
                   IntegratorConfig(t_end=50.0, step=0.01, sample_stride=500))
     assert len(traj) == 11
     for rho in traj.states:
         assert np.array_equal(rho, rho.conj().T)
+
+
+def _random_generator(rng, dim, jumps):
+    h, g, l = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))
+    return Generator(0.5 * (h + h.conj().T), 0.15 * (g + g.conj().T), (0.4 * l,) * jumps)
+
+
+def _rk4_on_gksl_rhs(gen_at, rho, h, n_steps, stride):
+    """Classical RK4 on the complex matrix with gksl_rhs, sampled as
+    evolve samples: the reference for evolve's coordinate route."""
+    samples = [rho]
+    for i in range(n_steps):
+        t = i * h
+        k1 = gksl_rhs(gen_at(t), rho)
+        k2 = gksl_rhs(gen_at(t + 0.5 * h), rho + (0.5 * h) * k1)
+        k3 = gksl_rhs(gen_at(t + 0.5 * h), rho + (0.5 * h) * k2)
+        k4 = gksl_rhs(gen_at(t + h), rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if (i + 1) % stride == 0 or i + 1 == n_steps:
+            samples.append(rho)
+    return np.array(samples)
+
+
+@pytest.mark.parametrize("dim, jumps", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_evolve_agrees_with_rk4_on_the_complex_right_hand_side(rng, dim, jumps):
+    gen = _random_generator(rng, dim, jumps)
+    rho0 = random_density(rng, dim)
+    traj = evolve(gen, rho0, IntegratorConfig(t_end=2.0, step=0.01, sample_stride=40))
+    want = _rk4_on_gksl_rhs(lambda t: gen, rho0, 0.01, 200, 40)
+    assert traj.states.shape == want.shape == (6, dim, dim)
+    assert frobenius(traj.states - want).max() <= 1e-12
+
+
+def test_evolve_of_a_rate_family_agrees_with_rk4_on_the_complex_right_hand_side():
+    omega, g_dir = (0.00225, 0.0012990381056766578, -0.0015), (0.43, -0.75, -0.5)
+    gen_at = qubit_rate_generator(omega, g_dir, inverted_morse_profile(0.007, 0.0005))
+    rho0 = bloch_to_density((-0.5, -0.5, -0.5))
+    traj = evolve(gen_at, rho0, IntegratorConfig(t_end=3000.0, step=5.0, sample_stride=100))
+    want = _rk4_on_gksl_rhs(gen_at, rho0, 5.0, 600, 100)
+    assert traj.states.shape == want.shape == (7, 2, 2)
+    assert frobenius(traj.states - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim, jumps", [(2, 0), (2, 2), (3, 1), (4, 1)])
+def test_coordinate_generator_gives_the_complex_right_hand_side(rng, dim, jumps):
+    # B = [A; c]: z = B y, then z[:-1] - z[-1] y are the coordinates of
+    # gksl_rhs; a state is read as its Hermitian part, which its
+    # coordinates rebuild bit for bit
+    gen = _random_generator(rng, dim, jumps)
+    assert gen._b.shape == (dim * dim + 1, dim * dim)
+    for _ in range(5):
+        rho = random_density(rng, dim)
+        y = _to_coordinates(rho)
+        assert np.array_equal(_from_coordinates(y, dim), 0.5 * (rho + rho.conj().T))
+        rate = _from_coordinates(_coordinate_rhs(gen, y), dim)
+        assert frobenius(rate - gksl_rhs(gen, rho)) <= 1e-13 * max(1.0, frobenius(rate))
+
+
+def test_evolve_refuses_an_oversized_dimension_before_building_its_matrix():
+    dim = TOL.max_coordinate_dim + 1
+    gen = Generator(np.zeros((dim, dim)), np.zeros((dim, dim)))
+    with pytest.raises(DomainError, match=f"at most d = {TOL.max_coordinate_dim}"):
+        evolve(gen, np.eye(dim) / dim, IntegratorConfig(t_end=1.0, step=0.5))
+    assert "_b" not in vars(gen)
+    small = Generator.qubit((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
+    with pytest.raises(DimensionError, match="state dimension does not match"):
+        evolve(small, np.eye(3) / 3, IntegratorConfig(t_end=1.0, step=0.5))
 
 
 def test_closed_form_matches_short_ode(rng):
@@ -187,7 +263,7 @@ def test_rate_family_fills_the_caches_of_a_validated_generator():
     h, sig_g = 0.5 * pauli_dot(omega), 0.5 * pauli_dot(g_dir)
     for t in (0.0, 0.25, 2821.0, 35000.0):
         got, want = gen_at(t), Generator(h, profile(t) * sig_g)
-        for attr in ("hamiltonian", "damping", "_m"):
+        for attr in ("hamiltonian", "damping", "_m", "_b"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
         assert got.lindblads == () and got._lpairs == ()
     for bad in (math.inf, -math.inf, math.nan):

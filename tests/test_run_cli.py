@@ -556,10 +556,10 @@ def test_qubit_rates_whose_squares_overflow_are_refused(tmp_path, pass_file, rat
 
 
 # a parabolic generator (|g| = |omega|, g perpendicular to omega) at a
-# coarse step. Its RK4 samples are exactly Hermitian, since gksl_rhs
-# returns X + X^dag; they once drifted by up to 5.3e-10, beyond a fresh
-# density matrix's tolerance, so the run pins that samples are read as
-# they are
+# coarse step. Its RK4 samples are exactly Hermitian, since evolve writes
+# each conjugate pair from the same two real coordinates; they once
+# drifted by up to 5.3e-10, beyond a fresh density matrix's tolerance, so
+# the run pins that samples are read as they are
 PARABOLIC_SCN = """\
 [scenario]
 kind = gksl-ode
@@ -700,3 +700,18 @@ def test_installed_executable_runs(tmp_path, pass_file):
                      "--no-check"])
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
+
+
+def test_a_mass_whose_boost_overflows_fails_the_checked_run_in_one_line(tmp_path, pass_file):
+    # at mass 1e154 the from-rest check's boost overflowed 2 mc (p0 + mc):
+    # three RuntimeWarnings, a nan violation and exit 2
+    bad = tmp_path / "bmt_heavy.scn"
+    text = _shipped("bmt_spin_damping_a").replace("[bmt]\n", "[bmt]\nmass = 1e154\n")
+    bad.write_text(_with_integrator_key(text, "t_end", "10.0"))
+    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(bad), str(pass_file),
+                     "--check", "--out-dir", str(tmp_path / "o")])
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == [
+        f"scenario {bad}: error: mass*c = 1e+154 is too large for the boost: "
+        "2 mc (p0 + mc) overflows a double"]
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
