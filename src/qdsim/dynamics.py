@@ -12,7 +12,8 @@ with K = exp((G - iH) t), the oracle for the fixed-step integrator.
 evolve steps the real coordinates y of rho: its diagonal, then the real
 and the imaginary parts of its upper triangle. There Lambda is a fixed
 real d^2 x d^2 matrix A and tr Lambda a fixed row c, so each RK4 stage
-is one product z = B y with B = [A; c] and the rate z[:-1] - z[-1] y.
+is one product z = B y with B = [A; c] and the rate z[:-1] - z[-1] y;
+a qubit_rate_generator family hands evolve B(t) = B_H + f(t) B_sigma.
 gksl_rhs is the same equation on the complex matrix.
 """
 
@@ -57,16 +58,10 @@ class Generator:
         dim = h.shape[0]
         if g.shape != (dim, dim) or any(l.shape != (dim, dim) for l in ls):
             raise DimensionError("generator parts must share one dimension")
-        self._store(h, g, ls)
-
-    def _store(self, h, g, ls) -> None:
-        """Set the parts and what every rhs evaluation reuses: M = G - iH
-        and the halved jump pairs (L/sqrt2, (L/sqrt2)^dag). The one place
-        they are computed, for __init__ and for the pre-validated family
-        of qubit_rate_generator alike."""
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "damping", g)
         object.__setattr__(self, "lindblads", ls)
+        # reused by every rhs: M = G - iH and the pairs (L/sqrt2, (L/sqrt2)^dag)
         object.__setattr__(self, "_m", g - 1j * h)
         halves = tuple(l * math.sqrt(0.5) for l in ls)
         object.__setattr__(self, "_lpairs", tuple((l, dagger(l)) for l in halves))
@@ -75,8 +70,8 @@ class Generator:
     def _b(self) -> np.ndarray:
         """B = [A; c] of evolve's coordinate stage, built on first use.
         The drift -iH and the rest of M with the jumps are applied apart,
-        so that qubit_rate_generator, whose B is linear in the magnitude
-        of G, fills the same matrix bit for bit."""
+        so that the B(t) of a qubit_rate_generator family, linear in the
+        magnitude of G, is this matrix bit for bit."""
         return (_coordinate_generator(-1j * self.hamiltonian, (), self.dim)
                 + _coordinate_generator(self.damping, self._lpairs, self.dim))
 
@@ -289,16 +284,6 @@ def _coordinate_generator(m: np.ndarray, lpairs, d: int) -> np.ndarray:
     return b
 
 
-def _coordinate_rhs(gen: Generator, y: np.ndarray) -> np.ndarray:
-    """gksl_rhs in coordinates: z = B y, then Lambda - tr(Lambda) rho is
-    z[:-1] - z[-1] y."""
-    b = gen._b
-    if b.shape[1] != y.shape[0]:
-        raise DimensionError("state dimension does not match the generator")
-    z = b.dot(y)
-    return z[:-1] - y * z[-1]
-
-
 def state_vector_rhs(gen: Generator, psi: np.ndarray, kappa: float = 0.0) -> np.ndarray:
     """d/dt psi = x - (Re<psi|x> - i kappa) psi with x = (G - iH) psi, the
     same as (-iH + G - <G> + i kappa) psi; norm-preserving for any kappa."""
@@ -336,9 +321,6 @@ def finite_difference_generator_check(gen: Generator, rho: np.ndarray, dt: float
 def _check_density_sample(rho: np.ndarray, t: float) -> None:
     if not np.isfinite(rho).all():
         raise IntegrationDivergedError("state has non-finite entries", t)
-    herm = frobenius(rho - dagger(rho))
-    if herm > TOL.ode_hermitian_drift * max(1.0, frobenius(rho)):
-        raise IntegrationDivergedError(f"hermiticity drift {herm:.3e}", t)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TOL.ode_trace_drift:
         raise IntegrationDivergedError(f"trace drift {tr - 1.0:.3e}", t)
@@ -355,43 +337,48 @@ def _check_ket_sample(psi: np.ndarray, t: float) -> None:
         raise IntegrationDivergedError(f"norm drift {drift:.3e}", t)
 
 
-def _rk4(gen, rhs, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Trajectory:
-    """Classical fixed-step RK4 on rhs(generator, y), sampled by
+def _rk4(rate, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Trajectory:
+    """Classical fixed-step RK4 on y' = rate(t, y), sampled by
     _sampled_steps with check_sample vetting each sample. y is what the
     caller steps: the real coordinates of a density matrix for evolve,
-    the complex ket for evolve_state_vector.
-
-    gen is a Generator or a time -> Generator callable. A callable is
-    queried once per distinct stage time: k2 and k3 share t + h/2, and
-    the generator at t + h is reused as the next step's start.
-    """
-    at = gen if callable(gen) else lambda t: gen
+    the complex ket for evolve_state_vector."""
     h = cfg.step
-    gen_t = None
 
     def advance(i0, y, m):
-        nonlocal gen_t
-        g_start = at(0.0) if i0 == 0 else gen_t
         for i in range(i0, i0 + m):
             t = i * h
-            g_mid = at(t + 0.5 * h)
-            g_end = at(t + h)
-            k1 = rhs(g_start, y)
-            k2 = rhs(g_mid, y + (0.5 * h) * k1)
-            k3 = rhs(g_mid, y + (0.5 * h) * k2)
-            k4 = rhs(g_end, y + h * k3)
+            k1 = rate(t, y)
+            k2 = rate(t + 0.5 * h, y + (0.5 * h) * k1)
+            k3 = rate(t + 0.5 * h, y + (0.5 * h) * k2)
+            k4 = rate(t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            g_start = g_end
-        gen_t = g_start
         return y
 
     return _sampled_steps(advance, y0, whole_steps(cfg.t_end, h), h,
                           cfg.sample_stride, check_sample)
 
 
+def _coordinate_rate(gen, d: int):
+    """evolve's rate(t, y): z = B y with the fixed B of a Generator or the
+    B(t) of a qubit_rate_generator family, then z[:-1] - z[-1] y."""
+    if not isinstance(gen, (Generator, _QubitRateFamily)):
+        raise UnsupportedModeError(f"evolve steps a Generator or a qubit_rate_generator "
+                                   f"family, not {type(gen).__name__}")
+    if gen.dim != d:
+        raise DimensionError("state dimension does not match the generator")
+    b_at = gen._b_at if isinstance(gen, _QubitRateFamily) else (lambda t, b=gen._b: b)
+
+    def rate(t, y):
+        z = b_at(t).dot(y)
+        return z[:-1] - y * z[-1]
+
+    return rate
+
+
 def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     """RK4 on the master equation in the real coordinates of rho, one
-    product with the generator's B per stage (see the module docstring).
+    product with B per stage (see the module docstring). gen is a
+    Generator or a qubit_rate_generator family.
 
     The start is read as its Hermitian part, which density_matrix has
     held within TOL.hermitian_rel of it. Samples are rebuilt as
@@ -401,16 +388,20 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     """
     rho0 = density_matrix(rho0)
     d = rho0.shape[0]
+    rate = _coordinate_rate(gen, d)
     check = lambda y, t: _check_density_sample(_from_coordinates(y, d), t)
-    traj = _rk4(gen, _coordinate_rhs, _to_coordinates(rho0), cfg, check)
+    traj = _rk4(rate, _to_coordinates(rho0), cfg, check)
     return Trajectory(traj.times, _from_coordinates(traj.states, d))
 
 
-def evolve_state_vector(gen, psi0: np.ndarray, cfg: IntegratorConfig,
+def evolve_state_vector(gen: Generator, psi0: np.ndarray, cfg: IntegratorConfig,
                         kappa: float = 0.0) -> Trajectory:
-    """RK4 on the norm-preserving state-vector form; same sampling rules."""
-    rhs = lambda g, psi: state_vector_rhs(g, psi, kappa)
-    return _rk4(gen, rhs, state_vector(psi0), cfg, _check_ket_sample)
+    """RK4 on the norm-preserving state-vector form of a Generator (and
+    nothing else); same sampling rules."""
+    if not isinstance(gen, Generator):
+        raise UnsupportedModeError(f"evolve_state_vector steps a Generator, not {type(gen).__name__}")
+    rate = lambda t, psi: state_vector_rhs(gen, psi, kappa)
+    return _rk4(rate, state_vector(psi0), cfg, _check_ket_sample)
 
 
 def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:
@@ -427,35 +418,44 @@ def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:
     return profile
 
 
+class _QubitRateFamily:
+    """What qubit_rate_generator returns."""
+
+    dim = 2
+
+    def __init__(self, omega_vec, g_direction, magnitude) -> None:
+        base = Generator.qubit(omega_vec, g_direction)
+        self._h, self._sig_g = base.hamiltonian, base.damping
+        self._magnitude = magnitude
+        self._b_h = _coordinate_generator(-1j * self._h, (), 2)
+        self._b_sig = _coordinate_generator(self._sig_g, (), 2)
+        # |f| * largest |entry| finite keeps every entry of f * sig_g finite
+        self._sig_max = float(np.abs(self._sig_g).max())
+
+    def _f(self, t: float) -> float:
+        f = float(self._magnitude(t))
+        if not math.isfinite(f * self._sig_max):
+            raise ValidityError("operator contains non-finite entries")
+        return f
+
+    def _b_at(self, t: float) -> np.ndarray:
+        """B(t) = B_H + f(t) B_sigma, the matrix evolve steps with."""
+        return self._b_h + self._f(t) * self._b_sig
+
+    def __call__(self, t: float) -> Generator:
+        return Generator(self._h, self._f(t) * self._sig_g)
+
+
 def qubit_rate_generator(omega_vec, g_direction,
-                         magnitude: Callable[[float], float]) -> Callable[[float], Generator]:
+                         magnitude: Callable[[float], float]) -> _QubitRateFamily:
     """Constant omega, time-dependent g(t) = magnitude(t) * g_direction.
 
-    H and the direction are validated once, here, by building
-    Generator(H, g_direction.sigma/2). A real multiple of a Hermitian
-    matrix is Hermitian, so at(t) only checks that magnitude(t) keeps
-    G(t) finite, raising ValidityError as Generator does, and then fills
-    the same caches as Generator(H, magnitude(t) * sigma_g) with the same
-    arithmetic: an RK4 run queries the family twice per step. Its B is
-    B_H + magnitude(t) * B_sigma from two matrices built here; for a
-    traceless 2x2 sigma_g each entry of B_sigma is one entry of sigma_g,
-    twice one, or zero, so this is Generator's B bit for bit.
+    H and the direction are validated once, here. A real multiple of a
+    Hermitian matrix is Hermitian, so per time the family only checks
+    that magnitude(t) keeps G(t) finite, raising ValidityError as
+    Generator does. family(t) is Generator(H, magnitude(t) * sigma_g);
+    evolve steps B(t) = B_H + magnitude(t) B_sigma instead, which is its
+    B bit for bit: for a traceless 2x2 sigma_g each entry of B_sigma is
+    one entry of sigma_g, twice one, or zero.
     """
-    base = Generator(0.5 * pauli_dot(np.asarray(omega_vec, dtype=float)),
-                     0.5 * pauli_dot(np.asarray(g_direction, dtype=float)))
-    h, sig_g = base.hamiltonian, base.damping
-    b_h = _coordinate_generator(-1j * h, (), 2)
-    b_sig = _coordinate_generator(sig_g, (), 2)
-    # |f| * largest |entry| finite keeps every entry of f * sig_g finite
-    sig_max = float(np.abs(sig_g).max())
-
-    def at(t: float) -> Generator:
-        f = float(magnitude(t))
-        if not math.isfinite(f * sig_max):
-            raise ValidityError("operator contains non-finite entries")
-        gen = object.__new__(Generator)
-        gen._store(h, f * sig_g, ())
-        object.__setattr__(gen, "_b", b_h + f * b_sig)
-        return gen
-
-    return at
+    return _QubitRateFamily(omega_vec, g_direction, magnitude)

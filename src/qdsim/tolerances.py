@@ -30,7 +30,6 @@ class Tolerances:
     # fixed-step integration drift, checked at sampled states
     ode_trace_drift: float = 1e-8
     ode_norm_drift: float = 1e-8
-    ode_hermitian_drift: float = 1e-8
     whole_steps_rel: float = 1e-9      # |t_end/step - n| <= rel * n for a whole step count n
     max_samples: int = 10**6           # stored samples a run may ask for, checked before allocating
     max_steps: int = 10**7             # fixed steps a run may ask for, checked before stepping

@@ -7,7 +7,7 @@ from qdsim.dynamics import (
     Generator,
     IntegratorConfig,
     Trajectory,
-    _coordinate_rhs,
+    _coordinate_rate,
     _from_coordinates,
     _to_coordinates,
     closed_form_propagate,
@@ -150,7 +150,7 @@ def test_coordinate_generator_gives_the_complex_right_hand_side(rng, dim, jumps)
         rho = random_density(rng, dim)
         y = _to_coordinates(rho)
         assert np.array_equal(_from_coordinates(y, dim), 0.5 * (rho + rho.conj().T))
-        rate = _from_coordinates(_coordinate_rhs(gen, y), dim)
+        rate = _from_coordinates(_coordinate_rate(gen, dim)(0.0, y), dim)
         assert frobenius(rate - gksl_rhs(gen, rho)) <= 1e-13 * max(1.0, frobenius(rate))
 
 
@@ -255,20 +255,26 @@ def test_time_dependent_generator_tracks_profile():
 
 
 def test_rate_family_fills_the_caches_of_a_validated_generator():
-    # validated once when the family is made, then the same arithmetic as
-    # Generator(H, magnitude(t) * sigma_g), so RK4 samples stay bitwise equal
+    # validated once when the family is made; the B(t) that evolve steps
+    # is that of Generator(H, magnitude(t) * sigma_g) bit for bit, and
+    # family(t) is that Generator
     omega, g_dir = (0.00225, 0.0012990381056766578, -0.0015), (0.43, -0.75, -0.5)
     profile = inverted_morse_profile(0.007, 0.0005)
-    gen_at = qubit_rate_generator(omega, g_dir, profile)
+    family = qubit_rate_generator(omega, g_dir, profile)
     h, sig_g = 0.5 * pauli_dot(omega), 0.5 * pauli_dot(g_dir)
     for t in (0.0, 0.25, 2821.0, 35000.0):
-        got, want = gen_at(t), Generator(h, profile(t) * sig_g)
-        for attr in ("hamiltonian", "damping", "_m", "_b"):
+        want = Generator(h, profile(t) * sig_g)
+        assert np.array_equal(family._b_at(t), want._b)
+        got = family(t)
+        for attr in ("hamiltonian", "damping", "_m"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
         assert got.lindblads == () and got._lpairs == ()
     for bad in (math.inf, -math.inf, math.nan):
+        bad_family = qubit_rate_generator(omega, g_dir, lambda t: bad)
         with pytest.raises(ValidityError, match="operator contains non-finite entries"):
-            qubit_rate_generator(omega, g_dir, lambda t: bad)(1.0)
+            bad_family._b_at(1.0)
+        with pytest.raises(ValidityError, match="operator contains non-finite entries"):
+            bad_family(1.0)
     with pytest.raises(ValidityError):
         qubit_rate_generator(omega, (math.nan, 0.0, 0.0), profile)
 
@@ -286,24 +292,30 @@ def test_evolve_overflow_is_an_integration_error_without_warnings():
         evolve(gen_at, bloch_to_density((0.0, 0.0, 1.0)), cfg)
 
 
-def test_time_dependent_generator_is_built_once_per_stage_time():
-    # k2 and k3 share t + h/2 and the end generator starts the next step,
-    # so n steps query the callable 1 + 2n times; a callable returning a
-    # constant generator retraces the autonomous run bit for bit
-    gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.5))
-    times = []
-
-    def gen_at(t):
-        times.append(t)
-        return gen
-
+def test_rate_family_of_constant_magnitude_retraces_the_autonomous_run():
+    omega, g_dir = (0.0, 0.0, 3.0), (1.0, 0.0, 0.5)
+    family = qubit_rate_generator(omega, g_dir, lambda t: 1.0)
     rho0 = bloch_to_density((0.3, 0.0, 0.8))
     cfg = IntegratorConfig(t_end=1.0, step=0.1, sample_stride=3)
-    varying = evolve(gen_at, rho0, cfg)
-    assert len(times) == 1 + 2 * 10
-    constant = evolve(gen, rho0, cfg)
+    varying = evolve(family, rho0, cfg)
+    constant = evolve(Generator.qubit(omega, g_dir), rho0, cfg)
     assert np.array_equal(varying.times, constant.times)
-    assert all(np.array_equal(a, b) for a, b in zip(varying.states, constant.states))
+    assert np.array_equal(varying.states, constant.states)
+
+
+def test_steppers_refuse_what_they_cannot_step_in_one_line():
+    gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.5))
+    family = qubit_rate_generator((0.0, 0.0, 3.0), (1.0, 0.0, 0.5), lambda t: 1.0)
+    cfg = IntegratorConfig(t_end=1.0, step=0.1)
+    with pytest.raises(UnsupportedModeError,
+                       match="^evolve steps a Generator or a qubit_rate_generator family, "
+                             "not function$"):
+        evolve(lambda t: gen, bloch_to_density((0.3, 0.0, 0.8)), cfg)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    for bad, kind in ((family, "_QubitRateFamily"), (lambda t: gen, "function")):
+        with pytest.raises(UnsupportedModeError,
+                           match=f"^evolve_state_vector steps a Generator, not {kind}$"):
+            evolve_state_vector(bad, psi0, cfg)
 
 
 # the last one is a whole number of steps, one past TOL.max_steps
