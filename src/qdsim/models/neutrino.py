@@ -18,13 +18,14 @@ V(0) = 1.86 neV puts |g| = |omega| far from 117600 km.
 
 The quasi-linear state-vector equation
 
-    dpsi/dL = (eps/2) [ -i omega.sigma + g.sigma - (g.n) ] psi
+    dpsi/dL = M(L) psi - <G> psi,    M(L) = M0 + V(L) M1 = G - iH
 
-preserves the norm identically (the last term is the counter-rate), so
-the integrator renormalizes each step up to the cutoff and the stored
-samples carry norm errors at rounding level. Past the cutoff V = 0, so
-g and the counter-rate vanish in both modes and one RK4 step is a fixed
-2x2 matrix R of the vacuum precession; the steps up to each sample are
+(NeutrinoConfig.generator gives M0 and M1 in rad/km) preserves the
+norm identically (<G> = <psi|G psi>/<psi|psi> is the counter-rate, zero
+in msw), so the integrator renormalizes each step up to the cutoff and
+the stored samples carry norm errors at rounding level. Past the cutoff
+V = 0, so M = M0 in both modes and one RK4 step is a fixed 2x2 matrix
+R of the vacuum precession; the steps up to each sample are
 one product with R^m, renormalized once per sample (a linear map
 commutes with scaling, so the direction is the same). The scalar
 stepper works on the two complex amplitudes directly, which turn at
@@ -48,6 +49,7 @@ import numpy as np
 from ..dynamics import (Trajectory, _rk4_linear_step, _sampled_steps, _successive_powers,
                         whole_steps)
 from ..errors import DomainError, IntegrationDivergedError
+from ..linalg import SIGMA_Z, pauli_dot
 from ..rootfind import find_crossing
 
 POLY_COEFFS = (519.0, -1630.0, 1844.0, -889.0, 154.910686)
@@ -100,6 +102,17 @@ class NeutrinoConfig:
         along = np.array([s2, 0.0, -c2])
         chi = self.g_tilt_rad
         return math.cos(chi) * perp + math.sin(chi) * along
+
+    def generator(self) -> tuple:
+        """The pair (M0, M1) of 2x2 complex matrices in rad/km with
+        M(L) = M0 + V(L) M1 = G - iH: M0 = -i(eps/2) omega_vac.sigma,
+        M1 = -i(eps/2) sigma_z (msw) or (eps/2) g_hat.sigma (damping).
+        Both are traceless and symmetric, as neutrino_evolve assumes."""
+        half_eps = 0.5 * self.eps
+        m0 = -1j * half_eps * pauli_dot(self.vacuum_omega())
+        if self.mode == "msw":
+            return m0, -1j * half_eps * SIGMA_Z
+        return m0, half_eps * pauli_dot(self.g_direction())
 
 
 def _potential_profile(c: NeutrinoConfig):
@@ -160,8 +173,8 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
     sample_stride = None chooses a stride capping storage near 8000
     samples; a given stride must be at least 1 (see sample_count). The
     scalar RK4 stepper works on the two amplitudes as Python complex
-    numbers and renormalizes after every step; the damping mode carries
-    the quasi-linear counter-rate, the msw mode is linear. A step past
+    numbers and renormalizes after every step. Stage and vacuum step read
+    c.generator(); only damping carries the counter-rate <G>. A step past
     RK4's stability limit (see the module docstring) raises.
 
     From the first step whose stages all lie past CUTOFF_KM (i h >
@@ -179,29 +192,27 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
         sample_stride = max(1, n_steps // 8000)
 
     h = step
-    half_eps = 0.5 * c.eps
-    w = c.vacuum_omega()
-    wx, wz_vac = float(w[0]), float(w[2])
-    if c.mode == "damping":
-        d = c.g_direction()
-        dx, dz = float(d[0]), float(d[2])
+    m0, m1 = c.generator()
+    # M = [[al, be], [be, -al]] with al = al0 + v al1 and be = be0 + v be1,
+    # so G = [[Re al, Re be], [Re be, -Re al]]; M0 is anti-Hermitian, so
+    # G and <G> vanish unless M1 has a Hermitian part
+    (al0, be0), _ = m0.tolist()
+    (al1, be1), _ = m1.tolist()
+    damped = bool((m1 + m1.conj().T).any())
     potential = _potential_profile(c)
-    msw = c.mode == "msw"
 
-    def rhs(L, a, b):
+    def rate(L, a, b):
         v = potential(L)
-        if msw:
-            hz = half_eps * (wz_vac + v)
-            hx = half_eps * wx
-            return (-1j * (hz * a + hx * b), -1j * (hx * a - hz * b))
-        gx = v * dx
-        gz = v * dz
+        al = al0 + v * al1
+        be = be0 + v * be1
+        da = al * a + be * b
+        db = be * a - al * b
+        if not damped:
+            return da, db
         aa = (a * a.conjugate()).real
         bb = (b * b.conjugate()).real
-        gn = (gx * 2.0 * (a.conjugate() * b).real + gz * (aa - bb)) / (aa + bb)
-        da = half_eps * ((-1j * wz_vac + gz - gn) * a + (-1j * wx + gx) * b)
-        db = half_eps * ((-1j * wx + gx) * a + (1j * wz_vac - gz - gn) * b)
-        return da, db
+        gn = (be.real * 2.0 * (a.conjugate() * b).real + al.real * (aa - bb)) / (aa + bb)
+        return da - gn * a, db - gn * b
 
     # steps from i_past on take powers of the vacuum step; i_past = n_steps
     # keeps the scalar loop to the end
@@ -210,12 +221,11 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
         # a vacuum step far past RK4's stability limit overflows R; the
         # scalar loop then raises at its per-step guard
         with np.errstate(over="ignore", invalid="ignore"):
-            r = _rk4_linear_step(
-                (h * -1j * half_eps) * np.array([[wz_vac, wx], [wx, -wz_vac]]))
+            r = _rk4_linear_step(h * m0)
         if np.isfinite(r).all():
             sv = np.linalg.svd(r, compute_uv=False)
             if 0.0 < sv.min() and sv.max() < 2.0:
-                # R is a real polynomial in an anti-Hermitian matrix, so
+                # R is a real polynomial in the anti-Hermitian h M0, so
                 # normal with equal singular values: R / sigma is unitary
                 # to rounding and none of its powers over- or underflows
                 power = _successive_powers(r / sv.max())
@@ -228,10 +238,10 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
         a, b = y
         for i in range(i0, min(i0 + m, i_past)):
             L = i * h
-            k1a, k1b = rhs(L, a, b)
-            k2a, k2b = rhs(L + 0.5 * h, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-            k3a, k3b = rhs(L + 0.5 * h, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-            k4a, k4b = rhs(L + h, a + h * k3a, b + h * k3b)
+            k1a, k1b = rate(L, a, b)
+            k2a, k2b = rate(L + 0.5 * h, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+            k3a, k3b = rate(L + 0.5 * h, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+            k4a, k4b = rate(L + h, a + h * k3a, b + h * k3b)
             a = a + (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
             b = b + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
             norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)

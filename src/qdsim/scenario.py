@@ -8,7 +8,7 @@ lists (comma separated), vectors '(a, b, c)' of finite floats of length
 3 or 4, and raw strings (kept verbatim). Unknown sections, unknown keys,
 duplicate keys, type mismatches and nan or infinite numbers are
 rejected with their line numbers; every scenario kind declares which
-keys it requires.
+keys it requires, and a parameter section of another kind is refused.
 """
 
 from __future__ import annotations
@@ -274,6 +274,9 @@ def parse_scenario(text: str) -> Scenario:
     if kind not in KINDS:
         raise DomainError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
     param_section = KIND_SECTION[kind]
+    for section in sections:
+        if section in KIND_SECTION.values() and section != param_section:
+            raise DomainError(f"section [{section}] is not read by kind {kind}")
     for section in (param_section, "integrator"):
         for req in _REQUIRED[section]:
             if req not in sections.get(section, {}):

@@ -168,19 +168,33 @@ def test_cli_ode_happy_path_exits_zero(tmp_path, capsys):
 
 
 def test_generator_consistency_says_when_no_pick_engaged(tmp_path):
-    # the Morse rates are about 0.007: every first-order residual lies
-    # under TOL.generator_residual_floor, so the ratio tests nothing
-    text = resources.files("qdsim").joinpath("scenarios", "instability_morse.scn").read_text()
-    *_, report = run(parse_scenario(text), out_dir=str(tmp_path / "m"), t_end=200.0)
+    # rates of about 5e-6: even at the scaled fd step 1e-5 / ||G - iH||_F
+    # every first-order residual (about 1.8e-11) lies under
+    # TOL.generator_residual_floor, so the ratio tests nothing
+    p = tmp_path / "ode_tiny.scn"
+    p.write_text(ODE_PASS_SCN.replace("(0.0, 0.0, 6.0)", "(0.0, 0.0, 6e-6)")
+                 .replace("(4.0, 0.0, 0.0)", "(4e-6, 0.0, 0.0)"))
+    *_, report = run_file(p, out_dir=str(tmp_path / "t"))
     assert report.all_passed
     assert "generator-consistency" in [c.name for c in report.checks]
     assert ("generator-consistency: 0 of 8 picks above the residual floor 1e-09; "
             "ratio not tested") in report.notes
-    # O(1) rates engage every pick, so no such note
+    # O(1) rates engage every pick at the unscaled step, so no such note
     p = tmp_path / "ode_pass.scn"
     p.write_text(ODE_PASS_SCN)
     *_, report = run_file(p, out_dir=str(tmp_path / "c"))
     assert report.all_passed
+    assert not [n for n in report.notes if n.startswith("generator-consistency")]
+
+
+def test_generator_consistency_engages_every_morse_pick(tmp_path):
+    # the Morse rates are about 0.007 (||G - iH||_F about 0.005); the
+    # scaled step lifts their residuals (6e-9 to 1.5e-8 here) above the
+    # floor at all 8 picks
+    text = resources.files("qdsim").joinpath("scenarios", "instability_morse.scn").read_text()
+    *_, report = run(parse_scenario(text), out_dir=str(tmp_path / "m"), t_end=200.0)
+    assert report.all_passed
+    assert "generator-consistency" in [c.name for c in report.checks]
     assert not [n for n in report.notes if n.startswith("generator-consistency")]
 
 
@@ -540,6 +554,16 @@ def test_a_mass_out_of_double_range_fails_alone_in_a_batch(tmp_path, pass_file):
     proc, errors = _batch_errors(tmp_path, [bad[0], pass_file, bad[1]])
     assert errors == [f"scenario {p}: error: (mass*c)^2 = {v} is not a positive finite double"
                       for p, v in zip(bad, ("inf", "0.0"))]
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
+
+
+def test_a_foreign_parameter_section_fails_alone_in_a_batch(tmp_path, pass_file):
+    # a qubit file carrying [neutrino] with mode = bogus used to run and exit 0
+    bad = tmp_path / "foreign.scn"
+    bad.write_text(PASS_SCN + "\n[neutrino]\nenergy_gev = 0.01\nmode = bogus\n")
+    proc, errors = _batch_errors(tmp_path, [bad, pass_file])
+    assert errors == [f"scenario {bad}: error: section [neutrino] is not read by kind "
+                      "qubit-closed-form"]
     assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
 
 

@@ -267,3 +267,19 @@ def test_every_shipped_scenario_parses():
     assert len(names) >= 14
     kinds_seen = {parse_scenario((scn_dir / name).read_text()).kind for name in names}
     assert kinds_seen == set(KINDS)
+
+
+@pytest.mark.parametrize("stem, kind, foreign", [
+    ("damped_rabi_w6_g4", "qubit-closed-form", "[neutrino]\nenergy_gev = 0.01\nmode = bogus\n"),
+    ("instability_morse", "gksl-ode", "[lindblad]\ng = 1.0\n"),
+    ("lindblad_entropy_plateau", "single-lindblad", "[qubit]\nomega = (0.0, 0.0, 1.0)\n"),
+    ("jc_collapse_blocks", "jaynes-cummings", "[bmt]\ncharge = 1.0\n"),
+    ("bmt_spin_damping_a", "bmt", "[jc]\nn_max = 4\n"),
+    ("neutrino_damping_10mev", "neutrino", "[qubit]\ng_profile = bogus\n"),
+])
+def test_a_parameter_section_the_kind_does_not_read_is_refused(stem, kind, foreign):
+    text = files("qdsim").joinpath("scenarios", f"{stem}.scn").read_text()
+    with pytest.raises(DomainError) as err:
+        parse_scenario(text + "\n" + foreign)
+    section = foreign.splitlines()[0]
+    assert str(err.value) == f"section {section} is not read by kind {kind}"
