@@ -13,7 +13,7 @@ evolve steps the real coordinates y of rho: its diagonal, then the real
 and the imaginary parts of its upper triangle. There Lambda is a fixed
 real d^2 x d^2 matrix A and tr Lambda a fixed row c, so each RK4 stage
 is one product z = B y with B = [A; c] and the rate z[:-1] - z[-1] y;
-a qubit_rate_generator family hands evolve B(t) = B_H + f(t) B_sigma.
+a RateFamily hands evolve B(t) = B_base + f(t) B_slope.
 gksl_rhs is the same equation on the complex matrix.
 """
 
@@ -360,13 +360,13 @@ def _rk4(rate, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Trajector
 
 def _coordinate_rate(gen, d: int):
     """evolve's rate(t, y): z = B y with the fixed B of a Generator or the
-    B(t) of a qubit_rate_generator family, then z[:-1] - z[-1] y."""
-    if not isinstance(gen, (Generator, _QubitRateFamily)):
-        raise UnsupportedModeError(f"evolve steps a Generator or a qubit_rate_generator "
-                                   f"family, not {type(gen).__name__}")
+    B(t) of a RateFamily, then z[:-1] - z[-1] y."""
+    if not isinstance(gen, (Generator, RateFamily)):
+        raise UnsupportedModeError(f"evolve steps a Generator or a RateFamily, "
+                                   f"not {type(gen).__name__}")
     if gen.dim != d:
         raise DimensionError("state dimension does not match the generator")
-    b_at = gen._b_at if isinstance(gen, _QubitRateFamily) else (lambda t, b=gen._b: b)
+    b_at = gen._b_at if isinstance(gen, RateFamily) else (lambda t, b=gen._b: b)
 
     def rate(t, y):
         z = b_at(t).dot(y)
@@ -378,7 +378,7 @@ def _coordinate_rate(gen, d: int):
 def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     """RK4 on the master equation in the real coordinates of rho, one
     product with B per stage (see the module docstring). gen is a
-    Generator or a qubit_rate_generator family.
+    Generator or a RateFamily.
 
     The start is read as its Hermitian part, which density_matrix has
     held within TOL.hermitian_rel of it. Samples are rebuilt as
@@ -418,44 +418,45 @@ def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:
     return profile
 
 
-class _QubitRateFamily:
-    """What qubit_rate_generator returns."""
+class RateFamily:
+    """M(t) = M_base + f(t) M_slope: two validated Generators of one
+    dimension without jump operators and a real magnitude f that takes a
+    float or an array. Per time the family only checks that f(t) keeps
+    f(t) M_slope finite, raising ValidityError as Generator does.
+    family(t) is Generator(H_base + f H_slope, G_base + f G_slope);
+    evolve steps B(t) = B_base + f(t) B_slope instead, its B to rounding."""
 
-    dim = 2
-
-    def __init__(self, omega_vec, g_direction, magnitude) -> None:
-        base = Generator.qubit(omega_vec, g_direction)
-        self._h, self._sig_g = base.hamiltonian, base.damping
-        self._magnitude = magnitude
-        self._b_h = _coordinate_generator(-1j * self._h, (), 2)
-        self._b_sig = _coordinate_generator(self._sig_g, (), 2)
-        # |f| * largest |entry| finite keeps every entry of f * sig_g finite
-        self._sig_max = float(np.abs(self._sig_g).max())
+    def __init__(self, base: Generator, slope: Generator, magnitude) -> None:
+        if base.lindblads or slope.lindblads or base.dim != slope.dim:
+            raise UnsupportedModeError("a RateFamily takes two generators of one dimension "
+                                       "without jump operators")
+        self.base, self.slope, self.magnitude, self.dim = base, slope, magnitude, base.dim
+        self._b_base, self._b_slope = base._b, slope._b
+        # |f| * largest |entry| finite keeps every entry of f * M_slope finite
+        self._slope_max = float(np.abs(slope._m).max())
 
     def _f(self, t: float) -> float:
-        f = float(self._magnitude(t))
-        if not math.isfinite(f * self._sig_max):
+        f = float(self.magnitude(t))
+        if not math.isfinite(f * self._slope_max):
             raise ValidityError("operator contains non-finite entries")
         return f
 
     def _b_at(self, t: float) -> np.ndarray:
-        """B(t) = B_H + f(t) B_sigma, the matrix evolve steps with."""
-        return self._b_h + self._f(t) * self._b_sig
+        """B(t) = B_base + f(t) B_slope, the matrix evolve steps with."""
+        return self._b_base + self._f(t) * self._b_slope
 
     def __call__(self, t: float) -> Generator:
-        return Generator(self._h, self._f(t) * self._sig_g)
+        f = self._f(t)
+        return Generator(self.base.hamiltonian + f * self.slope.hamiltonian,
+                         self.base.damping + f * self.slope.damping)
 
 
 def qubit_rate_generator(omega_vec, g_direction,
-                         magnitude: Callable[[float], float]) -> _QubitRateFamily:
+                         magnitude: Callable[[float], float]) -> RateFamily:
     """Constant omega, time-dependent g(t) = magnitude(t) * g_direction.
-
-    H and the direction are validated once, here. A real multiple of a
-    Hermitian matrix is Hermitian, so per time the family only checks
-    that magnitude(t) keeps G(t) finite, raising ValidityError as
-    Generator does. family(t) is Generator(H, magnitude(t) * sigma_g);
-    evolve steps B(t) = B_H + magnitude(t) B_sigma instead, which is its
-    B bit for bit: for a traceless 2x2 sigma_g each entry of B_sigma is
-    one entry of sigma_g, twice one, or zero.
-    """
-    return _QubitRateFamily(omega_vec, g_direction, magnitude)
+    Its B(t) is the B of family(t) bit for bit: for a traceless 2x2
+    sigma_g each entry of B_sigma is one entry of sigma_g, twice one, or
+    zero."""
+    zero = np.zeros(3)
+    return RateFamily(Generator.qubit(omega_vec, zero), Generator.qubit(zero, g_direction),
+                      magnitude)

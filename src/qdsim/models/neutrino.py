@@ -20,14 +20,13 @@ The quasi-linear state-vector equation
 
     dpsi/dL = M(L) psi - <G> psi,    M(L) = M0 + V(L) M1 = G - iH
 
-(NeutrinoConfig.generator gives M0 and M1 in rad/km) preserves the
-norm identically (<G> = <psi|G psi>/<psi|psi> is the counter-rate, zero
-in msw), so the integrator renormalizes each step up to the cutoff and
-the stored samples carry norm errors at rounding level. Past the cutoff
-V = 0, so M = M0 in both modes and one RK4 step is a fixed 2x2 matrix
-R of the vacuum precession; the steps up to each sample are
-one product with R^m, renormalized once per sample (a linear map
-commutes with scaling, so the direction is the same). The scalar
+preserves the norm identically (<G> = <psi|G psi>/<psi|psi> is the
+counter-rate, zero in msw), so the integrator renormalizes each step up
+to the cutoff and the stored samples carry norm errors at rounding
+level. Past the cutoff V = 0, so M = M0 in both modes and one RK4 step
+is a fixed 2x2 matrix R of the vacuum precession; the steps up to each
+sample are one product with R^m, renormalized once per sample (a linear
+map commutes with scaling, so the direction is the same). The scalar
 stepper works on the two complex amplitudes directly, which turn at
 (eps/2)|omega| (msw) or up to (eps/2)|g| (damping). At the calibrated v_scale = 8.0e-5 of the shipped
 10 MeV scenarios that is about 0.03 rad/km near the core, and a 1 km
@@ -46,10 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import (Trajectory, _rk4_linear_step, _sampled_steps, _successive_powers,
-                        whole_steps)
+from ..dynamics import (Generator, RateFamily, Trajectory, _rk4_linear_step, _sampled_steps,
+                        _successive_powers, whole_steps)
 from ..errors import DomainError, IntegrationDivergedError
-from ..linalg import SIGMA_Z, pauli_dot
 from ..rootfind import find_crossing
 
 POLY_COEFFS = (519.0, -1630.0, 1844.0, -889.0, 154.910686)
@@ -103,29 +101,29 @@ class NeutrinoConfig:
         chi = self.g_tilt_rad
         return math.cos(chi) * perp + math.sin(chi) * along
 
-    def generator(self) -> tuple:
-        """The pair (M0, M1) of 2x2 complex matrices in rad/km with
-        M(L) = M0 + V(L) M1 = G - iH: M0 = -i(eps/2) omega_vac.sigma,
-        M1 = -i(eps/2) sigma_z (msw) or (eps/2) g_hat.sigma (damping).
-        Both are traceless and symmetric, as neutrino_evolve assumes."""
-        half_eps = 0.5 * self.eps
-        m0 = -1j * half_eps * pauli_dot(self.vacuum_omega())
-        if self.mode == "msw":
-            return m0, -1j * half_eps * SIGMA_Z
-        return m0, half_eps * pauli_dot(self.g_direction())
+    def generator(self) -> RateFamily:
+        """M(L) = M0 + V(L) M1 = G - iH in rad/km as a RateFamily: M0 =
+        -i(eps/2) omega_vac.sigma, M1 = -i(eps/2) sigma_z (msw) or (eps/2)
+        g_hat.sigma (damping). Both are traceless and symmetric, as
+        neutrino_evolve assumes; evolve steps the family as a density."""
+        zero = np.zeros(3)
+        slope = (Generator.qubit((0.0, 0.0, self.eps), zero) if self.mode == "msw"
+                 else Generator.qubit(zero, self.eps * self.g_direction()))
+        return RateFamily(Generator.qubit(self.eps * self.vacuum_omega(), zero), slope,
+                          _potential_profile(self))
 
 
 def _potential_profile(c: NeutrinoConfig):
-    """V(L) as a closure over c's constants, L unchecked: the stepper
-    calls it four times per step."""
+    """V(L) as a closure over c's constants, L unchecked: a float for a
+    float, an array for an array. Past the cutoff the quartic is taken
+    at L = 0 and masked, so no far L overflows it."""
     scale, rs = c.v_scale, c.r_s_km
     c4, c3, c2, c1, c0 = POLY_COEFFS
 
     def potential(L):
-        if L > CUTOFF_KM:
-            return 0.0
-        x = L / rs
-        return scale * ((((c4 * x + c3) * x + c2) * x + c1) * x + c0)
+        inside = L <= CUTOFF_KM
+        x = inside * L / rs
+        return inside * (scale * ((((c4 * x + c3) * x + c2) * x + c1) * x + c0))
 
     return potential
 
@@ -192,17 +190,16 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
         sample_stride = max(1, n_steps // 8000)
 
     h = step
-    m0, m1 = c.generator()
+    fam = c.generator()
     # M = [[al, be], [be, -al]] with al = al0 + v al1 and be = be0 + v be1,
     # so G = [[Re al, Re be], [Re be, -Re al]]; M0 is anti-Hermitian, so
     # G and <G> vanish unless M1 has a Hermitian part
-    (al0, be0), _ = m0.tolist()
-    (al1, be1), _ = m1.tolist()
-    damped = bool((m1 + m1.conj().T).any())
-    potential = _potential_profile(c)
+    (al0, be0), _ = fam.base._m.tolist()
+    (al1, be1), _ = fam.slope._m.tolist()
+    damped = bool(fam.slope.damping.any())
+    potential = fam.magnitude
 
-    def rate(L, a, b):
-        v = potential(L)
+    def rate(v, a, b):
         al = al0 + v * al1
         be = be0 + v * be1
         da = al * a + be * b
@@ -221,7 +218,7 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
         # a vacuum step far past RK4's stability limit overflows R; the
         # scalar loop then raises at its per-step guard
         with np.errstate(over="ignore", invalid="ignore"):
-            r = _rk4_linear_step(h * m0)
+            r = _rk4_linear_step(h * fam.base._m)
         if np.isfinite(r).all():
             sv = np.linalg.svd(r, compute_uv=False)
             if 0.0 < sv.min() and sv.max() < 2.0:
@@ -238,10 +235,11 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
         a, b = y
         for i in range(i0, min(i0 + m, i_past)):
             L = i * h
-            k1a, k1b = rate(L, a, b)
-            k2a, k2b = rate(L + 0.5 * h, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-            k3a, k3b = rate(L + 0.5 * h, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-            k4a, k4b = rate(L + h, a + h * k3a, b + h * k3b)
+            v_half = potential(L + 0.5 * h)  # k2 and k3 share L + h/2
+            k1a, k1b = rate(potential(L), a, b)
+            k2a, k2b = rate(v_half, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+            k3a, k3b = rate(v_half, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+            k4a, k4b = rate(potential(L + h), a + h * k3a, b + h * k3b)
             a = a + (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
             b = b + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
             norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)

@@ -326,6 +326,8 @@ class SingleLindbladParams:
         vals = (self.g, self.omega, self.l, self.kappa)
         if not all(np.isfinite(v) for v in vals):
             raise ValidityError("parameters must be finite")
+        if not (math.isfinite(2.0 * self.g) and math.isfinite(self.l * self.l)):
+            raise ValidityError("2g and l^2 overflow; rates must stay below about 1e154")
         scale = max(abs(2.0 * self.g), self.l ** 2, 1.0)
         if abs(2.0 * self.g - self.l ** 2) <= TOL.gauge_degenerate_rel * scale:
             raise DomainError("2g = l^2 is excluded (the weight ratio l_bar diverges)")

@@ -190,10 +190,12 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
         gen_at = lambda t: gen
     else:
         direction = np.asarray(p["g"], dtype=float)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
+        largest = np.abs(direction).max()
+        if largest == 0.0:
             raise DomainError("profile direction g must be nonzero")
-        direction = direction / norm
+        if not 1e-150 < largest < 1e150:
+            direction = direction / largest  # so that its norm neither over- nor underflows
+        direction = direction / np.linalg.norm(direction)
         profile = inverted_morse_profile(p["q"], p["nu"])
         gen_at = qubit_rate_generator(omega, direction, profile)
         traj = evolve(gen_at, bloch_to_density(xi), cfg)
@@ -419,6 +421,25 @@ def run(scn: Scenario, out_dir: str = ".", check: bool = True,
         icfg["t_end"] = t_end
     if not icfg["t_end"] > 0.0:
         raise DomainError(f"a scenario needs a positive t_end, got {icfg['t_end']!r}")
+    # an overflow or a nan anywhere in the run is one error line; the
+    # steppers and guards that expect one say so in their own errstate
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            times, columns, checks, notes, written = _run_and_emit(scn, icfg, check, out_dir)
+    except (FloatingPointError, OverflowError) as exc:
+        raise DomainError(f"{scn.kind} run left the double range: {exc}") from None
+    report = RunReport(
+        name=scn.name,
+        kind=scn.kind,
+        checks=tuple(checks),
+        notes=tuple(notes),
+        outputs=tuple(written),
+        duration_s=time.perf_counter() - started,
+    )
+    return times, columns, report
+
+
+def _run_and_emit(scn: Scenario, icfg: dict, check: bool, out_dir: str):
     times, columns, checks, notes = _RUNNERS[scn.kind](scn, icfg, check)
     written = []
     for out in scn.outputs:
@@ -440,15 +461,7 @@ def run(scn: Scenario, out_dir: str = ".", check: bool = True,
             if dropped:
                 notes.append(f"{path}: {dropped} sample(s) with t <= 0 left off the log axis")
             written.append(path)
-    report = RunReport(
-        name=scn.name,
-        kind=scn.kind,
-        checks=tuple(checks),
-        notes=tuple(notes),
-        outputs=tuple(written),
-        duration_s=time.perf_counter() - started,
-    )
-    return times, columns, report
+    return times, columns, checks, notes, written
 
 
 def run_file(path, out_dir: str = ".", check: bool = True,

@@ -6,6 +6,7 @@ import pytest
 from qdsim.dynamics import (
     Generator,
     IntegratorConfig,
+    RateFamily,
     Trajectory,
     _coordinate_rate,
     _from_coordinates,
@@ -308,14 +309,23 @@ def test_steppers_refuse_what_they_cannot_step_in_one_line():
     family = qubit_rate_generator((0.0, 0.0, 3.0), (1.0, 0.0, 0.5), lambda t: 1.0)
     cfg = IntegratorConfig(t_end=1.0, step=0.1)
     with pytest.raises(UnsupportedModeError,
-                       match="^evolve steps a Generator or a qubit_rate_generator family, "
-                             "not function$"):
+                       match="^evolve steps a Generator or a RateFamily, not function$"):
         evolve(lambda t: gen, bloch_to_density((0.3, 0.0, 0.8)), cfg)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    for bad, kind in ((family, "_QubitRateFamily"), (lambda t: gen, "function")):
+    for bad, kind in ((family, "RateFamily"), (lambda t: gen, "function")):
         with pytest.raises(UnsupportedModeError,
                            match=f"^evolve_state_vector steps a Generator, not {kind}$"):
             evolve_state_vector(bad, psi0, cfg)
+
+
+def test_rate_family_refuses_jump_operators_and_mixed_dimensions():
+    gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.5))
+    jump = Generator.qubit((0.0, 0.0, 3.0), (0.0, 0.0, 0.0), (np.eye(2),))
+    three = Generator(np.zeros((3, 3)), np.eye(3))
+    for base, slope in ((gen, jump), (jump, gen), (gen, three)):
+        with pytest.raises(UnsupportedModeError, match="^a RateFamily takes two generators "
+                                                       "of one dimension without jump operators$"):
+            RateFamily(base, slope, lambda t: 1.0)
 
 
 # the last one is a whole number of steps, one past TOL.max_steps

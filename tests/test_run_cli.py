@@ -567,6 +567,46 @@ def test_a_foreign_parameter_section_fails_alone_in_a_batch(tmp_path, pass_file)
     assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
 
 
+def test_a_morse_direction_of_any_size_runs_as_its_unit_vector(tmp_path, pass_file):
+    # (1e200, 0, 0) used to normalise to a zero direction (no gain, exit 0),
+    # 1e-160 to length 1.0000056, and 1e-200 was refused as zero
+    text, shipped_g = _shipped("instability_morse"), "g = (0.4330127018922193, -0.75, -0.5)"
+    assert shipped_g in text
+    written = {}
+    for g in ("1.0", "1e200", "1e-160", "1e-200"):
+        p = tmp_path / f"morse_{g}.scn"
+        p.write_text(text.replace(shipped_g, f"g = ({g}, 0.0, 0.0)"))
+        run_file(p, out_dir=str(tmp_path / g), check=False, t_end=500.0)
+        written[g] = (tmp_path / g / "instability_morse.csv").read_bytes()
+    assert all(csv == written["1.0"] for csv in written.values())
+    zero = tmp_path / "morse_zero.scn"
+    zero.write_text(text.replace(shipped_g, "g = (0.0, 0.0, 0.0)"))
+    proc, errors = _batch_errors(tmp_path, [zero, pass_file])
+    assert errors == [f"scenario {zero}: error: profile direction g must be nonzero"]
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
+
+
+@pytest.mark.parametrize("stem, old, new, kind", [
+    # exit 0 with nan and inf in mean_energy and four warning lines
+    ("jc_collapse_blocks", "omega_f = 1.0", "omega_f = 1e308", "jaynes-cummings"),
+    # a bare OverflowError from l ** 2 and a 32-line traceback
+    ("lindblad_entropy_plateau", "l = 2.5", "l = 1e200", None),
+    # numpy warnings on eight stderr lines before the error line
+    ("tilted_attractor_purification", "omega = (0.0, 0.0, 2.0)", "omega = (0.0, 0.0, 1e100)",
+     "qubit-closed-form"),
+    # a warning from the vacuum step before the guard's error
+    ("bmt_spin_damping_b", "e = (0.0, 0.0, -0.001)", "e = (0.0, 0.0, 1e100)", "bmt"),
+])
+def test_an_overflowing_value_fails_alone_in_one_line(tmp_path, pass_file, stem, old, new, kind):
+    bad = tmp_path / f"{stem}.scn"
+    bad.write_text(_shipped(stem).replace(old, new))
+    proc, errors = _batch_errors(tmp_path, [bad, pass_file], "--check")
+    want = (f"{kind} run left the double range: overflow encountered in" if kind else
+            "2g and l^2 overflow; rates must stay below about 1e154")
+    assert len(errors) == 1 and errors[0].startswith(f"scenario {bad}: error: {want}")
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
+
+
 @pytest.mark.parametrize("rate", ["1e155", "1e160", "1e300"])
 def test_qubit_rates_whose_squares_overflow_are_refused(tmp_path, pass_file, rate):
     # g.g = inf made c2 = inf - inf: every CSV row was nan, and the run exited 0
