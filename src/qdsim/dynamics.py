@@ -13,7 +13,8 @@ evolve steps the real coordinates y of rho: its diagonal, then the real
 and the imaginary parts of its upper triangle. There Lambda is a fixed
 real d^2 x d^2 matrix A and tr Lambda a fixed row c, so each RK4 stage
 is one product z = B y with B = [A; c] and the rate z[:-1] - z[-1] y;
-a RateFamily hands evolve B(t) = B_base + f(t) B_slope.
+a RateFamily hands evolve B(t) = B_base + f(t) B_slope, built per block
+of steps as one stack over the block's stage times.
 gksl_rhs is the same equation on the complex matrix.
 """
 
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -235,12 +237,21 @@ def gksl_rhs(gen: Generator, rho: np.ndarray) -> np.ndarray:
     return lam - np.trace(lam).real * rho
 
 
+@cache
+def _upper_triangle(d: int) -> tuple:
+    """np.triu_indices(d, 1), built once per d and read-only. The maps run
+    after d is capped by TOL.max_coordinate_dim, so the cache stays small."""
+    rows, cols = np.triu_indices(d, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _to_coordinates(rho: np.ndarray) -> np.ndarray:
     """Real coordinates (..., d^2) of the Hermitian part of rho (..., d, d):
     the diagonal, then the real and the imaginary parts of the upper
     triangle, row by row."""
     herm = 0.5 * (rho + dagger(rho))
-    upper = herm[(...,) + np.triu_indices(rho.shape[-1], 1)]
+    upper = herm[(...,) + _upper_triangle(rho.shape[-1])]
     return np.concatenate([herm.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag],
                           axis=-1)
 
@@ -249,7 +260,7 @@ def _from_coordinates(y: np.ndarray, d: int) -> np.ndarray:
     """The Hermitian matrices (..., d, d) with coordinates y (..., d^2).
     Each conjugate pair is written from the same two reals, so the
     result is Hermitian bit for bit."""
-    rows, cols = np.triu_indices(d, 1)
+    rows, cols = _upper_triangle(d)
     p = rows.size
     rho = np.zeros(y.shape[:-1] + (d, d), dtype=complex)
     diag = np.arange(d)
@@ -337,21 +348,32 @@ def _check_ket_sample(psi: np.ndarray, t: float) -> None:
         raise IntegrationDivergedError(f"norm drift {drift:.3e}", t)
 
 
-def _rk4(rate, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Trajectory:
-    """Classical fixed-step RK4 on y' = rate(t, y), sampled by
-    _sampled_steps with check_sample vetting each sample. y is what the
-    caller steps: the real coordinates of a density matrix for evolve,
-    the complex ket for evolve_state_vector."""
+_STAGE_BLOCK_ENTRIES = 1 << 14  # stage-operator entries one block of _rk4 holds per stage
+
+
+def _rk4(rate, at, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Trajectory:
+    """Classical fixed-step RK4 on y' = rate(op, y) with the operator op
+    of the stage time, sampled by _sampled_steps with check_sample
+    vetting each sample. y is what the caller steps: the real coordinates
+    of a density matrix for evolve, the complex ket for
+    evolve_state_vector. at(t) gives the operators of an array of times.
+
+    Steps run in blocks; each block takes the stage times i h, i h + h/2
+    and i h + h of its steps as three arrays and calls at once per array.
+    A block holds at most _STAGE_BLOCK_ENTRIES / ((n + 1) n) steps for an
+    n-entry y, the size of evolve's B, so its stacks stay bounded."""
     h = cfg.step
+    block = max(1, _STAGE_BLOCK_ENTRIES // ((y0.size + 1) * y0.size))
 
     def advance(i0, y, m):
-        for i in range(i0, i0 + m):
-            t = i * h
-            k1 = rate(t, y)
-            k2 = rate(t + 0.5 * h, y + (0.5 * h) * k1)
-            k3 = rate(t + 0.5 * h, y + (0.5 * h) * k2)
-            k4 = rate(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        for j0 in range(i0, i0 + m, block):
+            t = np.arange(j0, min(j0 + block, i0 + m)) * h
+            for op1, op2, op4 in zip(at(t), at(t + 0.5 * h), at(t + h)):
+                k1 = rate(op1, y)
+                k2 = rate(op2, y + (0.5 * h) * k1)
+                k3 = rate(op2, y + (0.5 * h) * k2)
+                k4 = rate(op4, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         return y
 
     return _sampled_steps(advance, y0, whole_steps(cfg.t_end, h), h,
@@ -359,20 +381,21 @@ def _rk4(rate, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Trajector
 
 
 def _coordinate_rate(gen, d: int):
-    """evolve's rate(t, y): z = B y with the fixed B of a Generator or the
-    B(t) of a RateFamily, then z[:-1] - z[-1] y."""
+    """evolve's rate(b, y) = z[:-1] - z[-1] y with z = B y, and at(t):
+    the fixed B of a Generator repeated, or the stack of a RateFamily's
+    B(t)."""
     if not isinstance(gen, (Generator, RateFamily)):
         raise UnsupportedModeError(f"evolve steps a Generator or a RateFamily, "
                                    f"not {type(gen).__name__}")
     if gen.dim != d:
         raise DimensionError("state dimension does not match the generator")
-    b_at = gen._b_at if isinstance(gen, RateFamily) else (lambda t, b=gen._b: b)
+    at = gen._b_at if isinstance(gen, RateFamily) else (lambda t, b=gen._b: repeat(b, t.size))
 
-    def rate(t, y):
-        z = b_at(t).dot(y)
+    def rate(b, y):
+        z = b.dot(y)
         return z[:-1] - y * z[-1]
 
-    return rate
+    return rate, at
 
 
 def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
@@ -388,9 +411,9 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     """
     rho0 = density_matrix(rho0)
     d = rho0.shape[0]
-    rate = _coordinate_rate(gen, d)
+    rate, at = _coordinate_rate(gen, d)
     check = lambda y, t: _check_density_sample(_from_coordinates(y, d), t)
-    traj = _rk4(rate, _to_coordinates(rho0), cfg, check)
+    traj = _rk4(rate, at, _to_coordinates(rho0), cfg, check)
     return Trajectory(traj.times, _from_coordinates(traj.states, d))
 
 
@@ -400,8 +423,9 @@ def evolve_state_vector(gen: Generator, psi0: np.ndarray, cfg: IntegratorConfig,
     nothing else); same sampling rules."""
     if not isinstance(gen, Generator):
         raise UnsupportedModeError(f"evolve_state_vector steps a Generator, not {type(gen).__name__}")
-    rate = lambda t, psi: state_vector_rhs(gen, psi, kappa)
-    return _rk4(rate, state_vector(psi0), cfg, _check_ket_sample)
+    rate = lambda g, psi: state_vector_rhs(g, psi, kappa)
+    at = lambda t: repeat(gen, t.size)
+    return _rk4(rate, at, state_vector(psi0), cfg, _check_ket_sample)
 
 
 def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:
@@ -421,32 +445,37 @@ def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:
 class RateFamily:
     """M(t) = M_base + f(t) M_slope: two validated Generators of one
     dimension without jump operators and a real magnitude f that takes a
-    float or an array. Per time the family only checks that f(t) keeps
-    f(t) M_slope finite, raising ValidityError as Generator does.
+    float or an array. Per call the family only checks that f keeps
+    f M_slope finite, raising ValidityError as Generator does.
     family(t) is Generator(H_base + f H_slope, G_base + f G_slope);
-    evolve steps B(t) = B_base + f(t) B_slope instead, its B to rounding."""
+    evolve steps B(t) = B_base + f(t) B_slope instead, its B to rounding,
+    built as one stack per block of stage times. B_base and B_slope are
+    built on the first such call, so a family that is never stepped by
+    evolve never builds them."""
 
     def __init__(self, base: Generator, slope: Generator, magnitude) -> None:
         if base.lindblads or slope.lindblads or base.dim != slope.dim:
             raise UnsupportedModeError("a RateFamily takes two generators of one dimension "
                                        "without jump operators")
         self.base, self.slope, self.magnitude, self.dim = base, slope, magnitude, base.dim
-        self._b_base, self._b_slope = base._b, slope._b
         # |f| * largest |entry| finite keeps every entry of f * M_slope finite
         self._slope_max = float(np.abs(slope._m).max())
 
-    def _f(self, t: float) -> float:
-        f = float(self.magnitude(t))
-        if not math.isfinite(f * self._slope_max):
+    def _f(self, t):
+        """f at the times t, broadcast to their shape (a constant magnitude
+        such as lambda t: 1.0 included), with one finiteness check."""
+        f = np.broadcast_to(np.asarray(self.magnitude(t), dtype=float), np.shape(t))
+        if not math.isfinite(float(np.abs(f).max()) * self._slope_max):
             raise ValidityError("operator contains non-finite entries")
         return f
 
-    def _b_at(self, t: float) -> np.ndarray:
-        """B(t) = B_base + f(t) B_slope, the matrix evolve steps with."""
-        return self._b_base + self._f(t) * self._b_slope
+    def _b_at(self, t: np.ndarray) -> np.ndarray:
+        """The stack (k, d^2 + 1, d^2) of B(t) = B_base + f(t) B_slope at
+        the k times t, the matrices evolve steps with."""
+        return self.base._b + self._f(t)[:, None, None] * self.slope._b
 
     def __call__(self, t: float) -> Generator:
-        f = self._f(t)
+        f = float(self._f(t))
         return Generator(self.base.hamiltonian + f * self.slope.hamiltonian,
                          self.base.damping + f * self.slope.damping)
 

@@ -306,8 +306,11 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     n_steps = whole_steps(tau_end, step)
     if sample_stride is None:
         sample_stride = max(1, n_steps // 2000)
-    power = _successive_powers(
-        _rk4_linear_step((f.charge / f.mass) * field_tensor_mixed(f) * step))
+    # an overflowing field makes R non-finite; check_invariants then names
+    # the first sample it reaches, with its time
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = _successive_powers(
+            _rk4_linear_step((f.charge / f.mass) * field_tensor_mixed(f) * step))
 
     pp_ref = minkowski_dot(p0, p0)
     ww_ref = minkowski_dot(w0, w0)  # equals -(mc/2)^2 xi0^2

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qdsim import dynamics
 from qdsim.dynamics import (
     Generator,
     IntegratorConfig,
@@ -151,7 +153,9 @@ def test_coordinate_generator_gives_the_complex_right_hand_side(rng, dim, jumps)
         rho = random_density(rng, dim)
         y = _to_coordinates(rho)
         assert np.array_equal(_from_coordinates(y, dim), 0.5 * (rho + rho.conj().T))
-        rate = _from_coordinates(_coordinate_rate(gen, dim)(0.0, y), dim)
+        rate, at = _coordinate_rate(gen, dim)
+        (b,) = at(np.zeros(1))
+        rate = _from_coordinates(rate(b, y), dim)
         assert frobenius(rate - gksl_rhs(gen, rho)) <= 1e-13 * max(1.0, frobenius(rate))
 
 
@@ -263,9 +267,12 @@ def test_rate_family_fills_the_caches_of_a_validated_generator():
     profile = inverted_morse_profile(0.007, 0.0005)
     family = qubit_rate_generator(omega, g_dir, profile)
     h, sig_g = 0.5 * pauli_dot(omega), 0.5 * pauli_dot(g_dir)
-    for t in (0.0, 0.25, 2821.0, 35000.0):
+    times = (0.0, 0.25, 2821.0, 35000.0)
+    stack = family._b_at(np.array(times))
+    assert stack.shape == (4, 5, 4)
+    for t, b in zip(times, stack):
         want = Generator(h, profile(t) * sig_g)
-        assert np.array_equal(family._b_at(t), want._b)
+        assert np.array_equal(b, want._b)
         got = family(t)
         for attr in ("hamiltonian", "damping", "_m"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
@@ -273,7 +280,7 @@ def test_rate_family_fills_the_caches_of_a_validated_generator():
     for bad in (math.inf, -math.inf, math.nan):
         bad_family = qubit_rate_generator(omega, g_dir, lambda t: bad)
         with pytest.raises(ValidityError, match="operator contains non-finite entries"):
-            bad_family._b_at(1.0)
+            bad_family._b_at(np.array([0.5, 1.0]))
         with pytest.raises(ValidityError, match="operator contains non-finite entries"):
             bad_family(1.0)
     with pytest.raises(ValidityError):
@@ -302,6 +309,87 @@ def test_rate_family_of_constant_magnitude_retraces_the_autonomous_run():
     constant = evolve(Generator.qubit(omega, g_dir), rho0, cfg)
     assert np.array_equal(varying.times, constant.times)
     assert np.array_equal(varying.states, constant.states)
+
+
+def _textbook_rk4(family, rho0, h, n_steps, stride):
+    """RK4 on evolve's coordinates with family(t)._b built at each stage
+    time i h, i h + h/2 and i h + h, sampled as evolve samples."""
+    def rate(t, y):
+        z = family(t)._b.dot(y)
+        return z[:-1] - y * z[-1]
+
+    y = _to_coordinates(rho0)
+    samples = [y]
+    for i in range(n_steps):
+        t = i * h
+        k1 = rate(t, y)
+        k2 = rate(t + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = rate(t + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = rate(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if (i + 1) % stride == 0 or i + 1 == n_steps:
+            samples.append(y)
+    return _from_coordinates(np.array(samples), rho0.shape[0])
+
+
+@pytest.mark.parametrize("stride, block_entries", [
+    (1, None), (7, None),
+    # 60 entries hold three steps of the qubit's 5 x 4 B: a stride of 7
+    # spans three blocks and one of 40 fourteen
+    (7, 60), (40, 60),
+])
+@pytest.mark.parametrize("constant", [False, True], ids=["morse", "constant"])
+def test_evolve_of_a_rate_family_is_the_textbook_rk4_loop_bit_for_bit(
+        monkeypatch, stride, block_entries, constant):
+    if block_entries is not None:
+        monkeypatch.setattr(dynamics, "_STAGE_BLOCK_ENTRIES", block_entries)
+    omega, g_dir = (0.00225, 0.0012990381056766578, -0.0015), np.array([0.43, -0.75, -0.5])
+    if constant:  # the Morse gain at t = 0
+        family = qubit_rate_generator(omega, 0.007 * g_dir, lambda t: 1.0)
+    else:
+        family = qubit_rate_generator(omega, g_dir, inverted_morse_profile(0.007, 0.0005))
+    rho0 = bloch_to_density((-0.5, -0.5, -0.5))
+    h, n = 25.0, 40
+    traj = evolve(family, rho0, IntegratorConfig(t_end=n * h, step=h, sample_stride=stride))
+    assert np.array_equal(traj.states, _textbook_rk4(family, rho0, h, n, stride))
+
+
+def test_a_rate_family_builds_its_matrices_on_first_use():
+    family = qubit_rate_generator((0.0, 0.0, 3.0), (1.0, 0.0, 0.5),
+                                  inverted_morse_profile(0.007, 0.0005))
+    parts = (family.base, family.slope)
+    assert not any("_b" in vars(gen) for gen in parts)
+    family(2.0)
+    assert not any("_b" in vars(gen) for gen in parts)
+    evolve(family, bloch_to_density((0.3, 0.0, 0.8)), IntegratorConfig(t_end=1.0, step=0.5))
+    assert all("_b" in vars(gen) for gen in parts)
+
+
+def test_the_coordinate_maps_share_one_read_only_triangle_per_dimension():
+    rows, cols = dynamics._upper_triangle(3)
+    assert dynamics._upper_triangle(3)[0] is rows
+    want_rows, want_cols = np.triu_indices(3, 1)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    for index in (rows, cols):
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 2
+
+
+def test_a_long_rate_family_run_holds_one_block_of_stage_matrices():
+    # 20000 steps of the qubit's 5 x 4 B(t) at three stages are 9.6 MB of
+    # stacks unblocked (a 13.2 MB peak); a block keeps it near 1 MB
+    family = qubit_rate_generator((0.00225, 0.0012990381056766578, -0.0015), (0.43, -0.75, -0.5),
+                                  inverted_morse_profile(0.007, 0.0005))
+    rho0 = bloch_to_density((-0.5, -0.5, -0.5))
+    cfg = IntegratorConfig(t_end=10000.0, step=0.5, sample_stride=10 ** 9)
+    evolve(family, rho0, IntegratorConfig(t_end=1.0, step=0.5))  # B_base, B_slope built
+    tracemalloc.start()
+    try:
+        evolve(family, rho0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_steppers_refuse_what_they_cannot_step_in_one_line():

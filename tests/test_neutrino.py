@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,97 @@ def test_evolve_before_the_cutoff_matches_an_rk4_reference(config):
     # the ket turned far from its start (near the core mostly in phase)
     assert np.abs(want[-1] - want[0]).max() > 0.5
     assert np.abs(traj.states - np.array(want)).max() <= 1e-12
+
+
+def _per_stage_reference(c, L_end, h, stride):
+    """neutrino_evolve as a scalar loop with one call per stage, which
+    evaluates V at the stage's distance: the Python complex arithmetic of
+    the stepper, in its order. Past the cutoff it takes the same powers
+    of the vacuum step."""
+    fam = c.generator()
+    (al0, be0), _ = fam.base._m.tolist()
+    (al1, be1), _ = fam.slope._m.tolist()
+    damped = bool(fam.slope.damping.any())
+
+    def rate(L, a, b):
+        v = nu.neutrino_potential(c, L)
+        al, be = al0 + v * al1, be0 + v * be1
+        da, db = al * a + be * b, be * a - al * b
+        if not damped:
+            return da, db
+        aa, bb = (a * a.conjugate()).real, (b * b.conjugate()).real
+        gn = (be.real * 2.0 * (a.conjugate() * b).real + al.real * (aa - bb)) / (aa + bb)
+        return da - gn * a, db - gn * b
+
+    n = nu.whole_steps(L_end, h)
+    i_past, power = n, None
+    if L_end > nu.CUTOFF_KM:
+        r = nu._rk4_linear_step(h * fam.base._m)
+        power = nu._successive_powers(r / np.linalg.svd(r, compute_uv=False).max())
+        i_past = int(nu.CUTOFF_KM // h) + 1
+    a, b = 1.0 + 0.0j, 0.0j
+    states, done = [(a, b)], 0
+    while done < n:
+        m = min(stride, n - done)
+        for i in range(done, min(done + m, i_past)):
+            L = i * h
+            k1a, k1b = rate(L, a, b)
+            k2a, k2b = rate(L + 0.5 * h, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+            k3a, k3b = rate(L + 0.5 * h, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+            k4a, k4b = rate(L + h, a + h * k3a, b + h * k3b)
+            a = a + (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
+            b = b + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
+            norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
+            a, b = a / norm, b / norm
+        rest = done + m - max(done, i_past)
+        if rest > 0:
+            (r00, r01), (r10, r11) = power(rest).tolist()
+            a, b = r00 * a + r01 * b, r10 * a + r11 * b
+            norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
+            a, b = a / norm, b / norm
+        done += m
+        states.append((a, b))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("L_end, h, stride, block", [
+    (2000.0, 1.0, 1, None),
+    (2000.0, 1.0, 7, None),
+    (2000.0, 1.0, 7, 3),  # a stride of three blocks and a rest of one step
+    (5000.0, 1.0, 3000, None),  # a stride of three blocks of 1024 steps
+    # the chunk of steps 18000 to 19000 spans the cutoff at step 18288.35
+    (380000.0, 20.0, 1000, None),
+])
+@pytest.mark.parametrize("config", [MSW_10MEV, DAMPING_10MEV], ids=["msw", "damping"])
+def test_evolve_in_blocks_is_the_per_stage_scalar_loop_bit_for_bit(
+        monkeypatch, config, L_end, h, stride, block):
+    if block is not None:
+        monkeypatch.setattr(nu, "_STEP_BLOCK", block)
+    traj = nu.neutrino_evolve(config, L_end, h, sample_stride=stride)
+    assert np.array_equal(traj.states, _per_stage_reference(config, L_end, h, stride))
+
+
+def test_a_neutrino_run_builds_no_coordinate_matrix(monkeypatch):
+    built = []
+    make = nu.NeutrinoConfig.generator
+    monkeypatch.setattr(nu.NeutrinoConfig, "generator",
+                        lambda c: built.append(make(c)) or built[-1])
+    nu.neutrino_evolve(DAMPING_10MEV, 400000.0, 10.0)
+    (fam,) = built
+    assert "_b" not in vars(fam.base) and "_b" not in vars(fam.slope)
+
+
+def test_a_long_neutrino_run_holds_one_block_of_stage_potentials():
+    # 10000 steps take 1.1 MB of stage potentials unblocked; blocks of
+    # 1024 steps keep the peak near 0.2 MB
+    nu.neutrino_evolve(DAMPING_10MEV, 10.0, 1.0)
+    tracemalloc.start()
+    try:
+        nu.neutrino_evolve(DAMPING_10MEV, 10000.0, 1.0, sample_stride=10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e5
 
 
 def _vacuum_rk4_step(c, h):

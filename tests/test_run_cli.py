@@ -594,8 +594,6 @@ def test_a_morse_direction_of_any_size_runs_as_its_unit_vector(tmp_path, pass_fi
     # numpy warnings on eight stderr lines before the error line
     ("tilted_attractor_purification", "omega = (0.0, 0.0, 2.0)", "omega = (0.0, 0.0, 1e100)",
      "qubit-closed-form"),
-    # a warning from the vacuum step before the guard's error
-    ("bmt_spin_damping_b", "e = (0.0, 0.0, -0.001)", "e = (0.0, 0.0, 1e100)", "bmt"),
 ])
 def test_an_overflowing_value_fails_alone_in_one_line(tmp_path, pass_file, stem, old, new, kind):
     bad = tmp_path / f"{stem}.scn"
@@ -604,6 +602,17 @@ def test_an_overflowing_value_fails_alone_in_one_line(tmp_path, pass_file, stem,
     want = (f"{kind} run left the double range: overflow encountered in" if kind else
             "2g and l^2 overflow; rates must stay below about 1e154")
     assert len(errors) == 1 and errors[0].startswith(f"scenario {bad}: error: {want}")
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
+
+
+def test_an_overflowing_bmt_field_fails_at_the_guard_with_its_time(tmp_path, pass_file):
+    # the RK4 step of the field overflows; the first sample's guard names
+    # its time, where the run boundary once named only a numpy overflow
+    bad = tmp_path / "bmt_spin_damping_b.scn"
+    bad.write_text(_shipped("bmt_spin_damping_b").replace("e = (0.0, 0.0, -0.001)",
+                                                           "e = (0.0, 0.0, 1e100)"))
+    proc, errors = _batch_errors(tmp_path, [bad, pass_file], "--check")
+    assert errors == [f"scenario {bad}: error: state has non-finite entries (at t=1.5)"]
     assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
 
 
