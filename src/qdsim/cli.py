@@ -14,6 +14,7 @@ cores); they never share output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -63,7 +64,10 @@ def _shipped_scenarios():
     return sorted(str(p) for p in root.iterdir() if p.name.endswith(".scn"))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once per process; parse_args keeps no
+    state between calls."""
     parser = _Parser(prog="qdsim", description="quasi-linear quantum dynamics runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -82,7 +86,11 @@ def main(argv=None) -> int:
     fig_p.add_argument("--out-dir", default="figures")
     fig_p.add_argument("--check", action=argparse.BooleanOptionalAction, default=True)
     fig_p.add_argument("--jobs", type=int, default=1)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")

@@ -5,6 +5,14 @@ one value per time. CSV: header 't,<observables>', 17 significant
 digits, LF endings, '.' decimal point regardless of locale. SVG:
 self-contained static line plot assembled from text primitives so that
 two runs of the same scenario produce byte-identical files.
+
+Both emitters format whole columns rather than one numpy scalar per
+value: the CSV is written a block of at most _ROW_BLOCK rows at a time
+from plain Python floats, and the SVG maps each series to pixels as one
+array operation. The bytes are those a per-value loop writes, because a
+float64 formats exactly as the Python float it converts to and array
+arithmetic rounds each element as scalar arithmetic does. A plot refuses
+a series with a non-finite value; the CSV writes it as nan or inf.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ValidityError
+
+_ROW_BLOCK = 1024  # CSV rows emit_csv holds as Python floats and text at once
 
 
 def _series_columns(times: np.ndarray, columns: dict, observables=None) -> dict:
@@ -30,7 +40,7 @@ def _series_columns(times: np.ndarray, columns: dict, observables=None) -> dict:
         if a.shape != times.shape or a.dtype.kind not in "fiu":
             raise DimensionError(f"column {name!r} is {a.dtype} of shape {a.shape}; "
                                  f"expected real numbers of shape {times.shape}")
-        out[name] = a.astype(float)
+        out[name] = a.astype(float, copy=False)
     return out
 
 
@@ -39,12 +49,12 @@ def emit_csv(times, columns: dict, path, observables=None) -> None:
     if len(times) == 0:
         raise ValidityError("refusing to write an empty trajectory")
     cols = _series_columns(times, columns, observables)
-    names = list(cols)
+    row = ",".join(["%.17g"] * (len(cols) + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        for i, t in enumerate(times):
-            row = [f"{t:.17g}"] + [f"{cols[n][i]:.17g}" for n in names]
-            fh.write(",".join(row) + "\n")
+        fh.write("t," + ",".join(cols) + "\n")
+        for lo in range(0, len(times), _ROW_BLOCK):
+            block = [a[lo:lo + _ROW_BLOCK].tolist() for a in (times, *cols.values())]
+            fh.write("".join(map(row.__mod__, zip(*block))))
 
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -88,6 +98,12 @@ def emit_svg(times, columns: dict, plot: PlotSpec, path) -> int:
         raise ValidityError("no samples remain after removing t <= 0 for the log axis")
     x = np.log10(t[mask]) if plot.log_x else t[mask]
     series = {name: arr[mask] for name, arr in cols.items()}
+    for name, ys in series.items():
+        bad = np.flatnonzero(~np.isfinite(ys))
+        if bad.size:
+            i = bad[0]
+            raise ValidityError(f"column {name!r} has the non-finite value {ys[i]} "
+                                f"at t={t[mask][i]:.17g}; a plot cannot place it")
 
     x_lo, x_hi = float(x.min()), float(x.max())
     if x_hi <= x_lo:
@@ -152,9 +168,10 @@ def emit_svg(times, columns: dict, plot: PlotSpec, path) -> int:
         f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{x_title}</text>'
     )
+    px = sx(x).tolist()
     for k, (name, ys) in enumerate(series.items()):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, ys))
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px, sy(ys).tolist())))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>'
         )

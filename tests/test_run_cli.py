@@ -239,6 +239,34 @@ def test_cli_usage_errors_exit_one(tmp_path, pass_file):
     assert err.value.code == 1
 
 
+def _report(capsys, argv):
+    """main's exit code and standard output, without the wall-time line."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, [line for line in out.splitlines() if "done in" not in line]
+
+
+def test_calls_in_a_row_report_as_if_each_ran_alone(tmp_path, fail_file, capsys):
+    no_check = ["run", str(fail_file), "--no-check", "--out-dir", str(tmp_path / "a")]
+    default = ["run", str(fail_file), "--out-dir", str(tmp_path / "b")]
+    alone = []
+    for argv in (no_check, default):
+        cli._parser.cache_clear()
+        alone.append(_report(capsys, argv))
+    assert [code for code, _ in alone] == [0, 2]
+
+    cli._parser.cache_clear()
+    assert [_report(capsys, no_check), _report(capsys, default)] == alone
+    parser = cli._parser()
+    # a usage error on the shared parser still exits 1 and leaves it usable
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(fail_file), "--jobs", "0"])
+    assert err.value.code == 1
+    capsys.readouterr()
+    assert _report(capsys, no_check) == alone[0]
+    assert cli._parser() is parser
+
+
 def test_cli_worst_code_prefers_usage_failures(tmp_path, fail_file, capsys):
     # one parse error (1) plus one check failure (2): 1 wins
     bad = tmp_path / "bad.scn"
