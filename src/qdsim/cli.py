@@ -8,7 +8,9 @@ Exit codes: 0 all checks passed, 2 at least one check failed, 1 parse,
 usage, or runtime error. 'figures' re-runs every scenario shipped with
 the package. Independent scenario files may run in parallel workers
 (--jobs N starts at most N, and never more than there are files or CPU
-cores); they never share output paths.
+cores). A file that names an output path an earlier file of the batch
+already names, after symlinks are resolved, is refused with one error
+line; the other files run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 from .errors import QdsimError
-from .run import run_file
+from .run import output_path, run_file
+from .scenario import read_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,14 +48,41 @@ def _execute(task):
     return code, "\n".join(report.lines())
 
 
+def _shared_outputs(tasks) -> dict:
+    """{index: (1, error line)} for each task whose scenario names an output
+    path that an earlier task's scenario already names. A file that does
+    not read or parse claims nothing; _execute reports it."""
+    claimed, refused = {}, {}
+    for i, (path, out_dir, *_) in enumerate(tasks):
+        try:
+            scn = read_scenario(path)
+        except (QdsimError, OSError):
+            continue
+        names = [n for out in scn.outputs for n in (out.csv, out.svg) if n]
+        mine = {os.path.realpath(output_path(n, out_dir)): n for n in names}
+        for real, name in mine.items():
+            if real in claimed:
+                refused[i] = (1, f"scenario {path}: error: output path "
+                                 f"{output_path(name, out_dir)} is already named by "
+                                 f"{claimed[real]}")
+                break
+        else:
+            claimed.update(dict.fromkeys(mine, path))
+    return refused
+
+
 def _run_batch(tasks, jobs: int) -> int:
+    # one file shares with no other, so it is read only by its run
+    refused = _shared_outputs(tasks) if len(tasks) > 1 else {}
+    todo = [t for i, t in enumerate(tasks) if i not in refused]
     # a fork pool starts all its workers at the first submit
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(todo), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute, tasks))
+            ran = iter(list(pool.map(_execute, todo)))
     else:
-        results = [_execute(t) for t in tasks]
+        ran = map(_execute, todo)
+    results = [refused[i] if i in refused else next(ran) for i in range(len(tasks))]
     for code, text in results:
         print(text, file=sys.stderr if code == 1 else sys.stdout)
     # usage/parse errors (1) outrank check failures (2)

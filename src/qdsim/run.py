@@ -49,7 +49,7 @@ from .qubit import (
     sl2c_coefficients,
 )
 from .rootfind import find_crossing
-from .scenario import Scenario, parse_scenario
+from .scenario import KINDS, Scenario, read_scenario
 from .states import bloch_to_density, bloch_vectors, density_to_bloch
 from .tolerances import TOL
 
@@ -178,47 +178,42 @@ def _run_qubit_closed_form(scn: Scenario, icfg: dict, check: bool):
 def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
     p = scn.parameters
     omega = np.asarray(p["omega"], dtype=float)
+    g = np.asarray(p["g"], dtype=float)
     xi = np.asarray(p["xi"], dtype=float)
-    profile_kind = p.get("g_profile", "constant")
+    constant = p.get("g_profile", "constant") == "constant"
     cfg = IntegratorConfig(icfg["t_end"], icfg["step"], icfg.get("sample_stride", 1))
     checks, notes = [], []
-    if profile_kind == "constant":
-        g_vec = np.asarray(p["g"], dtype=float)
-        gen = Generator.qubit(omega, g_vec)
-        traj = evolve(gen, bloch_to_density(xi), cfg)
-        g_norm_series = np.full(len(traj), np.linalg.norm(g_vec))
-        gen_at = lambda t: gen
+    if constant:
+        magnitude, g_scale = (lambda t: 1.0), np.linalg.norm(g)
     else:
-        direction = np.asarray(p["g"], dtype=float)
-        largest = np.abs(direction).max()
+        largest = np.abs(g).max()
         if largest == 0.0:
             raise DomainError("profile direction g must be nonzero")
         if not 1e-150 < largest < 1e150:
-            direction = direction / largest  # so that its norm neither over- nor underflows
-        direction = direction / np.linalg.norm(direction)
-        profile = inverted_morse_profile(p["q"], p["nu"])
-        gen_at = qubit_rate_generator(omega, direction, profile)
-        traj = evolve(gen_at, bloch_to_density(xi), cfg)
-        g_norm_series = profile(traj.times)
+            g = g / largest  # so that its norm neither over- nor underflows
+        g = g / np.linalg.norm(g)
+        magnitude, g_scale = inverted_morse_profile(p["q"], p["nu"]), 1.0
         omega_norm = float(np.linalg.norm(omega))
         try:
-            t_in = find_crossing(lambda t: profile(t) - omega_norm, 0.0, icfg["t_end"],
+            t_in = find_crossing(lambda t: magnitude(t) - omega_norm, 0.0, icfg["t_end"],
                                  xtol=1.0)
             notes.append(f"|g(t)| = |omega| crossing at t_in = {t_in:.1f}")
         except NoCrossingError:
             notes.append("no |g(t)| = |omega| crossing inside the run window")
+    family = qubit_rate_generator(omega, g, magnitude)
+    traj = evolve(family, bloch_to_density(xi), cfg)
     cols = _qubit_columns(pauli_components(traj.states))
-    cols["g_norm"] = g_norm_series
+    cols["g_norm"] = g_scale * family._f(traj.times)
 
     if check:
-        if profile_kind == "constant":
-            params = QubitGeneratorParams(omega, np.asarray(p["g"], dtype=float))
+        if constant:
+            params = QubitGeneratorParams(omega, g)
             checks.append(_closed_vs_ode(
                 "closed-form-vs-ode", lambda t: bloch_trajectory_general(params, xi, t), traj))
         picks = np.linspace(0, len(traj) - 1, min(8, len(traj))).astype(int)
         violation, engaged = 0.0, 0
         for k in picks:
-            gen_k = gen_at(traj.times[k])
+            gen_k = family(traj.times[k])
             # exactly Hermitian; only its trace drifts, within evolve's bound
             rho = traj.states[k] / np.trace(traj.states[k]).real
             # the first-order residual scales as dt ||G - iH||^2, so a step
@@ -288,7 +283,7 @@ def _run_jaynes_cummings(scn: Scenario, icfg: dict, check: bool):
             )
         )
         k_star = int(np.argmax(s0.weights))
-        block = QubitGeneratorParams(*params.block_rates(k_star))
+        block = params.block_params(k_star)
         checks.append(_closed_vs_ode(
             f"block{k_star}-closed-vs-ode", lambda t: bloch_trajectory_general(block, xi, t),
             _oracle(block.generator(), xi, icfg)))
@@ -397,24 +392,18 @@ _RUNNERS = {
     "neutrino": _run_neutrino,
 }
 
-_X_LABEL = {
-    "neutrino": "L [km]",
-    "bmt": "tau",
-}
-
-
 def run(scn: Scenario, out_dir: str = ".", check: bool = True,
         step: float = None, t_end: float = None):
     """Execute one scenario: evolve, check, write outputs.
 
     step/t_end override the scenario's [integrator] values (the CLI
-    flags land here); the step defaults to 1 km for neutrino and 1e-3
-    otherwise. A scenario needs a positive horizon. Returns (times,
+    flags land here); the step defaults to the one KINDS declares for the
+    kind. A scenario needs a positive horizon. Returns (times,
     columns, RunReport): the sample times and the scenario's column table.
     """
     started = time.perf_counter()
     icfg = dict(scn.integrator)
-    icfg.setdefault("step", 1.0 if scn.kind == "neutrino" else 1e-3)
+    icfg.setdefault("step", KINDS[scn.kind].step)
     if step is not None:
         icfg["step"] = step
     if t_end is not None:
@@ -439,22 +428,28 @@ def run(scn: Scenario, out_dir: str = ".", check: bool = True,
     return times, columns, report
 
 
+def output_path(name: str, out_dir: str) -> str:
+    """Where an [output] csv or svg path is written: as named if absolute,
+    else under out_dir."""
+    return name if os.path.isabs(name) else os.path.join(out_dir, name)
+
+
 def _run_and_emit(scn: Scenario, icfg: dict, check: bool, out_dir: str):
     times, columns, checks, notes = _RUNNERS[scn.kind](scn, icfg, check)
     written = []
     for out in scn.outputs:
         if out.csv:
-            path = out.csv if os.path.isabs(out.csv) else os.path.join(out_dir, out.csv)
+            path = output_path(out.csv, out_dir)
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             emit_csv(times, columns, path, out.observables or None)
             written.append(path)
         if out.svg:
-            path = out.svg if os.path.isabs(out.svg) else os.path.join(out_dir, out.svg)
+            path = output_path(out.svg, out_dir)
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             plot = PlotSpec(
                 title=out.title or scn.name,
                 observables=out.observables,
-                x_label=_X_LABEL.get(scn.kind, "t"),
+                x_label=KINDS[scn.kind].x_label,
                 log_x=out.log_x,
             )
             dropped = emit_svg(times, columns, plot, path)
@@ -466,6 +461,4 @@ def _run_and_emit(scn: Scenario, icfg: dict, check: bool, out_dir: str):
 
 def run_file(path, out_dir: str = ".", check: bool = True,
              step: float = None, t_end: float = None):
-    with open(path, "r", encoding="utf-8") as fh:
-        scn = parse_scenario(fh.read())
-    return run(scn, out_dir=out_dir, check=check, step=step, t_end=t_end)
+    return run(read_scenario(path), out_dir=out_dir, check=check, step=step, t_end=t_end)

@@ -6,36 +6,45 @@ Grammar: blank lines and full-line comments (#) are skipped; a trailing
 key: finite floats, ints, booleans (true/false), identifiers, identifier
 lists (comma separated), vectors '(a, b, c)' of finite floats of length
 3 or 4, and raw strings (kept verbatim). Unknown sections, unknown keys,
-duplicate keys, type mismatches and nan or infinite numbers are
-rejected with their line numbers; every scenario kind declares which
-keys it requires, and a parameter section of another kind is refused.
+duplicate keys, an output path named twice, type mismatches and nan or
+infinite numbers are rejected with their line numbers; every scenario
+kind declares which keys it requires, and a parameter section of another
+kind is refused.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 
 from .errors import DomainError, QdsimError
 from .tolerances import TOL
 
-KINDS = (
-    "qubit-closed-form",
-    "gksl-ode",
-    "single-lindblad",
-    "jaynes-cummings",
-    "bmt",
-    "neutrino",
-)
+@dataclass(frozen=True)
+class KindSpec:
+    """What a scenario kind reads and how it runs: its parameter section,
+    the keys of that section it reads (None: all of them), whether it
+    samples every step and so refuses sample_stride, its default
+    [integrator] step and the x-axis label of its figures."""
 
-KIND_SECTION = {
-    "qubit-closed-form": "qubit",
-    "gksl-ode": "qubit",
-    "single-lindblad": "lindblad",
-    "jaynes-cummings": "jc",
-    "bmt": "bmt",
-    "neutrino": "neutrino",
+    section: str
+    reads: tuple = None
+    every_step: bool = False
+    step: float = 1e-3
+    x_label: str = "t"
+
+
+# the one declaration of each kind; run.py holds one runner per kind
+KINDS = {
+    "qubit-closed-form": KindSpec("qubit", ("omega", "g", "xi", "case"), every_step=True),
+    # q and nu only with the inverted-morse g_profile
+    "gksl-ode": KindSpec("qubit", ("omega", "g", "xi", "g_profile", "q", "nu")),
+    "single-lindblad": KindSpec("lindblad", every_step=True),
+    "jaynes-cummings": KindSpec("jc", every_step=True),
+    "bmt": KindSpec("bmt", x_label="tau"),
+    "neutrino": KindSpec("neutrino", step=1.0, x_label="L [km]"),
 }
 
 # key -> type tag, per section
@@ -228,6 +237,7 @@ def _parse_value(tag: str, text: str, line_no: int, column: int):
 def parse_scenario(text: str) -> Scenario:
     sections = {}
     outputs = []
+    output_lines = {}  # normalised csv/svg path -> line that names it
     current = None  # (name, dict)
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
@@ -265,6 +275,12 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioKeyError(f"key {key!r} repeated in [{section_name}]", line_no)
         column = raw_line.index("=") + 2
         store[key] = _parse_value(schema[key], value_text, line_no, column)
+        if section_name == "output" and key in ("csv", "svg"):
+            named = os.path.normpath(store[key])
+            if named in output_lines:
+                raise ScenarioKeyError(f"output path {store[key]!r} is already named on "
+                                       f"line {output_lines[named]}", line_no)
+            output_lines[named] = line_no
 
     head = sections.get("scenario", {})
     for req in _REQUIRED["scenario"]:
@@ -272,10 +288,10 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioMissingKeyError("scenario", req)
     kind = head["kind"]
     if kind not in KINDS:
-        raise DomainError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
-    param_section = KIND_SECTION[kind]
+        raise DomainError(f"unknown scenario kind {kind!r}; expected one of {tuple(KINDS)}")
+    param_section = KINDS[kind].section
     for section in sections:
-        if section in KIND_SECTION.values() and section != param_section:
+        if section != param_section and any(s.section == section for s in KINDS.values()):
             raise DomainError(f"section [{section}] is not read by kind {kind}")
     for section in (param_section, "integrator"):
         for req in _REQUIRED[section]:
@@ -305,19 +321,25 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-# closed-form kinds evaluate at every step of their time grid
-_SAMPLED_AT_EVERY_STEP = ("qubit-closed-form", "single-lindblad", "jaynes-cummings")
-
-# [qubit] keys each kind reads; gksl-ode reads q and nu only with inverted-morse
-_QUBIT_KEYS_READ = {
-    "qubit-closed-form": ("omega", "g", "xi", "case"),
-    "gksl-ode": ("omega", "g", "xi", "g_profile", "q", "nu"),
-}
+def read_scenario(path) -> Scenario:
+    """parse_scenario of a file's UTF-8 text; a byte that is not UTF-8 is a
+    ScenarioSyntaxError at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; "x" stands for it
+        lines = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        raise ScenarioSyntaxError(f"not UTF-8 text: byte 0x{data[exc.start]:02x}",
+                                  len(lines), len(lines[-1])) from None
+    return parse_scenario(text)
 
 
 def _validate_domains(kind: str, params: dict, integrator: dict) -> None:
     """Early unit checks that do not need a model built."""
-    if "sample_stride" in integrator and kind in _SAMPLED_AT_EVERY_STEP:
+    spec = KINDS[kind]
+    if "sample_stride" in integrator and spec.every_step:
         raise DomainError(f"sample_stride does not apply to kind {kind}, which samples "
                           "every step; set step instead")
     xi = params.get("xi")
@@ -325,21 +347,21 @@ def _validate_domains(kind: str, params: dict, integrator: dict) -> None:
         norm = sum(v * v for v in xi) ** 0.5
         if norm > 1.0 + TOL.bloch_ball:
             raise DomainError(f"|xi| = {norm:.6g} lies outside the unit ball")
-    if kind in _QUBIT_KEYS_READ:
-        profile = params.get("g_profile", "constant")
+    profile = params.get("g_profile", "constant") if spec.section == "qubit" else None
+    if profile is not None:
         if profile not in ("constant", "inverted-morse"):
             raise DomainError(f"unknown g_profile {profile!r}")
         case = params.get("case", "auto")
         if case not in ("auto", "parabolic", "hyperbolic-damped", "oscillatory"):
             raise DomainError(f"unknown case {case!r}")
-        for key in params:
-            if key not in _QUBIT_KEYS_READ[kind]:
-                raise DomainError(f"[qubit] key {key!r} is not read by kind {kind}")
-            if key in ("q", "nu") and profile == "constant":
-                raise DomainError(f"[qubit] key {key!r} is not read by kind {kind} "
-                                  "with the constant g_profile")
-        if profile == "inverted-morse" and ("q" not in params or "nu" not in params):
-            raise DomainError("inverted-morse profile needs keys q and nu")
+    for key in params:
+        if spec.reads is not None and key not in spec.reads:
+            raise DomainError(f"[{spec.section}] key {key!r} is not read by kind {kind}")
+        if key in ("q", "nu") and profile == "constant":
+            raise DomainError(f"[qubit] key {key!r} is not read by kind {kind} "
+                              "with the constant g_profile")
+    if profile == "inverted-morse" and ("q" not in params or "nu" not in params):
+        raise DomainError("inverted-morse profile needs keys q and nu")
     if kind == "neutrino":
         mode = params.get("mode", "msw")
         if mode not in ("msw", "damping"):

@@ -15,8 +15,9 @@ import qdsim
 from qdsim import cli
 from qdsim.cli import main
 from qdsim.errors import DomainError
-from qdsim.dynamics import IntegratorConfig, evolve
+from qdsim.dynamics import Generator, IntegratorConfig, evolve
 from qdsim.qubit import QubitGeneratorParams, bloch_trajectory_general
+from qdsim.linalg import pauli_components
 from qdsim.run import CheckResult, _closed_vs_ode, _qubit_columns, run, run_file
 from qdsim.scenario import parse_scenario
 from qdsim.states import bloch_to_density, purity, von_neumann_entropy
@@ -167,6 +168,24 @@ def test_cli_ode_happy_path_exits_zero(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_a_constant_gain_run_is_the_autonomous_rk4_bit_for_bit(tmp_path, capsys):
+    # the constant gain steps as a rate family of magnitude 1 on the raw g;
+    # a unit direction scaled by |g| rounds apart from this g
+    omega, g, xi = (0.3, -1.0, 6.0), (3.0, 0.5, -0.2), (0.1, 0.0, 0.5)
+    p = tmp_path / "constant.scn"
+    p.write_text(ODE_PASS_SCN.replace("(0.0, 0.0, 6.0)", str(omega))
+                 .replace("(4.0, 0.0, 0.0)", str(g)).replace("(0.0, 0.0, 0.5)", str(xi))
+                 .replace("step = 0.001\n", "step = 0.001\nsample_stride = 7\n"))
+    assert main(["run", str(p), "--out-dir", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "check closed-form-vs-ode" in out and "check generator-consistency" in out
+    rows = (tmp_path / "o" / "ode_pass.csv").read_text().splitlines()
+    assert rows[0].startswith("t,n1,n2,n3,")
+    written = np.array([[float(v) for v in row.split(",")[1:4]] for row in rows[1:]])
+    traj = evolve(Generator.qubit(omega, g), bloch_to_density(xi), IntegratorConfig(1.0, 0.001, 7))
+    assert np.array_equal(written, pauli_components(traj.states))
+
+
 def test_generator_consistency_says_when_no_pick_engaged(tmp_path):
     # rates of about 5e-6: even at the scaled fd step 1e-5 / ||G - iH||_F
     # every first-order residual (about 1.8e-11) lies under
@@ -289,6 +308,50 @@ def test_cli_parallel_jobs(tmp_path, pass_file, capsys):
     assert (tmp_path / "o" / "second.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_file_that_is_not_utf8_fails_alone_in_one_line(tmp_path, pass_file, jobs):
+    # it used to end the batch in a UnicodeDecodeError traceback
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"\xff" + PASS_SCN.encode())
+    proc, errors = _batch_errors(tmp_path, [bad, pass_file], "--jobs", jobs)
+    assert errors == [f"scenario {bad}: error: line 1, column 1: not UTF-8 text: byte 0xff"]
+    assert "scenario cli-pass" in proc.stdout and proc.stdout.count(": ok") == 1
+    assert (tmp_path / "o" / "pass.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_later_file_naming_a_claimed_output_path_fails_alone(tmp_path, pass_file, jobs):
+    # both used to report "wrote", the later run overwriting the earlier
+    out = tmp_path / "o"
+    (tmp_path / "link").symlink_to(out, target_is_directory=True)
+    same = tmp_path / "same.scn"
+    same.write_text(PASS_SCN.replace("cli-pass", "cli-same"))
+    linked = tmp_path / "linked.scn"
+    linked.write_text(PASS_SCN.replace("cli-pass", "cli-linked").replace("pass.csv", "own.csv")
+                      .replace("svg = pass.svg", f"svg = {tmp_path / 'link' / 'pass.svg'}"))
+    other = tmp_path / "other.scn"
+    other.write_text(PASS_SCN.replace("cli-pass", "cli-other").replace("pass.", "other."))
+    proc, errors = _batch_errors(tmp_path, [pass_file, same, linked, other], "--jobs", jobs)
+    assert errors == [
+        f"scenario {same}: error: output path {out / 'pass.csv'} is already named by {pass_file}",
+        f"scenario {linked}: error: output path {tmp_path / 'link' / 'pass.svg'} is already "
+        f"named by {pass_file}",
+    ]
+    assert proc.stdout.count(": ok") == 2
+    assert "scenario cli-pass" in proc.stdout and "scenario cli-other" in proc.stdout
+    assert "cli-pass" in (out / "pass.svg").read_text()
+    assert not (out / "own.csv").exists()
+
+
+def test_one_file_is_read_only_by_its_run_and_shipped_files_share_no_path(
+        tmp_path, pass_file, monkeypatch):
+    monkeypatch.setattr(cli, "read_scenario", None)  # the batch claim is never made
+    assert main(["run", str(pass_file), "--no-check", "--out-dir", str(tmp_path / "o")]) == 0
+    monkeypatch.undo()
+    shipped = [(p, str(tmp_path / "f"), False, None, None) for p in cli._shipped_scenarios()]
+    assert len(shipped) >= 14 and cli._shared_outputs(shipped) == {}
+
+
 def _declared_scripts():
     """The [project.scripts] table of the repository's pyproject.toml."""
     if sys.version_info >= (3, 11):
@@ -347,10 +410,11 @@ def test_oversized_sample_grid_fails_alone_in_a_batch(tmp_path, pass_file):
     # 10^15 + 1 sample times would need 7 PiB, and their 10^15 steps are
     # refused first; 5*10^6 steps pass the step cap and their samples are
     # refused before allocating; the files around them still report
+    # each file writes its own outputs, or the batch refuses the later ones
     huge = tmp_path / "huge.scn"
-    huge.write_text(_with_horizon(PASS_SCN, "1e15", "1.0"))
+    huge.write_text(_with_horizon(PASS_SCN, "1e15", "1.0").replace("pass.", "huge."))
     many = tmp_path / "many.scn"
-    many.write_text(_with_horizon(PASS_SCN, "5e6", "1.0"))
+    many.write_text(_with_horizon(PASS_SCN, "5e6", "1.0").replace("pass.", "many."))
     ok2 = tmp_path / "ok2.scn"
     ok2.write_text(PASS_SCN.replace("cli-pass", "cli-second")
                    .replace("pass.csv", "second.csv").replace("pass.svg", "second.svg"))
@@ -577,7 +641,8 @@ def test_a_mass_out_of_double_range_fails_alone_in_a_batch(tmp_path, pass_file):
     bad = []
     for mass in ("1e200", "1e-200"):
         p = tmp_path / f"bmt_{mass}.scn"
-        p.write_text(_shipped("bmt_spin_damping_a").replace("[bmt]\n", f"[bmt]\nmass = {mass}\n"))
+        p.write_text(_shipped("bmt_spin_damping_a").replace("[bmt]\n", f"[bmt]\nmass = {mass}\n")
+                     .replace("bmt_spin_damping_a.", f"bmt_{mass}."))
         bad.append(p)
     proc, errors = _batch_errors(tmp_path, [bad[0], pass_file, bad[1]])
     assert errors == [f"scenario {p}: error: (mass*c)^2 = {v} is not a positive finite double"
@@ -649,7 +714,7 @@ def test_qubit_rates_whose_squares_overflow_are_refused(tmp_path, pass_file, rat
     # g.g = inf made c2 = inf - inf: every CSV row was nan, and the run exited 0
     bad = tmp_path / "rates.scn"
     bad.write_text(PASS_SCN.replace("(0.0, 0.0, 6.0)", f"(0.0, 0.0, {rate})")
-                   .replace("(4.0, 0.0, 0.0)", f"({rate}, 0.0, 0.0)"))
+                   .replace("(4.0, 0.0, 0.0)", f"({rate}, 0.0, 0.0)").replace("pass.", "rates."))
     proc, errors = _batch_errors(tmp_path, [bad, pass_file])
     assert len(errors) == 1
     assert errors[0].startswith(f"scenario {bad}: error: |g|^2 + |omega|^2 = inf overflows")

@@ -4,12 +4,15 @@ import pytest
 
 from qdsim.dynamics import whole_steps
 from qdsim.errors import DomainError
+from qdsim.run import _RUNNERS
 from qdsim.scenario import (
+    _SCHEMA,
     KINDS,
     ScenarioKeyError,
     ScenarioMissingKeyError,
     ScenarioSyntaxError,
     parse_scenario,
+    read_scenario,
 )
 
 MINIMAL = """\
@@ -283,3 +286,34 @@ def test_a_parameter_section_the_kind_does_not_read_is_refused(stem, kind, forei
         parse_scenario(text + "\n" + foreign)
     section = foreign.splitlines()[0]
     assert str(err.value) == f"section {section} is not read by kind {kind}"
+
+
+def test_every_kind_is_declared_once_and_has_a_runner():
+    assert set(KINDS) == set(_RUNNERS)
+    for kind, spec in KINDS.items():
+        assert spec.section in _SCHEMA, kind
+        assert set(spec.reads or ()) <= set(_SCHEMA[spec.section]), kind
+
+
+def test_unknown_kind_lists_the_kinds_as_a_tuple():
+    with pytest.raises(DomainError) as err:
+        parse_scenario(MINIMAL.replace("qubit-closed-form", "qutrit"))
+    assert str(err.value) == f"unknown scenario kind 'qutrit'; expected one of {tuple(KINDS)}"
+
+
+def test_an_output_path_named_twice_in_one_file_is_refused_at_its_line():
+    text = MINIMAL + "\n[output]\ncsv = out/a.csv\n\n[output]\nsvg = ./out/a.csv\n"
+    with pytest.raises(ScenarioKeyError) as err:
+        parse_scenario(text)
+    assert str(err.value) == "line 16: output path './out/a.csv' is already named on line 13"
+    assert len(parse_scenario(text.replace("./out/a.csv", "out/a.svg")).outputs) == 2
+
+
+def test_a_byte_that_is_not_utf8_is_refused_at_its_line_and_column(tmp_path):
+    p = tmp_path / "bad.scn"
+    p.write_bytes(b"[scenario]\r\nname = caf\xc3\xa9 \xfe\n")
+    with pytest.raises(ScenarioSyntaxError) as err:
+        read_scenario(p)
+    assert str(err.value) == "line 2, column 13: not UTF-8 text: byte 0xfe"
+    p.write_bytes(MINIMAL.replace("\n", "\r\n").encode())
+    assert read_scenario(p) == parse_scenario(MINIMAL)
