@@ -10,7 +10,7 @@ the package. Independent scenario files may run in parallel workers
 (--jobs N starts at most N, and never more than there are files or CPU
 cores). A file that names an output path an earlier file of the batch
 already names, after symlinks are resolved, is refused with one error
-line; the other files run.
+line; the other files run. A batch reads and parses each file once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 from .errors import QdsimError
-from .run import output_path, run_file
+from .run import output_paths, run, run_file
 from .scenario import read_scenario
 
 
@@ -36,10 +36,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _execute(task):
-    """Worker body: returns (exit_code, text). Picklable for --jobs."""
-    path, out_dir, check, step, t_end = task
+    """Worker body: returns (exit_code, text). Picklable for --jobs. A task
+    carries its file's parsed Scenario, or None for a file not read yet."""
+    path, scn, out_dir, check, step, t_end = task
+    kw = dict(out_dir=out_dir, check=check, step=step, t_end=t_end)
     try:
-        *_, report = run_file(path, out_dir=out_dir, check=check, step=step, t_end=t_end)
+        *_, report = run_file(path, **kw) if scn is None else run(scn, **kw)
     except QdsimError as exc:
         return 1, f"scenario {path}: error: {exc}"
     except OSError as exc:
@@ -48,33 +50,39 @@ def _execute(task):
     return code, "\n".join(report.lines())
 
 
-def _shared_outputs(tasks) -> dict:
-    """{index: (1, error line)} for each task whose scenario names an output
-    path that an earlier task's scenario already names. A file that does
-    not read or parse claims nothing; _execute reports it."""
-    claimed, refused = {}, {}
+def _shared_outputs(tasks):
+    """(scenarios, refused): each task's file read and parsed once, as its
+    Scenario, and {index: (1, error line)} for each task whose scenario
+    names an output path that an earlier task's scenario already names.
+    A file that does not read or parse is None and claims nothing; its
+    run reports it."""
+    scenarios, claimed, refused = [], {}, {}
     for i, (path, out_dir, *_) in enumerate(tasks):
         try:
             scn = read_scenario(path)
         except (QdsimError, OSError):
+            scenarios.append(None)
             continue
-        names = [n for out in scn.outputs for n in (out.csv, out.svg) if n]
-        mine = {os.path.realpath(output_path(n, out_dir)): n for n in names}
-        for real, name in mine.items():
+        scenarios.append(scn)
+        try:
+            mine = output_paths(scn, out_dir)
+        except QdsimError:
+            continue  # two of its own paths name one file; its run says so
+        for real, path_out in mine.items():
             if real in claimed:
-                refused[i] = (1, f"scenario {path}: error: output path "
-                                 f"{output_path(name, out_dir)} is already named by "
-                                 f"{claimed[real]}")
+                refused[i] = (1, f"scenario {path}: error: output path {path_out} is "
+                                 f"already named by {claimed[real]}")
                 break
         else:
             claimed.update(dict.fromkeys(mine, path))
-    return refused
+    return scenarios, refused
 
 
 def _run_batch(tasks, jobs: int) -> int:
     # one file shares with no other, so it is read only by its run
-    refused = _shared_outputs(tasks) if len(tasks) > 1 else {}
-    todo = [t for i, t in enumerate(tasks) if i not in refused]
+    scenarios, refused = _shared_outputs(tasks) if len(tasks) > 1 else ([None], {})
+    todo = [(t[0], scn) + t[1:] for i, (t, scn) in enumerate(zip(tasks, scenarios))
+            if i not in refused]
     # a fork pool starts all its workers at the first submit
     workers = min(jobs, len(todo), os.cpu_count() or 1)
     if workers > 1:

@@ -16,6 +16,11 @@ is one product z = B y with B = [A; c] and the rate z[:-1] - z[-1] y;
 a RateFamily hands evolve B(t) = B_base + f(t) B_slope, built per block
 of steps as one stack over the block's stage times.
 gksl_rhs is the same equation on the complex matrix.
+
+_lift_chunks steps the linear lift K' = M(t) K of a 2x2 RateFamily
+instead, whose normalised image is the state: its RK4 steps depend on t
+only, so they are built as entry arrays per block of steps and each
+sample's steps are multiplied together before they meet the state.
 """
 
 from __future__ import annotations
@@ -216,6 +221,140 @@ def _successive_powers(step: np.ndarray) -> Callable[[int], np.ndarray]:
         return rm
 
     return power
+
+
+_LIFT_BLOCK = 1024  # steps whose RK4 matrices _lift_chunks holds at once
+
+
+def _entry_product(x, y):
+    """x @ y for 2x2 matrices held as entry tuples (00, 01, 10, 11) of
+    arrays, one matrix per array position."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
+def _unit_scaled(x):
+    """Scale each matrix of the entry tuple x, in place, by the power of
+    two 2^-e that puts its largest real or imaginary part in [1/2, 1);
+    returns x and the exponents e. A power of two changes no mantissa
+    bit, so a normalised image keeps its direction."""
+    big = np.maximum.reduce([np.maximum(abs(e.real), abs(e.imag)) for e in x])
+    exponent = np.frexp(big)[1]
+    scale = np.ldexp(1.0, -exponent)
+    for e in x:
+        e *= scale
+    return x, exponent
+
+
+def _lift_steps(fam, h: float, j0: int, j1: int):
+    """The classical RK4 steps R_i of the linear lift K' = M(t) K of a
+    2x2 RateFamily, for steps i = j0 .. j1 - 1, as one entry tuple
+    scaled by powers of two (_unit_scaled). With A1, A2, A4 = M(t),
+    M(t + h/2), M(t + h):
+
+        P2 = A2 (I + h/2 A1),  P3 = A2 (I + h/2 P2),  P4 = A4 (I + h P3),
+        R = I + h/6 (A1 + 2 P2 + 2 P3 + P4).
+
+    Guard: the first step with R non-finite, singular, or sigma_max(R) >=
+    2 exp(h mu), mu the largest eigenvalue of G = (M + M^dag)/2 at the
+    step's three stage times, raises IntegrationDivergedError at its end.
+    The exact flow grows no vector by more than exp(h mu) (the
+    logarithmic-norm bound), so this refuses a step that RK4 amplifies
+    past twice that; for G = 0 it is the bound 2 on a ket's norm."""
+    t = np.arange(j0, j1) * h
+    v1, v2, v4 = (fam.magnitude(s) for s in (t, t + 0.5 * h, t + h))
+    # lambda_max of G0 + v G1 is c + sqrt(d^2 + |o|^2) with c, d the mean
+    # and the half-difference of its diagonal and o its off-diagonal entry
+    (g00, g01), (_, g11) = fam.base.damping.tolist()
+    (s00, s01), (_, s11) = fam.slope.damping.tolist()
+    mu = np.maximum.reduce([
+        0.5 * (g00 + g11).real + 0.5 * (s00 + s11).real * v
+        + np.sqrt((0.5 * (g00 - g11).real + 0.5 * (s00 - s11).real * v) ** 2
+                  + abs(g01 + s01 * v) ** 2)
+        for v in (v1, v2, v4)])
+
+    m0, m1 = fam.base._m.ravel().tolist(), fam.slope._m.ravel().tolist()
+
+    def at(v):
+        return tuple(a + v * b for a, b in zip(m0, m1))
+
+    def shifted(c, x):  # I + c X
+        return 1.0 + c * x[0], c * x[1], c * x[2], 1.0 + c * x[3]
+
+    # the stage sum A1 + 2 P2 + 2 P3 + P4 is accumulated as the stages
+    # are built, so that a block holds few entry arrays at once
+    a2, total = at(v2), at(v1)
+    p = _entry_product(a2, shifted(0.5 * h, total))
+    for e, k in zip(total, p):
+        e += 2.0 * k
+    p = _entry_product(a2, shifted(0.5 * h, p))
+    for e, k in zip(total, p):
+        e += 2.0 * k
+    del a2
+    p = _entry_product(at(v4), shifted(h, p))
+    for e, k in zip(total, p):
+        e += k
+    del p
+    r, exponent = _unit_scaled(shifted(h / 6.0, total))
+    del total
+
+    r00, r01, r10, r11 = r
+    det = r00 * r11 - r01 * r10
+    frob = sum(e.real ** 2 + e.imag ** 2 for e in r)
+    # sigma_max^2 = (|R|_F^2 + sqrt(|R|_F^4 - 4 |det R|^2)) / 2; the clamp
+    # only absorbs rounding, a nan stays nan and fails the comparison
+    sigma = np.sqrt(0.5 * (frob + np.sqrt(np.maximum(frob ** 2 - 4.0 * abs(det) ** 2, 0.0))))
+    bad = np.flatnonzero(~((sigma < np.ldexp(2.0 * np.exp(h * mu), -exponent)) & (det != 0.0)))
+    if bad.size:
+        raise IntegrationDivergedError("amplitude norm left (0, 2)", float((j0 + bad[0] + 1) * h))
+    return r
+
+
+def _tree_products(r, width: int):
+    """Products of consecutive runs of width matrices of the entry tuple
+    r (the last run may be shorter), the later factor on the left, by a
+    pairwise tree whose levels each take every run at once; each level's
+    partial products are _unit_scaled, so none over- or underflows."""
+    n = r[0].size
+    full, rest = divmod(n, width)
+    runs = [(0, full, width)] if full else []
+    if rest:
+        runs.append((full * width, 1, rest))
+    out = []
+    for start, k, w in runs:
+        x = tuple(e[start:start + k * w].reshape(k, w) for e in r)
+        while w > 1:
+            pairs = _entry_product(tuple(e[:, 1::2] for e in x),
+                                   tuple(e[:, 0:w - 1:2] for e in x))
+            if w % 2:
+                pairs = tuple(np.concatenate([p, e[:, -1:]], axis=1) for p, e in zip(pairs, x))
+            x, _ = _unit_scaled(pairs)
+            w = x[0].shape[1]
+        out.append(x)
+    return tuple(np.concatenate([x[j][:, 0] for x in out]) for j in range(4))
+
+
+def _lift_chunks(fam, h: float, n: int, stride: int):
+    """Yield, for each run of stride steps of steps 0 .. n - 1 (the last
+    may be shorter), the product R_{i1 - 1} ... R_{i0} of their RK4 steps
+    of the linear lift (_lift_steps) as four complex entries, scaled by a
+    power of two. The steps are built _LIFT_BLOCK at a time: a block holds
+    whole runs, or part of one run, which then multiplies block by block."""
+    per_block = max(1, _LIFT_BLOCK // stride)
+    for c0 in range(0, n, per_block * stride):
+        c1 = min(c0 + per_block * stride, n)
+        if stride <= _LIFT_BLOCK:
+            products = _tree_products(_lift_steps(fam, h, c0, c1), stride)
+            yield from zip(*(e.tolist() for e in products))
+        else:
+            acc = None
+            for j0 in range(c0, c1, _LIFT_BLOCK):
+                p = _tree_products(_lift_steps(fam, h, j0, min(j0 + _LIFT_BLOCK, c1)),
+                                   _LIFT_BLOCK)
+                acc = p if acc is None else _unit_scaled(_entry_product(p, acc))[0]
+            yield tuple(e.item() for e in acc)
 
 
 def _linear_image(m: np.ndarray, lpairs, rho: np.ndarray) -> np.ndarray:

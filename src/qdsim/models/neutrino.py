@@ -20,24 +20,38 @@ The quasi-linear state-vector equation
 
     dpsi/dL = M(L) psi - <G> psi,    M(L) = M0 + V(L) M1 = G - iH
 
-preserves the norm identically (<G> = <psi|G psi>/<psi|psi> is the
-counter-rate, zero in msw), so the integrator renormalizes each step up
-to the cutoff and the stored samples carry norm errors at rounding
-level. Past the cutoff V = 0, so M = M0 in both modes and one RK4 step
-is a fixed 2x2 matrix R of the vacuum precession; the steps up to each
-sample are one product with R^m, renormalized once per sample (a linear
-map commutes with scaling, so the direction is the same). Before the
-cutoff V is evaluated per block of steps, one array per stage distance,
-and each stage forms its coefficients of M(L) from those values. The scalar
-stepper works on the two complex amplitudes directly, which turn at
-(eps/2)|omega| (msw) or up to (eps/2)|g| (damping). At the calibrated v_scale = 8.0e-5 of the shipped
-10 MeV scenarios that is about 0.03 rad/km near the core, and a 1 km
-step resolves it to RK4 accuracy far below the tolerances in play.
-With the default v_scale = 0.012 it is about 4.7 rad/km: a 1 km step
-lies past RK4's stability limit of about 2.8 rad per step, so
+(<G> = <psi|G psi>/<psi|psi> is the counter-rate, zero in msw) is the
+normalised image of the linear lift: psi(L) = N[K(L) psi0] with
+dK/dL = M(L) K and N dividing by the norm. neutrino_evolve steps K by
+classical RK4, one fixed 2x2 matrix R_i per step built from the stage
+values of M; none depends on the state. Normalisation commutes with the
+linear maps, so the steps up to each sample are multiplied first (the
+later step on the left) and the sample is one product with the ket,
+normalised once. Before the cutoff the R_i of a block of steps are
+built as four complex entry arrays from V at the stage distances, and
+each sample's steps are reduced by a pairwise tree across all samples
+of the block at once; every partial product is rescaled by a power of
+two, which changes no mantissa bit and keeps every stride finite,
+however far the damping grows K. Past the cutoff V = 0, so M = M0 in
+both modes, R is fixed, and a sample's steps are a power R^m.
+
+A step is refused where RK4 amplifies past the flow itself: the exact
+step stretches no ket by more than exp(h mu), mu the largest eigenvalue
+of G over the step (the logarithmic-norm bound), and a run raises
+"amplitude norm left (0, 2)" at the first step whose R is not finite,
+is singular, or has sigma_max(R) >= 2 exp(h mu). In msw G = 0 and that
+is the bound 2 on a unit ket's norm. The amplitudes turn at
+(eps/2)|omega| (msw) or up to (eps/2)|g| (damping). At the calibrated
+v_scale = 8.0e-5 of the shipped 10 MeV scenarios that is about
+0.03 rad/km near the core, and a 1 km step resolves it to RK4 accuracy
+far below the tolerances in play. With the default v_scale = 0.012 it
+is about 4.7 rad/km: a 1 km step lies past RK4's stability limit of
+about 2.8 rad per step, where R stretches a ket by about 16, so
 neutrino_evolve(NeutrinoConfig(energy_gev=0.01), 2000.0, 1.0)
-raises "amplitude norm left (0, 2)"; a run at that scale needs steps
-well below 0.6 km.
+raises "amplitude norm left (0, 2)"; a msw run at that scale needs steps
+well below 0.6 km. In damping the same step runs: there the flow
+itself stretches a ket by up to exp(4.7), more than R does, and the
+normalised lift settles on the flow's attractor as finer steps do.
 """
 
 from __future__ import annotations
@@ -47,14 +61,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import (Generator, RateFamily, Trajectory, _rk4_linear_step, _sampled_steps,
-                        _successive_powers, whole_steps)
-from ..errors import DomainError, IntegrationDivergedError
+from ..dynamics import (Generator, RateFamily, Trajectory, _lift_chunks, _rk4_linear_step,
+                        _sampled_steps, _successive_powers, whole_steps)
+from ..errors import DomainError
 from ..rootfind import find_crossing
 
 POLY_COEFFS = (519.0, -1630.0, 1844.0, -889.0, 154.910686)
 CUTOFF_KM = 365767.0
-_STEP_BLOCK = 1024  # steps whose stage potentials neutrino_evolve holds at once
 
 _MODES = ("msw", "damping")
 
@@ -107,8 +120,9 @@ class NeutrinoConfig:
     def generator(self) -> RateFamily:
         """M(L) = M0 + V(L) M1 = G - iH in rad/km as a RateFamily: M0 =
         -i(eps/2) omega_vac.sigma, M1 = -i(eps/2) sigma_z (msw) or (eps/2)
-        g_hat.sigma (damping). Both are traceless and symmetric, as
-        neutrino_evolve assumes; evolve steps the family as a density."""
+        g_hat.sigma (damping), both traceless and symmetric;
+        neutrino_evolve steps its linear lift, evolve the family as a
+        density."""
         zero = np.zeros(3)
         slope = (Generator.qubit((0.0, 0.0, self.eps), zero) if self.mode == "msw"
                  else Generator.qubit(zero, self.eps * self.g_direction()))
@@ -172,25 +186,25 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
     L_end must be a whole number of steps (see whole_steps); L_end = 0
     gives the single L = 0 sample.
     sample_stride = None chooses a stride capping storage near 8000
-    samples; a given stride must be at least 1 (see sample_count). The
-    scalar RK4 stepper works on the two amplitudes as Python complex
-    numbers and renormalizes after every step. Stage and vacuum step read
-    c.generator(); only damping carries the counter-rate <G>. V is
-    evaluated per block of at most _STEP_BLOCK steps, as one array at each
-    of the stage distances L, L + h/2 and L + h; the stage coefficients
-    al0 + V al1 and be0 + V be1 are formed from those values inside the
-    step. A step past RK4's stability limit (see the module docstring)
-    raises.
+    samples; a given stride must be at least 1 (see sample_count).
+
+    The run steps the linear lift K' = M(L) K of c.generator() (see the
+    module docstring) with dynamics._lift_chunks: per block of about
+    1024 steps, the RK4 steps R_i as four entry arrays, and per sample
+    one tree product of its steps, rescaled by powers of two. Each
+    sample is that product applied to the last ket, normalised once.
+    The guard of _lift_chunks raises at the first step whose R_i is not
+    finite, is singular, or stretches a ket past 2 exp(h mu), twice the
+    log-norm bound of the flow.
 
     From the first step whose stages all lie past CUTOFF_KM (i h >
     CUTOFF_KM) both modes are the linear vacuum flow, and the steps up
-    to each sample become one product with R^m of the fixed RK4 step R,
-    renormalized once per sample. The per-step guard 0 < norm < 2 acts
-    on a unit ket, so it cannot fire when R's singular values lie in
-    (0, 2); only then is that route taken, with the powers of R divided
-    by its singular value (a scale, so the direction is the same) so
-    that no stride over- or underflows. Otherwise the scalar stepper
-    runs to the end and its guard fires where it would.
+    to each sample become one product with R^m of the fixed RK4 step R.
+    That route is taken only when R's singular values lie in (0, 2), the
+    guard's bound at G = 0, with the powers of R divided by its singular
+    value (a scale, so the direction is the same) so that no stride over-
+    or underflows. Otherwise the lift runs to the end and its guard fires
+    where it would.
     """
     n_steps = whole_steps(L_end, step)
     if sample_stride is None:
@@ -198,20 +212,12 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
 
     h = step
     fam = c.generator()
-    # M = [[al, be], [be, -al]] with al = al0 + v al1 and be = be0 + v be1,
-    # so G = [[Re al, Re be], [Re be, -Re al]]; M0 is anti-Hermitian, so
-    # G and <G> vanish unless M1 has a Hermitian part
-    (al0, be0), _ = fam.base._m.tolist()
-    (al1, be1), _ = fam.slope._m.tolist()
-    damped = bool(fam.slope.damping.any())
-    potential = fam.magnitude
-
     # steps from i_past on take powers of the vacuum step; i_past = n_steps
-    # keeps the scalar loop to the end
+    # keeps the lift to the end
     i_past = n_steps
     if L_end > CUTOFF_KM:
         # a vacuum step far past RK4's stability limit overflows R; the
-        # scalar loop then raises at its per-step guard
+        # lift then raises at its guard
         with np.errstate(over="ignore", invalid="ignore"):
             r = _rk4_linear_step(h * fam.base._m)
         if np.isfinite(r).all():
@@ -226,63 +232,18 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
                 while not i_past * h > CUTOFF_KM:
                     i_past += 1
 
-    hh, h6 = 0.5 * h, h / 6.0
+    chunks = _lift_chunks(fam, h, i_past, sample_stride)
 
     def advance(i0, y, m):
         a, b = y
-        stop = min(i0 + m, i_past)
-        for j0 in range(i0, stop, _STEP_BLOCK):
-            # V at the block's stage distances L, L + h/2 (k2 and k3) and L + h
-            L = np.arange(j0, min(j0 + _STEP_BLOCK, stop)) * h
-            stages = zip(range(j0, stop), potential(L).tolist(),
-                         potential(L + 0.5 * h).tolist(), potential(L + h).tolist())
-            for i, v1, v2, v4 in stages:
-                # k = M a - <G> a with M = [[al, be], [be, -al]]; the stage
-                # ket is a + c k of the stage before, c = 0, h/2, h/2, h
-                al, be = al0 + v1 * al1, be0 + v1 * be1
-                k1a, k1b = al * a + be * b, be * a - al * b
-                if damped:
-                    aa, bb = (a * a.conjugate()).real, (b * b.conjugate()).real
-                    gn = ((be.real * 2.0 * (a.conjugate() * b).real + al.real * (aa - bb))
-                          / (aa + bb))
-                    k1a, k1b = k1a - gn * a, k1b - gn * b
-                al, be = al0 + v2 * al1, be0 + v2 * be1
-                sa, sb = a + hh * k1a, b + hh * k1b
-                k2a, k2b = al * sa + be * sb, be * sa - al * sb
-                if damped:
-                    aa, bb = (sa * sa.conjugate()).real, (sb * sb.conjugate()).real
-                    gn = ((be.real * 2.0 * (sa.conjugate() * sb).real + al.real * (aa - bb))
-                          / (aa + bb))
-                    k2a, k2b = k2a - gn * sa, k2b - gn * sb
-                sa, sb = a + hh * k2a, b + hh * k2b
-                k3a, k3b = al * sa + be * sb, be * sa - al * sb
-                if damped:
-                    aa, bb = (sa * sa.conjugate()).real, (sb * sb.conjugate()).real
-                    gn = ((be.real * 2.0 * (sa.conjugate() * sb).real + al.real * (aa - bb))
-                          / (aa + bb))
-                    k3a, k3b = k3a - gn * sa, k3b - gn * sb
-                al, be = al0 + v4 * al1, be0 + v4 * be1
-                sa, sb = a + h * k3a, b + h * k3b
-                k4a, k4b = al * sa + be * sb, be * sa - al * sb
-                if damped:
-                    aa, bb = (sa * sa.conjugate()).real, (sb * sb.conjugate()).real
-                    gn = ((be.real * 2.0 * (sa.conjugate() * sb).real + al.real * (aa - bb))
-                          / (aa + bb))
-                    k4a, k4b = k4a - gn * sa, k4b - gn * sb
-                a = a + h6 * (k1a + 2.0 * (k2a + k3a) + k4a)
-                b = b + h6 * (k1b + 2.0 * (k2b + k3b) + k4b)
-                norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
-                if not 0.0 < norm < 2.0:
-                    raise IntegrationDivergedError("amplitude norm left (0, 2)", (i + 1) * h)
-                a /= norm
-                b /= norm
+        if i0 < i_past:
+            r00, r01, r10, r11 = next(chunks)
+            a, b = r00 * a + r01 * b, r10 * a + r11 * b
         rest = i0 + m - max(i0, i_past)
         if rest > 0:
             (r00, r01), (r10, r11) = power(rest).tolist()
             a, b = r00 * a + r01 * b, r10 * a + r11 * b
-            norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
-            a /= norm
-            b /= norm
-        return a, b
+        norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
+        return a / norm, b / norm
 
     return _sampled_steps(advance, (1.0 + 0.0j, 0.0j), n_steps, h, sample_stride)

@@ -434,7 +434,22 @@ def output_path(name: str, out_dir: str) -> str:
     return name if os.path.isabs(name) else os.path.join(out_dir, name)
 
 
+def output_paths(scn: Scenario, out_dir: str) -> dict:
+    """{real path: path} of every csv and svg the scenario writes, each
+    path from output_path and its real path from os.path.realpath. Two
+    paths of one file, as through a symlinked directory, raise
+    DomainError; parse_scenario compares the names only as text."""
+    paths = {}
+    for name in (n for out in scn.outputs for n in (out.csv, out.svg) if n):
+        path = output_path(name, out_dir)
+        first = paths.setdefault(os.path.realpath(path), path)
+        if first != path:
+            raise DomainError(f"output paths {first} and {path} name one file")
+    return paths
+
+
 def _run_and_emit(scn: Scenario, icfg: dict, check: bool, out_dir: str):
+    output_paths(scn, out_dir)  # refused before anything runs or is written
     times, columns, checks, notes = _RUNNERS[scn.kind](scn, icfg, check)
     written = []
     for out in scn.outputs:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qdsim import dynamics
 from qdsim.dynamics import IntegratorConfig, evolve
 from qdsim.errors import DomainError, IntegrationDivergedError
 from qdsim.linalg import pauli_components, pauli_dot
@@ -165,46 +166,58 @@ def _evolve_and_stepper_gap(config, h):
 def test_evolve_of_the_generator_converges_to_the_ket_stepper(config):
     # two RK4 routes of one family, on the density matrix and on the ket:
     # their gap falls at RK4 order, 16x per halved step (msw 2.1e-7 at
-    # 0.5 km and 1.3e-8 at 0.25 km, damping 2.2e-10 and 1.3e-11)
+    # 0.5 km and 1.3e-8 at 0.25 km, damping 5.2e-10 and 3.2e-11)
     coarse, fine = (_evolve_and_stepper_gap(config, h) for h in (0.5, 0.25))
     assert fine <= 1e-7 and fine * 10.0 <= coarse
+
+
+def _lift_step(c, L, h):
+    """Textbook RK4 on K' = M(L) K from K = I across [L, L + h], with
+    M(L) built above: the step R of the paper's linear lift."""
+    eye = np.eye(2)
+    m1, m2, m4 = (_reference_generator(c, x) for x in (L, L + 0.5 * h, L + h))
+    k1 = m1
+    k2 = m2 @ (eye + 0.5 * h * k1)
+    k3 = m2 @ (eye + 0.5 * h * k2)
+    k4 = m4 @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _lift_reference(c, L_end, h, stride):
+    """The lift stepped one step at a time, psi <- R psi / |R psi| with R
+    from _lift_step. Returns the start and the ket after every stride-th
+    step and after the last."""
+    n = round(L_end / h)
+    psi = np.array([1.0, 0.0], dtype=complex)
+    states = [psi]
+    for i in range(n):
+        psi = _lift_step(c, i * h, h) @ psi
+        psi = psi / np.linalg.norm(psi)
+        if (i + 1) % stride == 0 or i + 1 == n:
+            states.append(psi)
+    return np.array(states)
 
 
 @pytest.mark.parametrize("config", [MSW_10MEV, DAMPING_10MEV, DAMPING_TILTED],
                          ids=["msw", "damping", "damping-tilted"])
 def test_evolve_before_the_cutoff_matches_an_rk4_reference(config):
-    # psi' = M psi - Re<psi|M psi>/<psi|psi> psi with M(L) built above,
-    # in numpy, renormalized after every step; about 0.5 rad per 20 km step
+    # the lift stepped one step at a time, in numpy, with M(L) built
+    # above; about 0.5 rad per 20 km step
     h, n = 20.0, 300
     assert n * h < nu.CUTOFF_KM
-
-    def rate(L, psi):
-        mpsi = _reference_generator(config, L) @ psi
-        return mpsi - (np.vdot(psi, mpsi).real / np.vdot(psi, psi).real) * psi
-
-    psi = np.array([1.0, 0.0], dtype=complex)
-    want = [psi]
-    for i in range(n):
-        L = i * h
-        k1 = rate(L, psi)
-        k2 = rate(L + 0.5 * h, psi + 0.5 * h * k1)
-        k3 = rate(L + 0.5 * h, psi + 0.5 * h * k2)
-        k4 = rate(L + h, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        psi = psi / np.linalg.norm(psi)
-        want.append(psi)
+    want = _lift_reference(config, n * h, h, 1)
     traj = nu.neutrino_evolve(config, n * h, h, sample_stride=1)
     assert len(traj) == n + 1
     # the ket turned far from its start (near the core mostly in phase)
     assert np.abs(want[-1] - want[0]).max() > 0.5
-    assert np.abs(traj.states - np.array(want)).max() <= 1e-12
+    assert np.abs(traj.states - want).max() <= 1e-12
 
 
 def _per_stage_reference(c, L_end, h, stride):
-    """neutrino_evolve as a scalar loop with one call per stage, which
-    evaluates V at the stage's distance: the Python complex arithmetic of
-    the stepper, in its order. Past the cutoff it takes the same powers
-    of the vacuum step."""
+    """The nonlinear stepper, independent of the lift: RK4 on psi' = M psi
+    - <G> psi as a scalar loop with one call per stage, which evaluates V
+    at the stage's distance, renormalised after every step. Past the
+    cutoff it takes the same powers of the vacuum step."""
     fam = c.generator()
     (al0, be0), _ = fam.base._m.tolist()
     (al1, be1), _ = fam.slope._m.tolist()
@@ -262,10 +275,34 @@ def _per_stage_reference(c, L_end, h, stride):
 @pytest.mark.parametrize("config", [MSW_10MEV, DAMPING_10MEV], ids=["msw", "damping"])
 def test_evolve_in_blocks_is_the_per_stage_scalar_loop_bit_for_bit(
         monkeypatch, config, L_end, h, stride, block):
+    # the lift's blocks, trees and chunk normalisations change only the
+    # rounding of the lift stepped one step at a time, whatever the
+    # chunking (the name is that of the scalar stepper the lift replaced)
     if block is not None:
-        monkeypatch.setattr(nu, "_STEP_BLOCK", block)
+        monkeypatch.setattr(dynamics, "_LIFT_BLOCK", block)
     traj = nu.neutrino_evolve(config, L_end, h, sample_stride=stride)
-    assert np.array_equal(traj.states, _per_stage_reference(config, L_end, h, stride))
+    assert np.abs(traj.states - _lift_reference(config, L_end, h, stride)).max() <= 1e-12
+
+
+def _sampled_bloch(states):
+    cols = nu.flavor_columns(states)
+    return np.stack([cols["n1"], cols["n2"], cols["n3"]], axis=1)
+
+
+def test_neutrino_lift_is_fourth_order_against_the_per_stage_loop():
+    # the nonlinear per-stage stepper is independent of the lift: in msw
+    # (G = 0) both are RK4 on one linear flow and agree to rounding; in
+    # damping they are two RK4 discretisations of one flow, whose gap
+    # falls at RK4 order, 16x per halved step, on a 100 km sample grid
+    def gap(config, h):
+        stride = round(100.0 / h)
+        got = nu.neutrino_evolve(config, 2000.0, h, sample_stride=stride).states
+        want = _per_stage_reference(config, 2000.0, h, stride)
+        return np.linalg.norm(_sampled_bloch(got) - _sampled_bloch(want), axis=1).max()
+
+    assert gap(MSW_10MEV, 20.0) <= 1e-12
+    coarse, mid, fine = (gap(DAMPING_10MEV, h) for h in (20.0, 10.0, 5.0))
+    assert mid * 10.0 <= coarse and fine * 10.0 <= mid
 
 
 def test_a_neutrino_run_builds_no_coordinate_matrix(monkeypatch):
@@ -279,8 +316,8 @@ def test_a_neutrino_run_builds_no_coordinate_matrix(monkeypatch):
 
 
 def test_a_long_neutrino_run_holds_one_block_of_stage_potentials():
-    # 10000 steps take 1.1 MB of stage potentials unblocked; blocks of
-    # 1024 steps keep the peak near 0.2 MB
+    # one stride of 10000 steps multiplies block by block: blocks of 1024
+    # steps keep the peak near 0.43 MB, blocks of 256 near 0.14 MB
     nu.neutrino_evolve(DAMPING_10MEV, 10.0, 1.0)
     tracemalloc.start()
     try:
@@ -310,7 +347,7 @@ def test_evolve_past_the_cutoff_retraces_the_per_step_vacuum_map(config):
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-15
 
-    # every step before i_past is the scalar stepper, whatever the chunking
+    # every step before i_past is the lift, whatever the chunking
     psi = nu.neutrino_evolve(config, i_past * h, h, sample_stride=n).final_state
     r = _vacuum_rk4_step(config, h)
     want = {}
@@ -348,10 +385,29 @@ def test_evolve_past_the_cutoff_powers_a_step_that_scales_the_ket(h, stride, low
     assert np.abs(coarse.final_state - fine.final_state).max() <= 1e-12
 
 
+def test_a_damped_step_that_stretches_a_ket_past_two_runs():
+    # the first 20 km step of DAMPING_TILTED stretches a ket by up to 2.19,
+    # which a bound of 2 would refuse; the flow itself stretches it by up
+    # to exp(h mu) = 2.20 there, and the guard allows twice that
+    h = 20.0
+    assert np.linalg.svd(_lift_step(DAMPING_TILTED, 0.0, h), compute_uv=False).max() > 2.0
+    traj = nu.neutrino_evolve(DAMPING_TILTED, 2000.0, h)
+    assert len(traj) == 101
+    assert np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max() <= 1e-15
+
+
+def test_the_module_docstring_step_past_the_stability_limit_raises():
+    # msw at the default v_scale turns about 4.7 rad per 1 km step, where
+    # RK4 stretches a ket by about 16 and the flow (G = 0) by none
+    with pytest.raises(IntegrationDivergedError) as err:
+        nu.neutrino_evolve(nu.NeutrinoConfig(energy_gev=0.01), 2000.0, 1.0)
+    assert str(err.value) == "amplitude norm left (0, 2) (at t=1.0)"
+
+
 @pytest.mark.parametrize("mode", ["msw", "damping"])
 def test_evolve_keeps_the_scalar_loop_where_the_vacuum_step_overflows(mode):
-    # R itself overflows at this step, so the run keeps the scalar
-    # stepper, whose guard names the first step, with no RuntimeWarning
+    # R itself overflows at this step, so the lift runs to the end and
+    # its guard names the first step, with no RuntimeWarning
     c = nu.NeutrinoConfig(energy_gev=0.01, mode=mode, v_scale=0.0)
     with pytest.raises(IntegrationDivergedError) as err:
         nu.neutrino_evolve(c, L_end=1e301, step=1e300)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qdsim
-from qdsim import cli
+from qdsim import cli, scenario
 from qdsim.cli import main
 from qdsim.errors import DomainError
 from qdsim.dynamics import Generator, IntegratorConfig, evolve
@@ -349,7 +349,38 @@ def test_one_file_is_read_only_by_its_run_and_shipped_files_share_no_path(
     assert main(["run", str(pass_file), "--no-check", "--out-dir", str(tmp_path / "o")]) == 0
     monkeypatch.undo()
     shipped = [(p, str(tmp_path / "f"), False, None, None) for p in cli._shipped_scenarios()]
-    assert len(shipped) >= 14 and cli._shared_outputs(shipped) == {}
+    scenarios, refused = cli._shared_outputs(shipped)
+    assert len(shipped) >= 14 and refused == {} and None not in scenarios
+
+
+def test_a_batch_parses_each_file_once(tmp_path, pass_file, monkeypatch, capsys):
+    # the batch claim parses each file; its run takes that Scenario
+    other = tmp_path / "other.scn"
+    other.write_text(PASS_SCN.replace("cli-pass", "cli-other").replace("pass.", "other."))
+    parsed = []
+    parse = scenario.parse_scenario
+    monkeypatch.setattr(scenario, "parse_scenario", lambda text: parsed.append(1) or parse(text))
+    assert main(["run", str(pass_file), str(other), "--no-check", "--jobs", "1",
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    assert len(parsed) == 2
+    assert capsys.readouterr().out.count(": ok") == 2
+
+
+def test_two_names_of_one_output_file_in_one_file_are_refused(tmp_path, capsys):
+    # csv = real/x.out and svg = link/x.out with link -> real used to write
+    # both and exit 0, real/x.out then holding the SVG
+    out = tmp_path / "o"
+    (out / "real").mkdir(parents=True)
+    (out / "link").symlink_to(out / "real", target_is_directory=True)
+    both = tmp_path / "both.scn"
+    both.write_text(PASS_SCN.replace("pass.csv", "real/x.out").replace("pass.svg", "link/x.out"))
+    assert main(["run", str(both), "--no-check", "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"scenario {both}: error: output paths {out / 'real' / 'x.out'} and "
+        f"{out / 'link' / 'x.out'} name one file"]
+    assert os.listdir(out / "real") == []
 
 
 def _declared_scripts():
