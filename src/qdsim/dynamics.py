@@ -6,8 +6,9 @@ generator, with M = G - iH:
     d/dt rho = Lambda(rho) - tr Lambda(rho) * rho,
     Lambda(rho) = M rho + rho M^dag + sum_a L_a rho L_a^dag.
 
-For L_a = 0 it is solved in closed form by rho(t) = K rho0 K^dag / tr(...)
-with K = exp((G - iH) t), the oracle for the fixed-step integrator.
+For L_a = 0 it is solved by rho(t) = K rho0 K^dag / tr(...) with
+dK/dt = M(t) K: in closed form K = exp((G - iH) t) for a constant M,
+the oracle for the fixed-step integrators.
 
 evolve steps the real coordinates y of rho: its diagonal, then the real
 and the imaginary parts of its upper triangle. There Lambda is a fixed
@@ -21,6 +22,9 @@ _lift_chunks steps the linear lift K' = M(t) K of a 2x2 RateFamily
 instead, whose normalised image is the state: its RK4 steps depend on t
 only, so they are built as entry arrays per block of steps and each
 sample's steps are multiplied together before they meet the state.
+evolve_lift applies each product P to a density matrix as P rho P^dag
+/ tr(...), the route of every gksl-ode run, and neutrino_evolve applies
+it to a ket.
 """
 
 from __future__ import annotations
@@ -264,7 +268,7 @@ def _lift_steps(fam, h: float, j0: int, j1: int):
     logarithmic-norm bound), so this refuses a step that RK4 amplifies
     past twice that; for G = 0 it is the bound 2 on a ket's norm."""
     t = np.arange(j0, j1) * h
-    v1, v2, v4 = (fam.magnitude(s) for s in (t, t + 0.5 * h, t + h))
+    v1, v2, v4 = (fam._f(s) for s in (t, t + 0.5 * h, t + h))
     # lambda_max of G0 + v G1 is c + sqrt(d^2 + |o|^2) with c, d the mean
     # and the half-difference of its diagonal and o its off-diagonal entry
     (g00, g01), (_, g11) = fam.base.damping.tolist()
@@ -556,6 +560,37 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     return Trajectory(traj.times, _from_coordinates(traj.states, d))
 
 
+def evolve_lift(fam, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
+    """RK4 on the linear lift K' = M(t) K of a 2x2 RateFamily, whose
+    normalised image K rho0 K^dag / tr(...) is the state (see the module
+    docstring); same sampling rules and sample checks as evolve.
+
+    Each sample takes the product P of its steps from _lift_chunks and
+    the last sample rho, keeps the Hermitian part of P rho P^dag, so that
+    every sample is Hermitian bit for bit, and divides by its real trace.
+    The start is read as its Hermitian part, as evolve reads it. The
+    guard of _lift_chunks raises at the first step whose R is not finite,
+    is singular, or stretches a vector past 2 exp(h mu), twice the
+    log-norm bound of the flow."""
+    if not (isinstance(fam, RateFamily) and fam.dim == 2):
+        raise UnsupportedModeError("evolve_lift steps a RateFamily of dimension 2")
+    rho0 = density_matrix(rho0)
+    if rho0.shape != (2, 2):
+        raise DimensionError("state dimension does not match the generator")
+    h = cfg.step
+    n_steps = whole_steps(cfg.t_end, h)
+    chunks = _lift_chunks(fam, h, n_steps, cfg.sample_stride)
+
+    def advance(i0, rho, m):
+        p = np.array(next(chunks)).reshape(2, 2)
+        x = p @ rho @ dagger(p)
+        x = x + dagger(x)  # twice the Hermitian part; the trace divides the 2 out
+        return x / np.trace(x).real
+
+    return _sampled_steps(advance, 0.5 * (rho0 + dagger(rho0)), n_steps, h,
+                          cfg.sample_stride, _check_density_sample)
+
+
 def evolve_state_vector(gen: Generator, psi0: np.ndarray, cfg: IntegratorConfig,
                         kappa: float = 0.0) -> Trajectory:
     """RK4 on the norm-preserving state-vector form of a Generator (and
@@ -584,13 +619,16 @@ def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:
 class RateFamily:
     """M(t) = M_base + f(t) M_slope: two validated Generators of one
     dimension without jump operators and a real magnitude f that takes a
-    float or an array. Per call the family only checks that f keeps
-    f M_slope finite, raising ValidityError as Generator does.
+    float or an array. Every stepper reads f through _f, which broadcasts
+    a constant f and checks that f keeps f M_slope finite, raising
+    ValidityError as Generator does.
     family(t) is Generator(H_base + f H_slope, G_base + f G_slope);
     evolve steps B(t) = B_base + f(t) B_slope instead, its B to rounding,
     built as one stack per block of stage times. B_base and B_slope are
     built on the first such call, so a family that is never stepped by
-    evolve never builds them."""
+    evolve never builds them. A 2x2 family's linear lift is stepped from
+    M_base and M_slope alone (_lift_steps), by evolve_lift for a density
+    matrix and by neutrino_evolve for a ket."""
 
     def __init__(self, base: Generator, slope: Generator, magnitude) -> None:
         if base.lindblads or slope.lindblads or base.dim != slope.dim:

@@ -24,6 +24,7 @@ from .dynamics import (
     IntegratorConfig,
     Trajectory,
     evolve,
+    evolve_lift,
     finite_difference_generator_check,
     inverted_morse_profile,
     qubit_rate_generator,
@@ -201,7 +202,7 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
         except NoCrossingError:
             notes.append("no |g(t)| = |omega| crossing inside the run window")
     family = qubit_rate_generator(omega, g, magnitude)
-    traj = evolve(family, bloch_to_density(xi), cfg)
+    traj = evolve_lift(family, bloch_to_density(xi), cfg)
     cols = _qubit_columns(pauli_components(traj.states))
     cols["g_norm"] = g_scale * family._f(traj.times)
 
@@ -214,7 +215,8 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
         violation, engaged = 0.0, 0
         for k in picks:
             gen_k = family(traj.times[k])
-            # exactly Hermitian; only its trace drifts, within evolve's bound
+            # exactly Hermitian, and divided by its trace by evolve_lift;
+            # the division here only absorbs the rounding of that trace
             rho = traj.states[k] / np.trace(traj.states[k]).real
             # the first-order residual scales as dt ||G - iH||^2, so a step
             # of fd_step / ||G - iH||_F lifts small rates above the floor

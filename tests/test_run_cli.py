@@ -14,8 +14,9 @@ import pytest
 import qdsim
 from qdsim import cli, scenario
 from qdsim.cli import main
-from qdsim.errors import DomainError
-from qdsim.dynamics import Generator, IntegratorConfig, evolve
+from qdsim.errors import DomainError, IntegrationDivergedError
+from qdsim.dynamics import (Generator, IntegratorConfig, evolve, evolve_lift,
+                            qubit_rate_generator)
 from qdsim.qubit import QubitGeneratorParams, bloch_trajectory_general
 from qdsim.linalg import pauli_components
 from qdsim.run import CheckResult, _closed_vs_ode, _qubit_columns, run, run_file
@@ -168,9 +169,12 @@ def test_cli_ode_happy_path_exits_zero(tmp_path, capsys):
     assert "FAIL" not in out
 
 
-def test_a_constant_gain_run_is_the_autonomous_rk4_bit_for_bit(tmp_path, capsys):
-    # the constant gain steps as a rate family of magnitude 1 on the raw g;
-    # a unit direction scaled by |g| rounds apart from this g
+def test_a_constant_gain_run_is_the_lift_bit_for_bit_and_near_the_autonomous_rk4(tmp_path,
+                                                                                  capsys):
+    # the constant gain steps as a rate family of magnitude 1 on the raw g
+    # (a unit direction scaled by |g| rounds apart from this g) through
+    # the linear lift; the autonomous RK4 on the density coordinates is
+    # another discretisation of the same flow, 7.4e-12 away at this step
     omega, g, xi = (0.3, -1.0, 6.0), (3.0, 0.5, -0.2), (0.1, 0.0, 0.5)
     p = tmp_path / "constant.scn"
     p.write_text(ODE_PASS_SCN.replace("(0.0, 0.0, 6.0)", str(omega))
@@ -182,8 +186,12 @@ def test_a_constant_gain_run_is_the_autonomous_rk4_bit_for_bit(tmp_path, capsys)
     rows = (tmp_path / "o" / "ode_pass.csv").read_text().splitlines()
     assert rows[0].startswith("t,n1,n2,n3,")
     written = np.array([[float(v) for v in row.split(",")[1:4]] for row in rows[1:]])
-    traj = evolve(Generator.qubit(omega, g), bloch_to_density(xi), IntegratorConfig(1.0, 0.001, 7))
-    assert np.array_equal(written, pauli_components(traj.states))
+    cfg = IntegratorConfig(1.0, 0.001, 7)
+    family = qubit_rate_generator(omega, g, lambda t: 1.0)
+    lift = evolve_lift(family, bloch_to_density(xi), cfg)
+    assert np.array_equal(written, pauli_components(lift.states))
+    traj = evolve(Generator.qubit(omega, g), bloch_to_density(xi), cfg)
+    assert np.abs(written - pauli_components(traj.states)).max() <= 1e-10
 
 
 def test_generator_consistency_says_when_no_pick_engaged(tmp_path):
@@ -514,10 +522,14 @@ def test_overflowing_neutrino_run_exits_one_with_one_line(tmp_path, mode):
     assert errors == [f"scenario {bad}: error: amplitude norm left (0, 2) (at t=1.0)"]
 
 
-# rates far past RK4's stability limit at these steps: the state
-# overflows between two samples, and the stepper used to print numpy
-# RuntimeWarnings (or, for bmt, store NaN and fail later on an
-# unrelated error) instead of naming the sample
+# rates far past the stability limit of RK4 on the state at these steps:
+# evolve's density coordinates and the bmt four-vectors overflow between
+# two samples, and the steppers used to print numpy RuntimeWarnings (or,
+# for bmt, store NaN and fail later on an unrelated error) instead of
+# naming the sample. gksl-ode runs step the linear lift instead, whose
+# products are rescaled by powers of two and never overflow; its guard
+# passes these steps, where the flow itself stretches a vector by up to
+# e^50 (constant gain) and e^500 (Morse profile)
 OVERFLOW_SCNS = {
     "gksl-ode": """\
 [scenario]
@@ -579,18 +591,64 @@ csv = bmt.csv
 }
 
 
+# the one error line of each input that does not run to its horizon: the
+# bmt sample that overflows, and the closed form of the constant gain,
+# whose exponent |g| t / 2 = 5e4 the check cannot take
+OVERFLOW_ERRORS = {
+    ("bmt", "--check"): "state has non-finite entries (at t=10.0)",
+    ("bmt", "--no-check"): "state has non-finite entries (at t=10.0)",
+    ("gksl-ode", "--check"): "propagator argument beyond the exponential cap",
+}
+
+
 @pytest.mark.parametrize("check", ["--check", "--no-check"])
 @pytest.mark.parametrize("kind, t_end", [("gksl-ode", 100.0), ("inverted-morse", 100.0),
                                          ("bmt", 10.0)])
 def test_overflowing_stepper_exits_one_with_one_line(tmp_path, kind, t_end, check):
+    # each input either exits 1 with one line or runs to its horizon,
+    # where it ends as a 100 times finer step ends (gaps 3.3e-16 for the
+    # constant gain, 2.2e-7 for the Morse profile)
     bad = tmp_path / "overflow.scn"
     bad.write_text(OVERFLOW_SCNS[kind])
     proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(bad), check,
                      "--out-dir", str(tmp_path / "o")])
+    error = OVERFLOW_ERRORS.get((kind, check))
+    if error is not None:
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [f"scenario {bad}: error: {error}"]
+        return
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "FAIL" not in proc.stdout
+    csv = next((tmp_path / "o").glob("*.csv")).read_text().splitlines()
+    last = np.array([float(v) for v in csv[-1].split(",")[:4]])
+    assert last[0] == t_end
+    scn = parse_scenario(OVERFLOW_SCNS[kind])
+    _, fine, _ = run(scn, out_dir=str(tmp_path / "fine"), check=False, step=0.001)
+    assert np.abs(last[1:] - [fine[c][-1] for c in ("n1", "n2", "n3")]).max() <= 1e-6
+
+
+def test_a_gksl_step_past_the_lift_guard_exits_one_with_one_line(tmp_path):
+    # |omega| h / 2 = 4.7 rad per step lies past RK4's stability limit of
+    # about 2.8 rad: the step stretches a vector by about 16 where the
+    # flow allows exp(h |g| / 2) = 1.005, and the guard refuses the first
+    # step. At |omega| = 40 (2 rad per step) the lift runs to the horizon,
+    # where evolve's density coordinates overflow
+    text = OVERFLOW_SCNS["gksl-ode"].replace("(1e3, 0.0, 0.0)", "(0.1, 0.0, 0.0)")
+    bad = tmp_path / "guard.scn"
+    bad.write_text(text.replace("omega = (0.0, 0.0, 1.0)", "omega = (0.0, 0.0, 94.0)"))
+    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(bad), "--no-check",
+                     "--out-dir", str(tmp_path / "o")])
     assert proc.returncode == 1
     assert proc.stdout == ""
-    errors = proc.stderr.strip().splitlines()
-    assert errors == [f"scenario {bad}: error: state has non-finite entries (at t={t_end})"]
+    assert proc.stderr.strip().splitlines() == [
+        f"scenario {bad}: error: amplitude norm left (0, 2) (at t=0.1)"]
+    runs = parse_scenario(text.replace("omega = (0.0, 0.0, 1.0)", "omega = (0.0, 0.0, 40.0)"))
+    times, _, report = run(runs, out_dir=str(tmp_path / "r"), check=False)
+    assert times[-1] == 100.0 and report.all_passed
+    with pytest.raises(IntegrationDivergedError, match="state has non-finite entries"):
+        evolve(Generator.qubit((0.0, 0.0, 40.0), (0.1, 0.0, 0.0)),
+               bloch_to_density((0.0, 0.0, 1.0)), IntegratorConfig(100.0, 0.1, 1000))
 
 
 def _shipped(stem):
