@@ -228,6 +228,9 @@ def _successive_powers(step: np.ndarray) -> Callable[[int], np.ndarray]:
 
 
 _LIFT_BLOCK = 1024  # steps whose RK4 matrices _lift_chunks holds at once
+# x = 2.78529... solves R(-x) = 1 for RK4's R(z) = 1 + z + z^2/2 + z^3/6
+# + z^4/24, i.e. x^3 - 4x^2 + 12x - 24 = 0: the real stability interval
+_RK4_REAL_STABILITY = 2.7852935634052813
 
 
 def _entry_product(x, y):
@@ -252,7 +255,7 @@ def _unit_scaled(x):
     return x, exponent
 
 
-def _lift_steps(fam, h: float, j0: int, j1: int):
+def _lift_steps(fam, h: float, j0: int, j1: int, refuse_stiff: bool = False):
     """The classical RK4 steps R_i of the linear lift K' = M(t) K of a
     2x2 RateFamily, for steps i = j0 .. j1 - 1, as one entry tuple
     scaled by powers of two (_unit_scaled). With A1, A2, A4 = M(t),
@@ -266,7 +269,19 @@ def _lift_steps(fam, h: float, j0: int, j1: int):
     step's three stage times, raises IntegrationDivergedError at its end.
     The exact flow grows no vector by more than exp(h mu) (the
     logarithmic-norm bound), so this refuses a step that RK4 amplifies
-    past twice that; for G = 0 it is the bound 2 on a ket's norm."""
+    past twice that; for G = 0 it is the bound 2 on a ket's norm.
+
+    That bound is loose wherever the flow itself grows, so with
+    refuse_stiff (evolve_lift) the guard also refuses a stiff step: one
+    where h times the spectral radius of M at any of its three stage
+    times exceeds half of RK4's real stability interval
+    _RK4_REAL_STABILITY. The normalised image moves only by the eigenvalue
+    difference h (lambda_1 - lambda_2), which for a traceless M is twice
+    h lambda_1; past the interval RK4's ratio R(h lambda_1) / R(h lambda_2)
+    no longer follows exp(h (lambda_1 - lambda_2)): at h lambda = +-50 it
+    is 0.85 where the flow's is e^-100, so the decaying direction never
+    decays, and every sample is still a valid state. Where both guards
+    refuse the same first step, the amplitude message is raised."""
     t = np.arange(j0, j1) * h
     v1, v2, v4 = (fam._f(s) for s in (t, t + 0.5 * h, t + h))
     # lambda_max of G0 + v G1 is c + sqrt(d^2 + |o|^2) with c, d the mean
@@ -286,6 +301,15 @@ def _lift_steps(fam, h: float, j0: int, j1: int):
 
     def shifted(c, x):  # I + c X
         return 1.0 + c * x[0], c * x[1], c * x[2], 1.0 + c * x[3]
+
+    def radius(x):  # the spectral radius of each matrix, tr/2 +- s its eigenvalues
+        half_trace = 0.5 * (x[0] + x[3])
+        s = np.sqrt(0.25 * (x[0] - x[3]) ** 2 + x[1] * x[2])
+        return np.maximum(abs(half_trace + s), abs(half_trace - s))
+
+    if refuse_stiff:
+        radii = np.maximum.reduce([radius(at(v)) for v in (v1, v2, v4)])
+        stiff = np.flatnonzero(~(h * radii <= 0.5 * _RK4_REAL_STABILITY))
 
     # the stage sum A1 + 2 P2 + 2 P3 + P4 is accumulated as the stages
     # are built, so that a block holds few entry arrays at once
@@ -311,6 +335,11 @@ def _lift_steps(fam, h: float, j0: int, j1: int):
     # only absorbs rounding, a nan stays nan and fails the comparison
     sigma = np.sqrt(0.5 * (frob + np.sqrt(np.maximum(frob ** 2 - 4.0 * abs(det) ** 2, 0.0))))
     bad = np.flatnonzero(~((sigma < np.ldexp(2.0 * np.exp(h * mu), -exponent)) & (det != 0.0)))
+    if refuse_stiff and stiff.size and not (bad.size and bad[0] <= stiff[0]):
+        raise IntegrationDivergedError(
+            f"stiff step: h times the spectral radius of M is {h * radii[stiff[0]]:.3e}, "
+            f"past {0.5 * _RK4_REAL_STABILITY:.4f} (half RK4's real stability interval)",
+            float((j0 + stiff[0] + 1) * h))
     if bad.size:
         raise IntegrationDivergedError("amplitude norm left (0, 2)", float((j0 + bad[0] + 1) * h))
     return r
@@ -340,23 +369,24 @@ def _tree_products(r, width: int):
     return tuple(np.concatenate([x[j][:, 0] for x in out]) for j in range(4))
 
 
-def _lift_chunks(fam, h: float, n: int, stride: int):
+def _lift_chunks(fam, h: float, n: int, stride: int, refuse_stiff: bool = False):
     """Yield, for each run of stride steps of steps 0 .. n - 1 (the last
     may be shorter), the product R_{i1 - 1} ... R_{i0} of their RK4 steps
     of the linear lift (_lift_steps) as four complex entries, scaled by a
     power of two. The steps are built _LIFT_BLOCK at a time: a block holds
-    whole runs, or part of one run, which then multiplies block by block."""
+    whole runs, or part of one run, which then multiplies block by block.
+    refuse_stiff adds the stiff-step guard of _lift_steps."""
     per_block = max(1, _LIFT_BLOCK // stride)
     for c0 in range(0, n, per_block * stride):
         c1 = min(c0 + per_block * stride, n)
         if stride <= _LIFT_BLOCK:
-            products = _tree_products(_lift_steps(fam, h, c0, c1), stride)
+            products = _tree_products(_lift_steps(fam, h, c0, c1, refuse_stiff), stride)
             yield from zip(*(e.tolist() for e in products))
         else:
             acc = None
             for j0 in range(c0, c1, _LIFT_BLOCK):
-                p = _tree_products(_lift_steps(fam, h, j0, min(j0 + _LIFT_BLOCK, c1)),
-                                   _LIFT_BLOCK)
+                p = _tree_products(_lift_steps(fam, h, j0, min(j0 + _LIFT_BLOCK, c1),
+                                               refuse_stiff), _LIFT_BLOCK)
                 acc = p if acc is None else _unit_scaled(_entry_product(p, acc))[0]
             yield tuple(e.item() for e in acc)
 
@@ -571,7 +601,10 @@ def evolve_lift(fam, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     The start is read as its Hermitian part, as evolve reads it. The
     guard of _lift_chunks raises at the first step whose R is not finite,
     is singular, or stretches a vector past 2 exp(h mu), twice the
-    log-norm bound of the flow."""
+    log-norm bound of the flow, or that is stiff: h times the spectral
+    radius of M past half of RK4's real stability interval (see
+    _lift_steps). A state that leaves that interval would otherwise run
+    to its horizon with a transient that never decays."""
     if not (isinstance(fam, RateFamily) and fam.dim == 2):
         raise UnsupportedModeError("evolve_lift steps a RateFamily of dimension 2")
     rho0 = density_matrix(rho0)
@@ -579,7 +612,7 @@ def evolve_lift(fam, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
         raise DimensionError("state dimension does not match the generator")
     h = cfg.step
     n_steps = whole_steps(cfg.t_end, h)
-    chunks = _lift_chunks(fam, h, n_steps, cfg.sample_stride)
+    chunks = _lift_chunks(fam, h, n_steps, cfg.sample_stride, refuse_stiff=True)
 
     def advance(i0, rho, m):
         p = np.array(next(chunks)).reshape(2, 2)

@@ -467,6 +467,29 @@ def test_the_lift_reads_its_magnitude_through_the_family():
             step(infinite, rho0, cfg)
 
 
+def test_the_lift_refuses_the_first_stiff_step():
+    # M = (1 + t) sigma_x / 2 has the real pair +-(1 + t) / 2, so RK4's
+    # decay ratio of the normalised image is resolved while h (1 + t) / 2
+    # stays within 1.3926, half RK4's real stability interval. A constant
+    # rate runs on either side of the amplitude guard's bound; the
+    # growing one is refused at the end of its first step whose last
+    # stage passes it (i h + h > 26.85 at h = 0.1), where it runs without
+    # the stiff-step guard
+    rho0 = bloch_to_density((0.0, 0.0, 1.0))
+    unit = qubit_rate_generator((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), lambda t: 1.0)
+    assert len(evolve_lift(unit, rho0, IntegratorConfig(2.78, 2.78))) == 2
+    with pytest.raises(IntegrationDivergedError) as err:
+        evolve_lift(unit, rho0, IntegratorConfig(2.79, 2.79))
+    assert str(err.value) == ("stiff step: h times the spectral radius of M is 1.395e+00, "
+                              "past 1.3926 (half RK4's real stability interval) (at t=2.79)")
+    growing = qubit_rate_generator((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), lambda t: 1.0 + t)
+    cfg = IntegratorConfig(t_end=100.0, step=0.1, sample_stride=50)
+    with pytest.raises(IntegrationDivergedError, match="^stiff step") as err:
+        evolve_lift(growing, rho0, cfg)
+    assert err.value.time == pytest.approx(26.9)
+    assert len(list(_lift_chunks(growing, 0.1, 1000, 50))) == 20
+
+
 def test_steppers_refuse_what_they_cannot_step_in_one_line():
     gen = Generator.qubit((0.0, 0.0, 3.0), (1.0, 0.0, 0.5))
     family = qubit_rate_generator((0.0, 0.0, 3.0), (1.0, 0.0, 0.5), lambda t: 1.0)

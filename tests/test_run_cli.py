@@ -522,14 +522,14 @@ def test_overflowing_neutrino_run_exits_one_with_one_line(tmp_path, mode):
     assert errors == [f"scenario {bad}: error: amplitude norm left (0, 2) (at t=1.0)"]
 
 
-# rates far past the stability limit of RK4 on the state at these steps:
-# evolve's density coordinates and the bmt four-vectors overflow between
-# two samples, and the steppers used to print numpy RuntimeWarnings (or,
-# for bmt, store NaN and fail later on an unrelated error) instead of
-# naming the sample. gksl-ode runs step the linear lift instead, whose
-# products are rescaled by powers of two and never overflow; its guard
-# passes these steps, where the flow itself stretches a vector by up to
-# e^50 (constant gain) and e^500 (Morse profile)
+# rates far past the stability limit of RK4 at these steps: the bmt
+# four-vectors overflow between two samples, and the stepper used to
+# print numpy RuntimeWarnings (or store NaN and fail later on an
+# unrelated error) instead of naming the sample. gksl-ode runs step the
+# linear lift, whose products never overflow, so its guard refuses the
+# first stiff step instead: h |lambda| = 50 (constant gain) and 500
+# (Morse profile), where RK4 would let the decaying direction decay by
+# 0.85 and 0.98 per step instead of e^-100 and e^-1000
 OVERFLOW_SCNS = {
     "gksl-ode": """\
 [scenario]
@@ -591,13 +591,12 @@ csv = bmt.csv
 }
 
 
-# the one error line of each input that does not run to its horizon: the
-# bmt sample that overflows, and the closed form of the constant gain,
-# whose exponent |g| t / 2 = 5e4 the check cannot take
 OVERFLOW_ERRORS = {
-    ("bmt", "--check"): "state has non-finite entries (at t=10.0)",
-    ("bmt", "--no-check"): "state has non-finite entries (at t=10.0)",
-    ("gksl-ode", "--check"): "propagator argument beyond the exponential cap",
+    "gksl-ode": "stiff step: h times the spectral radius of M is 5.000e+01, past 1.3926 "
+                "(half RK4's real stability interval) (at t=0.1)",
+    "inverted-morse": "stiff step: h times the spectral radius of M is 5.000e+02, past 1.3926 "
+                      "(half RK4's real stability interval) (at t=0.1)",
+    "bmt": "state has non-finite entries (at t=10.0)",
 }
 
 
@@ -605,47 +604,60 @@ OVERFLOW_ERRORS = {
 @pytest.mark.parametrize("kind, t_end", [("gksl-ode", 100.0), ("inverted-morse", 100.0),
                                          ("bmt", 10.0)])
 def test_overflowing_stepper_exits_one_with_one_line(tmp_path, kind, t_end, check):
-    # each input either exits 1 with one line or runs to its horizon,
-    # where it ends as a 100 times finer step ends (gaps 3.3e-16 for the
-    # constant gain, 2.2e-7 for the Morse profile)
     bad = tmp_path / "overflow.scn"
     bad.write_text(OVERFLOW_SCNS[kind])
     proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(bad), check,
                      "--out-dir", str(tmp_path / "o")])
-    error = OVERFLOW_ERRORS.get((kind, check))
-    if error is not None:
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.strip().splitlines() == [f"scenario {bad}: error: {error}"]
-        return
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert "FAIL" not in proc.stdout
-    csv = next((tmp_path / "o").glob("*.csv")).read_text().splitlines()
-    last = np.array([float(v) for v in csv[-1].split(",")[:4]])
-    assert last[0] == t_end
-    scn = parse_scenario(OVERFLOW_SCNS[kind])
-    _, fine, _ = run(scn, out_dir=str(tmp_path / "fine"), check=False, step=0.001)
-    assert np.abs(last[1:] - [fine[c][-1] for c in ("n1", "n2", "n3")]).max() <= 1e-6
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    errors = proc.stderr.strip().splitlines()
+    assert errors == [f"scenario {bad}: error: {OVERFLOW_ERRORS[kind]}"]
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def _overflow_text(kind, t_end, step, stride):
+    return (OVERFLOW_SCNS[kind].replace("t_end = 100.0", f"t_end = {t_end}")
+            .replace("step = 0.1", f"step = {step}")
+            .replace("sample_stride = 1000", f"sample_stride = {stride}"))
+
+
+@pytest.mark.parametrize("kind, step", [("gksl-ode", 0.002), ("inverted-morse", 0.0002)])
+def test_a_stiff_gain_inside_the_lift_guard_follows_a_fine_step_at_every_sample(tmp_path,
+                                                                                kind, step):
+    # the gains above at a step with h |lambda| = 1.0, inside the guard's
+    # 1.39: every one of the 501 samples, the decaying transient
+    # included, lies within 1e-2 of a 20 times finer step (5.9e-3 at the
+    # first sample, where the transient is largest, for both)
+    _, coarse, _ = run(parse_scenario(_overflow_text(kind, 500 * step, step, 1)),
+                       out_dir=str(tmp_path / "c"), check=False)
+    _, fine, _ = run(parse_scenario(_overflow_text(kind, 500 * step, step / 20, 20)),
+                     out_dir=str(tmp_path / "f"), check=False)
+    assert coarse["n3"].shape == fine["n3"].shape == (501,)
+    assert max(np.abs(coarse[c] - fine[c]).max() for c in ("n1", "n2", "n3")) <= 1e-2
 
 
 def test_a_gksl_step_past_the_lift_guard_exits_one_with_one_line(tmp_path):
     # |omega| h / 2 = 4.7 rad per step lies past RK4's stability limit of
     # about 2.8 rad: the step stretches a vector by about 16 where the
-    # flow allows exp(h |g| / 2) = 1.005, and the guard refuses the first
-    # step. At |omega| = 40 (2 rad per step) the lift runs to the horizon,
-    # where evolve's density coordinates overflow
+    # flow allows exp(h |g| / 2) = 1.005; both guards refuse the first
+    # step and the amplitude line is the one printed. At |omega| = 40
+    # (2 rad per step) RK4 is stable and the amplitude guard passes, but
+    # the step is stiff and refused, where evolve's density coordinates
+    # overflow
     text = OVERFLOW_SCNS["gksl-ode"].replace("(1e3, 0.0, 0.0)", "(0.1, 0.0, 0.0)")
-    bad = tmp_path / "guard.scn"
-    bad.write_text(text.replace("omega = (0.0, 0.0, 1.0)", "omega = (0.0, 0.0, 94.0)"))
-    proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(bad), "--no-check",
-                     "--out-dir", str(tmp_path / "o")])
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.strip().splitlines() == [
-        f"scenario {bad}: error: amplitude norm left (0, 2) (at t=0.1)"]
-    runs = parse_scenario(text.replace("omega = (0.0, 0.0, 1.0)", "omega = (0.0, 0.0, 40.0)"))
-    times, _, report = run(runs, out_dir=str(tmp_path / "r"), check=False)
-    assert times[-1] == 100.0 and report.all_passed
+    lines = {
+        "94.0": "amplitude norm left (0, 2) (at t=0.1)",
+        "40.0": "stiff step: h times the spectral radius of M is 2.000e+00, past 1.3926 "
+                "(half RK4's real stability interval) (at t=0.1)",
+    }
+    for omega, line in lines.items():
+        bad = tmp_path / f"guard{omega}.scn"
+        bad.write_text(text.replace("omega = (0.0, 0.0, 1.0)", f"omega = (0.0, 0.0, {omega})"))
+        proc = _run_cli([sys.executable, "-m", "qdsim.cli", "run", str(bad), "--no-check",
+                         "--out-dir", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [f"scenario {bad}: error: {line}"]
     with pytest.raises(IntegrationDivergedError, match="state has non-finite entries"):
         evolve(Generator.qubit((0.0, 0.0, 40.0), (0.1, 0.0, 0.0)),
                bloch_to_density((0.0, 0.0, 1.0)), IntegratorConfig(100.0, 0.1, 1000))
