@@ -10,17 +10,26 @@ For L_a = 0 it is solved by rho(t) = K rho0 K^dag / tr(...) with
 dK/dt = M(t) K: in closed form K = exp((G - iH) t) for a constant M,
 the oracle for the fixed-step integrators.
 
-evolve steps the real coordinates y of rho: its diagonal, then the real
-and the imaginary parts of its upper triangle. There Lambda is a fixed
-real d^2 x d^2 matrix A and tr Lambda a fixed row c, so each RK4 stage
-is one product z = B y with B = [A; c] and the rate z[:-1] - z[-1] y;
-a RateFamily hands evolve B(t) = B_base + f(t) B_slope, built per block
-of steps as one stack over the block's stage times.
+In the real coordinates y of rho (its diagonal, then the real and the
+imaginary parts of its upper triangle) Lambda is a fixed real d^2 x d^2
+matrix A and tr Lambda a fixed row c: B = [A; c].
+
+evolve of a constant Generator steps the linear lift instead of the
+nonlinear equation, and normalises once per sample: classical RK4 on a
+constant linear flow x' = X x is one fixed matrix R = I + hX + ... +
+(hX)^4/24 (_rk4_linear_step). Without jump operators X = M and the
+lift is K' = M K, each sample's product P of steps taken to the last
+sample as P rho P^dag / tr(...); with them X = A and the coordinates
+step as y <- R y, divided by their trace. evolve of a RateFamily steps
+the nonlinear equation in the coordinates instead, each RK4 stage one
+product z = B(t) y and the rate z[:-1] - z[-1] y, with B(t) = B_base +
+f(t) B_slope built per block of steps as one stack over the block's
+stage times: the independent reference of the time-dependent lift.
 gksl_rhs is the same equation on the complex matrix.
 
-_lift_chunks steps the linear lift K' = M(t) K of a 2x2 RateFamily
-instead, whose normalised image is the state: its RK4 steps depend on t
-only, so they are built as entry arrays per block of steps and each
+_lift_chunks steps the linear lift K' = M(t) K of a 2x2 RateFamily,
+whose normalised image is the state: its RK4 steps depend on t only,
+so they are built as entry arrays per block of steps and each
 sample's steps are multiplied together before they meet the state.
 evolve_lift applies each product P to a density matrix as P rho P^dag
 / tr(...), the route of every gksl-ode run, and neutrino_evolve applies
@@ -79,9 +88,11 @@ class Generator:
 
     @cached_property
     def _b(self) -> np.ndarray:
-        """B = [A; c] of evolve's coordinate stage, built on first use.
-        The drift -iH and the rest of M with the jumps are applied apart,
-        so that the B(t) of a qubit_rate_generator family, linear in the
+        """B = [A; c] of the coordinates (see the module docstring), built
+        on first use: evolve steps the lift of A for a generator with jump
+        operators, and a RateFamily's B(t) from B_base and B_slope. The
+        drift -iH and the rest of M with the jumps are applied apart, so
+        that the B(t) of a qubit_rate_generator family, linear in the
         magnitude of G, is this matrix bit for bit."""
         return (_coordinate_generator(-1j * self.hamiltonian, (), self.dim)
                 + _coordinate_generator(self.damping, self._lpairs, self.dim))
@@ -202,7 +213,10 @@ def _rk4_linear_step(ha: np.ndarray) -> np.ndarray:
     return np.eye(ha.shape[0]) + ha + a2 / 2.0 + (ha @ a2) / 6.0 + (a2 @ a2) / 24.0
 
 
-def _successive_powers(step: np.ndarray) -> Callable[[int], np.ndarray]:
+_RESCALE_EVERY = 32  # constant lift steps between two rescalings of a product or a vector
+
+
+def _successive_powers(step: np.ndarray, rescale: bool = False) -> Callable[[int], np.ndarray]:
     """m -> step^m, cached per m. Storing every m-th step of a run with a
     fixed linear step needs only step^m, one product per sample.
 
@@ -211,7 +225,16 @@ def _successive_powers(step: np.ndarray) -> Callable[[int], np.ndarray]:
     (np.linalg.matrix_power) rounds differently: on the shipped
     bmt_spin_damping_a run it drifts the four-vector invariants about
     four times faster (5.1e-7 against 1.2e-7 by tau = 7000) and passes
-    TOL.bmt_invariant_drift at tau = 7393, before the horizon 8000.
+    TOL.bmt_invariant_drift at tau = 7393, before the horizon 8000. On
+    the 5920-step sample of a coarse parabolic evolve run (M nilpotent)
+    it ends about 50 times further from the closed form (1e-11 against
+    1.3e-13), and squaring the 4x4 step of the density coordinates
+    there leaves the eigenvalue floor or ends 1e-5 away.
+
+    With rescale, for a normalised image, every _RESCALE_EVERY-th
+    product is scaled by the power of two that puts its largest real or
+    imaginary part in [1/2, 1), as _unit_scaled scales: that changes no
+    mantissa bit, and no power over- or underflows.
     """
     cache = {}
 
@@ -219,8 +242,11 @@ def _successive_powers(step: np.ndarray) -> Callable[[int], np.ndarray]:
         rm = cache.get(m)
         if rm is None:
             rm = step
-            for _ in range(m - 1):
+            for k in range(1, m):
                 rm = step @ rm
+                if rescale and k % _RESCALE_EVERY == 0:
+                    big = max(np.abs(rm.real).max(), np.abs(rm.imag).max())
+                    rm = rm * np.ldexp(1.0, -np.frexp(big)[1])
             cache[m] = rm
         return rm
 
@@ -231,6 +257,39 @@ _LIFT_BLOCK = 1024  # steps whose RK4 matrices _lift_chunks holds at once
 # x = 2.78529... solves R(-x) = 1 for RK4's R(z) = 1 + z + z^2/2 + z^3/6
 # + z^4/24, i.e. x^3 - 4x^2 + 12x - 24 = 0: the real stability interval
 _RK4_REAL_STABILITY = 2.7852935634052813
+
+
+def _stiff_step(name: str, h_radius: float, t: float) -> IntegrationDivergedError:
+    """The refusal of a step whose h times the spectral radius of the
+    stepped matrix name passes half of RK4's real stability interval
+    (see _lift_steps), raised at the end of that step, time t."""
+    return IntegrationDivergedError(
+        f"stiff step: h times the spectral radius of {name} is {h_radius:.3e}, "
+        f"past {0.5 * _RK4_REAL_STABILITY:.4f} (half RK4's real stability interval)", t)
+
+
+def _constant_lift_step(name: str, x: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step R of the constant linear flow x' = X x, refused
+    first if it is stiff, as _lift_steps refuses one. The eigenvalues
+    are taken only where the largest absolute row sum of X, a bound on
+    its spectral radius, does not already clear the bound; a non-finite
+    X has an infinite radius."""
+    bound = 0.5 * _RK4_REAL_STABILITY
+    with np.errstate(over="ignore"):
+        row_sum = np.abs(x).sum(axis=1).max()
+    if not h * row_sum <= bound:
+        radius = float(np.abs(np.linalg.eigvals(x)).max()) if np.isfinite(x).all() else math.inf
+        if not h * radius <= bound:
+            raise _stiff_step(name, h * radius, h)
+    return _rk4_linear_step(h * x)
+
+
+def _normalised_image(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """P rho P^dag divided by its real trace, of its Hermitian part, so
+    that the image is Hermitian bit for bit."""
+    x = p @ rho @ dagger(p)
+    x = x + dagger(x)  # twice the Hermitian part; the trace divides the 2 out
+    return x / np.trace(x).real
 
 
 def _entry_product(x, y):
@@ -336,10 +395,7 @@ def _lift_steps(fam, h: float, j0: int, j1: int, refuse_stiff: bool = False):
     sigma = np.sqrt(0.5 * (frob + np.sqrt(np.maximum(frob ** 2 - 4.0 * abs(det) ** 2, 0.0))))
     bad = np.flatnonzero(~((sigma < np.ldexp(2.0 * np.exp(h * mu), -exponent)) & (det != 0.0)))
     if refuse_stiff and stiff.size and not (bad.size and bad[0] <= stiff[0]):
-        raise IntegrationDivergedError(
-            f"stiff step: h times the spectral radius of M is {h * radii[stiff[0]]:.3e}, "
-            f"past {0.5 * _RK4_REAL_STABILITY:.4f} (half RK4's real stability interval)",
-            float((j0 + stiff[0] + 1) * h))
+        raise _stiff_step("M", h * radii[stiff[0]], float((j0 + stiff[0] + 1) * h))
     if bad.size:
         raise IntegrationDivergedError("amplitude norm left (0, 2)", float((j0 + bad[0] + 1) * h))
     return r
@@ -447,15 +503,20 @@ def _from_coordinates(y: np.ndarray, d: int) -> np.ndarray:
 _BASIS_CHUNK_ENTRIES = 1 << 16  # basis-matrix entries one pass of _coordinate_generator holds
 
 
-def _coordinate_generator(m: np.ndarray, lpairs, d: int) -> np.ndarray:
-    """B = [A; c] of shape (d^2 + 1, d^2): A maps the coordinates of rho to
-    those of Lambda(rho) and c to tr Lambda(rho). Its columns are
-    _linear_image of the coordinate basis, taken a chunk at a time.
-    B grows as d^4, so d is capped by TOL.max_coordinate_dim before B
-    is allocated."""
+def _cap_coordinate_dim(d: int) -> None:
+    """B grows as d^4, so d is capped by TOL.max_coordinate_dim before B
+    is allocated, and before evolve steps a generator of any kind."""
     if d > TOL.max_coordinate_dim:
         raise DomainError(f"evolve steps a ({d}^2 + 1) x {d}^2 real generator matrix; "
                           f"at most d = {TOL.max_coordinate_dim} is supported")
+
+
+def _coordinate_generator(m: np.ndarray, lpairs, d: int) -> np.ndarray:
+    """B = [A; c] of shape (d^2 + 1, d^2): A maps the coordinates of rho to
+    those of Lambda(rho) and c to tr Lambda(rho). Its columns are
+    _linear_image of the coordinate basis, taken a chunk at a time,
+    after _cap_coordinate_dim."""
+    _cap_coordinate_dim(d)
     n = d * d
     b = np.empty((n + 1, n))
     chunk = max(1, _BASIS_CHUNK_ENTRIES // n)
@@ -528,7 +589,7 @@ def _rk4(rate, at, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Traje
     """Classical fixed-step RK4 on y' = rate(op, y) with the operator op
     of the stage time, sampled by _sampled_steps with check_sample
     vetting each sample. y is what the caller steps: the real coordinates
-    of a density matrix for evolve, the complex ket for
+    of a density matrix for evolve of a RateFamily, the complex ket for
     evolve_state_vector. at(t) gives the operators of an array of times.
 
     Steps run in blocks; each block takes the stage times i h, i h + h/2
@@ -553,40 +614,67 @@ def _rk4(rate, at, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Traje
                           cfg.sample_stride, check_sample)
 
 
-def _coordinate_rate(gen, d: int):
-    """evolve's rate(b, y) = z[:-1] - z[-1] y with z = B y, and at(t):
-    the fixed B of a Generator repeated, or the stack of a RateFamily's
-    B(t)."""
+def _coordinate_rate(b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """evolve's rate of a RateFamily in the coordinates, z[:-1] - z[-1] y
+    with z = B(t) y."""
+    z = b.dot(y)
+    return z[:-1] - y * z[-1]
+
+
+def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
+    """RK4 on the master equation of a Generator or a RateFamily, sampled
+    on the shared grid (see the module docstring).
+
+    A Generator steps its linear lift with one fixed RK4 matrix R and
+    is normalised once per sample: without jump operators R steps K' = M K
+    and each sample is P rho P^dag / tr(...) of the last one, P the
+    product of its steps (_successive_powers); with them R steps the
+    coordinates, y <- R y, divided by their trace every _RESCALE_EVERY
+    steps and at each sample. The horizon, the sample count and the
+    dimension are vetted first, then a stiff step is refused before any
+    step runs: h times the spectral radius of M (or of Lambda, with
+    jumps) past half of RK4's real stability interval, as evolve_lift
+    refuses one. A RateFamily steps the nonlinear equation in the
+    coordinates, one product with B(t) per stage.
+
+    The start is read as its Hermitian part, which density_matrix has
+    held within TOL.hermitian_rel of it. Samples are exactly Hermitian;
+    each must keep the trace within the ode_* drift bounds and the
+    eigenvalues above the floor, and a breach raises with the offending
+    time. A Generator's samples are divided by their trace, so there the
+    drift bound sees only rounding.
+    """
+    rho0 = density_matrix(rho0)
+    d = rho0.shape[0]
     if not isinstance(gen, (Generator, RateFamily)):
         raise UnsupportedModeError(f"evolve steps a Generator or a RateFamily, "
                                    f"not {type(gen).__name__}")
     if gen.dim != d:
         raise DimensionError("state dimension does not match the generator")
-    at = gen._b_at if isinstance(gen, RateFamily) else (lambda t, b=gen._b: repeat(b, t.size))
-
-    def rate(b, y):
-        z = b.dot(y)
-        return z[:-1] - y * z[-1]
-
-    return rate, at
-
-
-def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
-    """RK4 on the master equation in the real coordinates of rho, one
-    product with B per stage (see the module docstring). gen is a
-    Generator or a RateFamily.
-
-    The start is read as its Hermitian part, which density_matrix has
-    held within TOL.hermitian_rel of it. Samples are rebuilt as
-    matrices, exactly Hermitian; each must keep the trace within the
-    ode_* drift bounds and the eigenvalues above the floor, and a breach
-    raises with the offending time.
-    """
-    rho0 = density_matrix(rho0)
-    d = rho0.shape[0]
-    rate, at = _coordinate_rate(gen, d)
     check = lambda y, t: _check_density_sample(_from_coordinates(y, d), t)
-    traj = _rk4(rate, at, _to_coordinates(rho0), cfg, check)
+    if isinstance(gen, RateFamily):
+        traj = _rk4(_coordinate_rate, gen._b_at, _to_coordinates(rho0), cfg, check)
+        return Trajectory(traj.times, _from_coordinates(traj.states, d))
+    h, stride = cfg.step, cfg.sample_stride
+    n_steps = whole_steps(cfg.t_end, h)
+    sample_count(n_steps, stride)
+    _cap_coordinate_dim(d)
+    if not gen.lindblads:
+        power = (_successive_powers(_constant_lift_step("M", gen._m, h), rescale=True)
+                 if n_steps else None)
+        return _sampled_steps(lambda i0, rho, m: _normalised_image(power(m), rho),
+                              0.5 * (rho0 + dagger(rho0)), n_steps, h, stride,
+                              _check_density_sample)
+    r = _constant_lift_step("Lambda", gen._b[:-1], h) if n_steps else None
+
+    def advance(i0, y, m):
+        for k in range(1, m + 1):
+            y = r.dot(y)
+            if k % _RESCALE_EVERY == 0 or k == m:
+                y = y / y[:d].sum()
+        return y
+
+    traj = _sampled_steps(advance, _to_coordinates(rho0), n_steps, h, stride, check)
     return Trajectory(traj.times, _from_coordinates(traj.states, d))
 
 
@@ -615,10 +703,7 @@ def evolve_lift(fam, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     chunks = _lift_chunks(fam, h, n_steps, cfg.sample_stride, refuse_stiff=True)
 
     def advance(i0, rho, m):
-        p = np.array(next(chunks)).reshape(2, 2)
-        x = p @ rho @ dagger(p)
-        x = x + dagger(x)  # twice the Hermitian part; the trace divides the 2 out
-        return x / np.trace(x).real
+        return _normalised_image(np.array(next(chunks)).reshape(2, 2), rho)
 
     return _sampled_steps(advance, 0.5 * (rho0 + dagger(rho0)), n_steps, h,
                           cfg.sample_stride, _check_density_sample)

@@ -101,9 +101,10 @@ def _grid(t_end: float, dt: float) -> np.ndarray:
 
 
 def _oracle(gen: Generator, xi, icfg: dict) -> Trajectory:
-    """The RK4 cross-check run from Bloch vector xi: each scenario step
-    split into as many equal steps as keep them at most TOL.oracle_step,
-    at most TOL.oracle_max_steps steps in all, sampled at about
+    """The RK4 cross-check run from Bloch vector xi, evolve's linear lift
+    of the constant generator gen: each scenario step split into as many
+    equal steps as keep them at most TOL.oracle_step, at most
+    TOL.oracle_max_steps steps in all, sampled at about
     TOL.oracle_points comparison points. The step is t_end / n, so it
     always divides the horizon."""
     t_end, step = icfg["t_end"], icfg["step"]
@@ -116,8 +117,10 @@ def _oracle(gen: Generator, xi, icfg: dict) -> Trajectory:
 
 def _closed_vs_ode(name: str, closed_form, ode: Trajectory) -> CheckResult:
     """Largest Bloch distance between an RK4 trajectory and
-    closed_form(times) at its sample times. The samples are read as they
-    are: evolve has already held them to its drift bounds."""
+    closed_form(times) at its sample times: _oracle's evolve run, the
+    linear lift of a constant Generator, or a gksl-ode run's evolve_lift.
+    The samples are read as they are: both steppers divide each sample
+    by its trace and hold it to the density guards."""
     dist = np.linalg.norm(pauli_components(ode.states) - closed_form(ode.times), axis=1).max()
     return CheckResult(name, float(dist), TOL.closed_vs_ode)
 

@@ -62,7 +62,8 @@ def emit(capsys):
 
 
 def bloch_of(rho) -> np.ndarray:
-    # raw Pauli projection: RK4 samples are exactly Hermitian, but their
+    # raw Pauli projection: RK4 samples are exactly Hermitian. evolve
+    # divides a Generator's samples by their trace, but a RateFamily's
     # trace may drift within the run guard (TOL.ode_trace_drift), beyond
     # the state-validation tolerance (TOL.trace_one)
     return np.array([np.trace(rho @ s).real for s in PAULI])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from qdsim.dynamics import (
     IntegratorConfig,
     RateFamily,
     Trajectory,
-    _coordinate_rate,
     _from_coordinates,
     _lift_chunks,
     _to_coordinates,
@@ -36,7 +36,9 @@ from qdsim.errors import (
 from qdsim.linalg import SIGMA_X, SIGMA_Z, dagger, frobenius, pauli_components, pauli_dot
 from qdsim.models import dirac
 from qdsim.models import neutrino as nu
-from qdsim.run import _grid
+from qdsim.qubit import QubitGeneratorParams, bloch_trajectory_general
+from qdsim.run import _grid, _oracle
+from qdsim.scenario import parse_scenario
 from qdsim.states import bloch_to_density, density_to_bloch
 
 from qdsim.tolerances import TOL
@@ -124,14 +126,60 @@ def _rk4_on_gksl_rhs(gen_at, rho, h, n_steps, stride):
     return np.array(samples)
 
 
+def _rk4_on_the_linear_lift(gen, rho0, h, n_steps, stride):
+    """Classical RK4 on the linear equation of a Generator, written out:
+    K' = (G - iH) K from K = I without jump operators, each sample
+    K rho0 K^dag / tr(...); with them x' = M x + x M^dag + sum_a L_a x
+    L_a^dag from x = rho0, each sample x / tr x. The reference for
+    evolve's lift route."""
+    m = gen.damping - 1j * gen.hamiltonian
+    unit_trace = lambda x: x / np.trace(x).real
+    if gen.lindblads:
+        x = rho0
+        rate = lambda x: m @ x + x @ m.conj().T + sum(l @ x @ l.conj().T for l in gen.lindblads)
+        image = unit_trace
+    else:
+        x = np.eye(rho0.shape[0], dtype=complex)
+        rate = lambda k: m @ k
+        image = lambda k: unit_trace(k @ rho0 @ k.conj().T)
+    samples = [image(x)]
+    for i in range(n_steps):
+        k1 = rate(x)
+        k2 = rate(x + (0.5 * h) * k1)
+        k3 = rate(x + (0.5 * h) * k2)
+        k4 = rate(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if (i + 1) % stride == 0 or i + 1 == n_steps:
+            samples.append(image(x))
+    return np.array(samples)
+
+
 @pytest.mark.parametrize("dim, jumps", [(2, 0), (2, 1), (3, 0), (3, 1)])
 def test_evolve_agrees_with_rk4_on_the_complex_right_hand_side(rng, dim, jumps):
+    # evolve of a Generator is RK4 on the linear lift, normalised per
+    # sample: the textbook loop on the complex matrices to rounding
     gen = _random_generator(rng, dim, jumps)
     rho0 = random_density(rng, dim)
     traj = evolve(gen, rho0, IntegratorConfig(t_end=2.0, step=0.01, sample_stride=40))
-    want = _rk4_on_gksl_rhs(lambda t: gen, rho0, 0.01, 200, 40)
+    want = _rk4_on_the_linear_lift(gen, rho0, 0.01, 200, 40)
     assert traj.states.shape == want.shape == (6, dim, dim)
     assert frobenius(traj.states - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim, jumps", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_evolve_is_fourth_order_against_rk4_on_gksl_rhs(rng, dim, jumps):
+    # the lift and RK4 on the nonlinear equation are two fourth-order
+    # discretisations of one flow: their gap falls about 16x per halved
+    # step (3.5e-9 to 1.5e-5 over these steps on a draw of each kind)
+    gen = _random_generator(rng, dim, jumps)
+    rho0 = random_density(rng, dim)
+    gaps = []
+    for h in (0.1, 0.05, 0.025, 0.0125):
+        stride = round(0.4 / h)
+        traj = evolve(gen, rho0, IntegratorConfig(t_end=2.0, step=h, sample_stride=stride))
+        want = _rk4_on_gksl_rhs(lambda t: gen, rho0, h, round(2.0 / h), stride)
+        gaps.append(frobenius(traj.states - want).max())
+    assert all(coarse >= 10.0 * fine for coarse, fine in zip(gaps, gaps[1:]))
 
 
 def test_evolve_of_a_rate_family_agrees_with_rk4_on_the_complex_right_hand_side():
@@ -144,10 +192,53 @@ def test_evolve_of_a_rate_family_agrees_with_rk4_on_the_complex_right_hand_side(
     assert frobenius(traj.states - want).max() <= 1e-12
 
 
+def test_the_shipped_damped_rabi_oracle_from_a_pure_start_is_the_closed_form():
+    # M of omega = 6, g = 5.95 is far from normal; stepping K keeps the
+    # pure samples' lower eigenvalue near rounding (-1.1e-11) and 3.2e-11
+    # from the closed form, where stepping the density coordinates
+    # without jumps dips to -3.0e-9 at t = 8.112, past the floor
+    scn = parse_scenario(resources.files("qdsim").joinpath(
+        "scenarios", "damped_rabi_w6_g595.scn").read_text())
+    p = scn.parameters
+    assert tuple(p["xi"]) == (0.0, 0.0, 1.0)
+    params = QubitGeneratorParams(p["omega"], p["g"])
+    traj = _oracle(params.generator(), p["xi"], scn.integrator)
+    assert min(np.linalg.eigvalsh(rho).min() for rho in traj.states) >= TOL.eigenvalue_floor
+    want = bloch_trajectory_general(params, np.asarray(p["xi"]), traj.times)
+    assert np.linalg.norm(pauli_components(traj.states) - want, axis=1).max() <= 1e-9
+
+
+def test_a_coarse_parabolic_leg_is_the_closed_form():
+    # criterion 07's parabolic draws: M nilpotent, a fine leg through the
+    # transient, then 5920 coarse steps in one sample. Stepping K, the run
+    # ends within 3e-13 of the closed form at t = 3000/k (and 6.7e-4 from
+    # the asymptote, the 1/t tail); binary powers of the 4x4 step of the
+    # density coordinates end 1e-5 away or dip below the eigenvalue floor
+    rng = np.random.default_rng(2026)
+    worst = 0.0
+    for _ in range(5):
+        k = rng.uniform(1.0, 2.5)
+        e1 = rng.normal(size=3)
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(e1, rng.normal(size=3))
+        e2 /= np.linalg.norm(e2)
+        params = QubitGeneratorParams(k * e1, k * e2)
+        xi = rng.uniform(-0.5, 0.5, 3)
+        gen = params.generator()
+        leg1 = evolve(gen, bloch_to_density(xi),
+                      IntegratorConfig(40.0 / k, 0.01 / k, sample_stride=10 ** 9))
+        leg2 = evolve(gen, leg1.final_state,
+                      IntegratorConfig(2960.0 / k, 0.5 / k, sample_stride=10 ** 9))
+        want = bloch_trajectory_general(params, xi, np.array([3000.0 / k]))[0]
+        worst = max(worst, float(np.linalg.norm(pauli_components(leg2.final_state) - want)))
+    assert worst <= 1e-6
+
+
 @pytest.mark.parametrize("dim, jumps", [(2, 0), (2, 2), (3, 1), (4, 1)])
 def test_coordinate_generator_gives_the_complex_right_hand_side(rng, dim, jumps):
     # B = [A; c]: z = B y, then z[:-1] - z[-1] y are the coordinates of
-    # gksl_rhs; a state is read as its Hermitian part, which its
+    # gksl_rhs, and z[:-1] = A y those of the linear image that evolve's
+    # lift steps; a state is read as its Hermitian part, which its
     # coordinates rebuild bit for bit
     gen = _random_generator(rng, dim, jumps)
     assert gen._b.shape == (dim * dim + 1, dim * dim)
@@ -155,10 +246,11 @@ def test_coordinate_generator_gives_the_complex_right_hand_side(rng, dim, jumps)
         rho = random_density(rng, dim)
         y = _to_coordinates(rho)
         assert np.array_equal(_from_coordinates(y, dim), 0.5 * (rho + rho.conj().T))
-        rate, at = _coordinate_rate(gen, dim)
-        (b,) = at(np.zeros(1))
-        rate = _from_coordinates(rate(b, y), dim)
+        z = gen._b.dot(y)
+        lam = _from_coordinates(z[:-1], dim)
+        rate = _from_coordinates(z[:-1] - z[-1] * y, dim)
         assert frobenius(rate - gksl_rhs(gen, rho)) <= 1e-13 * max(1.0, frobenius(rate))
+        assert abs(z[-1] - np.trace(lam).real) <= 1e-13 * max(1.0, frobenius(lam))
 
 
 def test_evolve_refuses_an_oversized_dimension_before_building_its_matrix():
@@ -291,26 +383,76 @@ def test_rate_family_fills_the_caches_of_a_validated_generator():
 
 def test_evolve_overflow_is_an_integration_error_without_warnings():
     # RK4 far past its stability limit overflows between two samples; under
-    # the suite's filterwarnings = error a numpy RuntimeWarning would fail here
+    # the suite's filterwarnings = error a numpy RuntimeWarning would fail here.
+    # A constant Generator's step is refused as stiff before it runs
     gen = Generator.qubit((0.0, 0.0, 1.0), (1e3, 0.0, 0.0))
     cfg = IntegratorConfig(t_end=100.0, step=0.1, sample_stride=1000)
-    with pytest.raises(IntegrationDivergedError, match="state has non-finite entries"):
+    with pytest.raises(IntegrationDivergedError) as err:
         evolve(gen, bloch_to_density((0.0, 0.0, 1.0)), cfg)
+    assert str(err.value) == ("stiff step: h times the spectral radius of M is 5.000e+01, "
+                              "past 1.3926 (half RK4's real stability interval) (at t=0.1)")
     gen_at = qubit_rate_generator((0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
                                   inverted_morse_profile(1e4, 0.0005))
     with pytest.raises(IntegrationDivergedError, match="state has non-finite entries"):
         evolve(gen_at, bloch_to_density((0.0, 0.0, 1.0)), cfg)
 
 
+def test_evolve_refuses_a_stiff_constant_step_by_its_spectral_radius():
+    # evolve refuses in evolve_lift's words, before any step: M = sigma_x / 2
+    # runs at h = 2.78 and is refused at h = 2.79. A nilpotent M = 100
+    # |0><1| has row sum 100 but spectral radius 0: it runs at h = 0.1,
+    # where RK4's step is the exact I + hM, so every sample is the closed
+    # form. With jumps the radius is that of Lambda on the coordinates,
+    # 100 for L = 10 sigma_z
+    rho0 = bloch_to_density((0.3, 0.0, 0.8))
+    unit = Generator.qubit((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    assert len(evolve(unit, rho0, IntegratorConfig(2.78, 2.78))) == 2
+    with pytest.raises(IntegrationDivergedError) as err:
+        evolve(unit, rho0, IntegratorConfig(2.79, 2.79))
+    assert str(err.value) == ("stiff step: h times the spectral radius of M is 1.395e+00, "
+                              "past 1.3926 (half RK4's real stability interval) (at t=2.79)")
+    m = np.array([[0.0, 100.0], [0.0, 0.0]], dtype=complex)
+    nilpotent = Generator(0.5j * (m - m.conj().T), 0.5 * (m + m.conj().T))
+    traj = evolve(nilpotent, rho0, IntegratorConfig(1.0, 0.1))
+    for t, rho in zip(traj.times, traj.states):
+        assert frobenius(rho - closed_form_propagate(nilpotent, rho0, t)) <= 1e-12
+    jump = Generator.qubit((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (10.0 * SIGMA_Z,))
+    assert len(evolve(jump, rho0, IntegratorConfig(0.02, 0.01))) == 3
+    with pytest.raises(IntegrationDivergedError,
+                       match=r"^stiff step: h times the spectral radius of Lambda is 2\.000e\+00, "):
+        evolve(jump, rho0, IntegratorConfig(0.04, 0.02))
+
+
+@pytest.mark.parametrize("lindblads", [(), (LOWER,)], ids=["K", "coordinates"])
+def test_a_long_growing_constant_run_neither_overflows_nor_underflows(lindblads):
+    # g = (10, 0, 0): the lift grows as e^(5 t) or faster, so 20000 steps in
+    # one sample take K to e^(+-1000), and the coordinates past e^1000,
+    # without the rescaling every 32 steps; the state settles on the top
+    # eigenvector of Lambda on the coordinates, taken here by numpy
+    gen = Generator.qubit((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), lindblads)
+    traj = evolve(gen, bloch_to_density((0.3, 0.0, 0.8)),
+                  IntegratorConfig(t_end=200.0, step=0.01, sample_stride=10 ** 9))
+    w, v = np.linalg.eig(gen._b[:-1])
+    top = v[:, np.argmax(w.real)].real
+    want = _from_coordinates(top / top[:2].sum(), 2)
+    assert frobenius(traj.final_state - want) <= 1e-12
+
+
 def test_rate_family_of_constant_magnitude_retraces_the_autonomous_run():
+    # the family's B(t) is the Generator's B bit for bit, but the family
+    # steps the nonlinear coordinates and the Generator its linear lift:
+    # at this coarse step the two fourth-order runs are 2.5e-5 apart
     omega, g_dir = (0.0, 0.0, 3.0), (1.0, 0.0, 0.5)
     family = qubit_rate_generator(omega, g_dir, lambda t: 1.0)
+    gen = Generator.qubit(omega, g_dir)
+    for b in family._b_at(np.array([0.0, 0.05, 0.1, 1.0])):
+        assert np.array_equal(b, gen._b)
     rho0 = bloch_to_density((0.3, 0.0, 0.8))
     cfg = IntegratorConfig(t_end=1.0, step=0.1, sample_stride=3)
     varying = evolve(family, rho0, cfg)
-    constant = evolve(Generator.qubit(omega, g_dir), rho0, cfg)
+    constant = evolve(gen, rho0, cfg)
     assert np.array_equal(varying.times, constant.times)
-    assert np.array_equal(varying.states, constant.states)
+    assert frobenius(varying.states - constant.states).max() <= 1e-4
 
 
 def _textbook_rk4(family, rho0, h, n_steps, stride):

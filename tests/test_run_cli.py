@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qdsim
-from qdsim import cli, scenario
+from qdsim import cli, dynamics, scenario
 from qdsim.cli import main
 from qdsim.errors import DomainError, IntegrationDivergedError
 from qdsim.dynamics import (Generator, IntegratorConfig, evolve, evolve_lift,
@@ -173,8 +173,9 @@ def test_a_constant_gain_run_is_the_lift_bit_for_bit_and_near_the_autonomous_rk4
                                                                                   capsys):
     # the constant gain steps as a rate family of magnitude 1 on the raw g
     # (a unit direction scaled by |g| rounds apart from this g) through
-    # the linear lift; the autonomous RK4 on the density coordinates is
-    # another discretisation of the same flow, 7.4e-12 away at this step
+    # the linear lift; RK4 on the nonlinear density coordinates of the
+    # same family, evolve's route for a RateFamily, is another
+    # discretisation of the same flow, 7.4e-12 away at this step
     omega, g, xi = (0.3, -1.0, 6.0), (3.0, 0.5, -0.2), (0.1, 0.0, 0.5)
     p = tmp_path / "constant.scn"
     p.write_text(ODE_PASS_SCN.replace("(0.0, 0.0, 6.0)", str(omega))
@@ -190,8 +191,23 @@ def test_a_constant_gain_run_is_the_lift_bit_for_bit_and_near_the_autonomous_rk4
     family = qubit_rate_generator(omega, g, lambda t: 1.0)
     lift = evolve_lift(family, bloch_to_density(xi), cfg)
     assert np.array_equal(written, pauli_components(lift.states))
-    traj = evolve(Generator.qubit(omega, g), bloch_to_density(xi), cfg)
+    traj = evolve(family, bloch_to_density(xi), cfg)
     assert np.abs(written - pauli_components(traj.states)).max() <= 1e-10
+
+
+def test_a_lift_step_of_half_the_step_fails_closed_form_vs_ode(tmp_path, monkeypatch, capsys):
+    # fault injection: the oracle's fixed RK4 step R built from h/2, so
+    # the cross-check run lags the closed form by half its horizon; the
+    # check must read FAIL and the run exit 2. Untouched, it passes
+    path = resources.files("qdsim").joinpath("scenarios", "damped_rabi_w6_g4.scn")
+    args = ["run", str(path), "--check", "--out-dir", str(tmp_path / "o")]
+    assert main(args) == 0
+    right = dynamics._constant_lift_step
+    monkeypatch.setattr(dynamics, "_constant_lift_step", lambda name, x, h: right(name, x, 0.5 * h))
+    capsys.readouterr()
+    assert main(args) == 2
+    lines = [l for l in capsys.readouterr().out.splitlines() if "check closed-form-vs-ode" in l]
+    assert len(lines) == 1 and lines[0].endswith(" FAIL")
 
 
 def test_generator_consistency_says_when_no_pick_engaged(tmp_path):
@@ -642,8 +658,7 @@ def test_a_gksl_step_past_the_lift_guard_exits_one_with_one_line(tmp_path):
     # flow allows exp(h |g| / 2) = 1.005; both guards refuse the first
     # step and the amplitude line is the one printed. At |omega| = 40
     # (2 rad per step) RK4 is stable and the amplitude guard passes, but
-    # the step is stiff and refused, where evolve's density coordinates
-    # overflow
+    # the step is stiff and refused, as evolve refuses it before any step
     text = OVERFLOW_SCNS["gksl-ode"].replace("(1e3, 0.0, 0.0)", "(0.1, 0.0, 0.0)")
     lines = {
         "94.0": "amplitude norm left (0, 2) (at t=0.1)",
@@ -658,9 +673,10 @@ def test_a_gksl_step_past_the_lift_guard_exits_one_with_one_line(tmp_path):
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.strip().splitlines() == [f"scenario {bad}: error: {line}"]
-    with pytest.raises(IntegrationDivergedError, match="state has non-finite entries"):
+    with pytest.raises(IntegrationDivergedError) as err:
         evolve(Generator.qubit((0.0, 0.0, 40.0), (0.1, 0.0, 0.0)),
                bloch_to_density((0.0, 0.0, 1.0)), IntegratorConfig(100.0, 0.1, 1000))
+    assert str(err.value) == lines["40.0"]
 
 
 def _shipped(stem):
