@@ -17,10 +17,11 @@ matrix A and tr Lambda a fixed row c: B = [A; c].
 evolve of a constant Generator steps the linear lift instead of the
 nonlinear equation, and normalises once per sample: classical RK4 on a
 constant linear flow x' = X x is one fixed matrix R = I + hX + ... +
-(hX)^4/24 (_rk4_linear_step). Without jump operators X = M and the
-lift is K' = M K, each sample's product P of steps taken to the last
-sample as P rho P^dag / tr(...); with them X = A and the coordinates
-step as y <- R y, divided by their trace. evolve of a RateFamily steps
+(hX)^4/24 (_rk4_linear_step), here of X less its mean eigenvalue,
+which the normalisation divides out. Without jump operators X = M and
+the lift is K' = M K, each sample's product P of steps taken to the
+last sample as P rho P^dag / tr(...); with them X = A and the
+coordinates go to P y / tr(P y). evolve of a RateFamily steps
 the nonlinear equation in the coordinates instead, each RK4 stage one
 product z = B(t) y and the rate z[:-1] - z[-1] y, with B(t) = B_base +
 f(t) B_slope built per block of steps as one stack over the block's
@@ -213,7 +214,7 @@ def _rk4_linear_step(ha: np.ndarray) -> np.ndarray:
     return np.eye(ha.shape[0]) + ha + a2 / 2.0 + (ha @ a2) / 6.0 + (a2 @ a2) / 24.0
 
 
-_RESCALE_EVERY = 32  # constant lift steps between two rescalings of a product or a vector
+_RESCALE_EVERY = 32  # constant lift steps between two rescalings of a product
 
 
 def _successive_powers(step: np.ndarray, rescale: bool = False) -> Callable[[int], np.ndarray]:
@@ -270,17 +271,16 @@ def _stiff_step(name: str, h_radius: float, t: float) -> IntegrationDivergedErro
 
 def _constant_lift_step(name: str, x: np.ndarray, h: float) -> np.ndarray:
     """The RK4 step R of the constant linear flow x' = X x, refused
-    first if it is stiff, as _lift_steps refuses one. The eigenvalues
-    are taken only where the largest absolute row sum of X, a bound on
-    its spectral radius, does not already clear the bound; a non-finite
-    X has an infinite radius."""
-    bound = 0.5 * _RK4_REAL_STABILITY
-    with np.errstate(over="ignore"):
-        row_sum = np.abs(x).sum(axis=1).max()
-    if not h * row_sum <= bound:
-        radius = float(np.abs(np.linalg.eigvals(x)).max()) if np.isfinite(x).all() else math.inf
-        if not h * radius <= bound:
-            raise _stiff_step(name, h * radius, h)
+    first if it is stiff, as _lift_steps refuses one. X is first shifted
+    by its mean eigenvalue, tr X / n: that scales the exact flow by a
+    number, which the normalised image divides out, so that G and G + cI
+    step alike, as they do on the nonlinear equation; RK4's R would
+    otherwise follow the shift only to its own accuracy. A non-finite X
+    has an infinite spectral radius."""
+    x = x - (np.trace(x) / x.shape[0]) * np.eye(x.shape[0])
+    radius = float(np.abs(np.linalg.eigvals(x)).max()) if np.isfinite(x).all() else math.inf
+    if not h * radius <= 0.5 * _RK4_REAL_STABILITY:
+        raise _stiff_step(name, h * radius, h)
     return _rk4_linear_step(h * x)
 
 
@@ -625,17 +625,19 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     """RK4 on the master equation of a Generator or a RateFamily, sampled
     on the shared grid (see the module docstring).
 
-    A Generator steps its linear lift with one fixed RK4 matrix R and
-    is normalised once per sample: without jump operators R steps K' = M K
-    and each sample is P rho P^dag / tr(...) of the last one, P the
-    product of its steps (_successive_powers); with them R steps the
-    coordinates, y <- R y, divided by their trace every _RESCALE_EVERY
-    steps and at each sample. The horizon, the sample count and the
-    dimension are vetted first, then a stiff step is refused before any
-    step runs: h times the spectral radius of M (or of Lambda, with
-    jumps) past half of RK4's real stability interval, as evolve_lift
-    refuses one. A RateFamily steps the nonlinear equation in the
-    coordinates, one product with B(t) per stage.
+    A Generator steps its linear lift with one fixed RK4 matrix R, of
+    the lift's matrix less its mean eigenvalue (_constant_lift_step),
+    and is normalised once per sample: without jump operators R steps
+    K' = M K and each sample is P rho P^dag / tr(...) of the last one;
+    with them R steps the coordinates and each sample is P y / tr(P y).
+    P is the product of the sample's steps (_successive_powers, rescaled
+    by a power of two every _RESCALE_EVERY steps). The horizon, the
+    sample count and the dimension are vetted first, then a stiff step
+    is refused before any step runs: h times the spectral radius of the
+    shifted M (or Lambda, with jumps) past half of RK4's real stability
+    interval, as evolve_lift refuses one. A RateFamily steps the
+    nonlinear equation in the coordinates, one product with B(t) per
+    stage.
 
     The start is read as its Hermitian part, which density_matrix has
     held within TOL.hermitian_rel of it. Samples are exactly Hermitian;
@@ -659,20 +661,17 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     n_steps = whole_steps(cfg.t_end, h)
     sample_count(n_steps, stride)
     _cap_coordinate_dim(d)
+    name, x = ("Lambda", gen._b[:-1]) if gen.lindblads else ("M", gen._m)
+    power = (_successive_powers(_constant_lift_step(name, x, h), rescale=True)
+             if n_steps else None)
     if not gen.lindblads:
-        power = (_successive_powers(_constant_lift_step("M", gen._m, h), rescale=True)
-                 if n_steps else None)
         return _sampled_steps(lambda i0, rho, m: _normalised_image(power(m), rho),
                               0.5 * (rho0 + dagger(rho0)), n_steps, h, stride,
                               _check_density_sample)
-    r = _constant_lift_step("Lambda", gen._b[:-1], h) if n_steps else None
 
     def advance(i0, y, m):
-        for k in range(1, m + 1):
-            y = r.dot(y)
-            if k % _RESCALE_EVERY == 0 or k == m:
-                y = y / y[:d].sum()
-        return y
+        y = power(m) @ y
+        return y / y[:d].sum()
 
     traj = _sampled_steps(advance, _to_coordinates(rho0), n_steps, h, stride, check)
     return Trajectory(traj.times, _from_coordinates(traj.states, d))

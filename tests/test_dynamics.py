@@ -127,20 +127,25 @@ def _rk4_on_gksl_rhs(gen_at, rho, h, n_steps, stride):
 
 
 def _rk4_on_the_linear_lift(gen, rho0, h, n_steps, stride):
-    """Classical RK4 on the linear equation of a Generator, written out:
-    K' = (G - iH) K from K = I without jump operators, each sample
-    K rho0 K^dag / tr(...); with them x' = M x + x M^dag + sum_a L_a x
-    L_a^dag from x = rho0, each sample x / tr x. The reference for
-    evolve's lift route."""
+    """Classical RK4 on the linear equation of a Generator less its mean
+    eigenvalue, written out: K' = (M - tr M / d) K, M = G - iH, from
+    K = I without jump operators, each sample K rho0 K^dag / tr(...);
+    with them x' = Lambda(x) - (tr Lambda / d^2) x, Lambda(x) = M x +
+    x M^dag + sum_a L_a x L_a^dag and tr Lambda = 2 d Re tr M +
+    sum_a |tr L_a|^2 its trace as a map, from x = rho0, each sample
+    x / tr x. The reference for evolve's lift route."""
+    d = rho0.shape[0]
     m = gen.damping - 1j * gen.hamiltonian
     unit_trace = lambda x: x / np.trace(x).real
     if gen.lindblads:
         x = rho0
-        rate = lambda x: m @ x + x @ m.conj().T + sum(l @ x @ l.conj().T for l in gen.lindblads)
+        mean = (2 * d * np.trace(m).real + sum(abs(np.trace(l)) ** 2 for l in gen.lindblads)) / d ** 2
+        rate = lambda x: (m @ x + x @ m.conj().T + sum(l @ x @ l.conj().T for l in gen.lindblads)
+                          - mean * x)
         image = unit_trace
     else:
-        x = np.eye(rho0.shape[0], dtype=complex)
-        rate = lambda k: m @ k
+        x = np.eye(d, dtype=complex)
+        rate = lambda k: (m - np.trace(m) / d * np.eye(d)) @ k
         image = lambda k: unit_trace(k @ rho0 @ k.conj().T)
     samples = [image(x)]
     for i in range(n_steps):
@@ -436,6 +441,25 @@ def test_a_long_growing_constant_run_neither_overflows_nor_underflows(lindblads)
     top = v[:, np.argmax(w.real)].real
     want = _from_coordinates(top / top[:2].sum(), 2)
     assert frobenius(traj.final_state - want) <= 1e-12
+
+
+@pytest.mark.parametrize("lindblads", [(), (LOWER,)], ids=["K", "coordinates"])
+def test_a_multiple_of_the_identity_in_g_reaches_no_sample(lindblads):
+    # G -> G + cI scales the lift by a number that the normalisation
+    # divides out, and evolve steps the lift less its mean eigenvalue, so
+    # no sample moves. Stepped unshifted at h = 0.1, c = 13 would turn
+    # the state 0.0967 rad per step instead of 0.1, about 0.3 off by
+    # t = 10, and c = 20 would be refused as stiff
+    rho0 = bloch_to_density((0.6, 0.0, 0.3))
+    cfg = IntegratorConfig(t_end=10.0, step=0.1)
+    want = evolve(Generator(0.5 * SIGMA_Z, np.zeros((2, 2)), lindblads), rho0, cfg)
+    for c in (13.0, 20.0):
+        shifted = Generator(0.5 * SIGMA_Z, c * np.eye(2), lindblads)
+        got = evolve(shifted, rho0, cfg)
+        assert frobenius(got.states - want.states).max() <= 1e-14
+        if not lindblads:
+            for t, rho in zip(got.times, got.states):
+                assert frobenius(rho - closed_form_propagate(shifted, rho0, t)) <= 1e-6
 
 
 def test_rate_family_of_constant_magnitude_retraces_the_autonomous_run():
