@@ -12,28 +12,24 @@ the oracle for the fixed-step integrators.
 
 In the real coordinates y of rho (its diagonal, then the real and the
 imaginary parts of its upper triangle) Lambda is a fixed real d^2 x d^2
-matrix A and tr Lambda a fixed row c: B = [A; c].
+matrix A.
 
-evolve of a constant Generator steps the linear lift instead of the
-nonlinear equation, and normalises once per sample: classical RK4 on a
-constant linear flow x' = X x is one fixed matrix R = I + hX + ... +
-(hX)^4/24 (_rk4_linear_step), here of X less its mean eigenvalue,
-which the normalisation divides out. Without jump operators X = M and
-the lift is K' = M K, each sample's product P of steps taken to the
-last sample as P rho P^dag / tr(...); with them X = A and the
-coordinates go to P y / tr(P y). evolve of a RateFamily steps
-the nonlinear equation in the coordinates instead, each RK4 stage one
-product z = B(t) y and the rate z[:-1] - z[-1] y, with B(t) = B_base +
-f(t) B_slope built per block of steps as one stack over the block's
-stage times: the independent reference of the time-dependent lift.
-gksl_rhs is the same equation on the complex matrix.
+evolve steps the linear lift instead of the nonlinear equation, and
+normalises once per sample. Classical RK4 on a constant linear flow
+x' = X x is one fixed matrix R = I + hX + ... + (hX)^4/24
+(_rk4_linear_step), here of X less its mean eigenvalue, which the
+normalisation divides out. For a constant Generator without jump
+operators X = M and the lift is K' = M K, each sample's product P of
+steps taken to the last sample as P rho P^dag / tr(...); with them
+X = A and the coordinates go to P y / tr(P y). gksl_rhs is the
+nonlinear equation on the complex matrix.
 
 _lift_chunks steps the linear lift K' = M(t) K of a 2x2 RateFamily,
 whose normalised image is the state: its RK4 steps depend on t only,
 so they are built as entry arrays per block of steps and each
 sample's steps are multiplied together before they meet the state.
-evolve_lift applies each product P to a density matrix as P rho P^dag
-/ tr(...), the route of every gksl-ode run, and neutrino_evolve applies
+evolve applies each product P to a density matrix as P rho P^dag /
+tr(...), the route of every gksl-ode run, and neutrino_evolve applies
 it to a ket.
 """
 
@@ -42,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -88,15 +83,10 @@ class Generator:
         object.__setattr__(self, "_lpairs", tuple((l, dagger(l)) for l in halves))
 
     @cached_property
-    def _b(self) -> np.ndarray:
-        """B = [A; c] of the coordinates (see the module docstring), built
-        on first use: evolve steps the lift of A for a generator with jump
-        operators, and a RateFamily's B(t) from B_base and B_slope. The
-        drift -iH and the rest of M with the jumps are applied apart, so
-        that the B(t) of a qubit_rate_generator family, linear in the
-        magnitude of G, is this matrix bit for bit."""
-        return (_coordinate_generator(-1j * self.hamiltonian, (), self.dim)
-                + _coordinate_generator(self.damping, self._lpairs, self.dim))
+    def _a(self) -> np.ndarray:
+        """A of the coordinates (see the module docstring), built on first
+        use: evolve steps its lift for a generator with jump operators."""
+        return _coordinate_generator(self._m, self._lpairs, self.dim)
 
     @classmethod
     def qubit(cls, omega, g, lindblads=()) -> "Generator":
@@ -331,7 +321,7 @@ def _lift_steps(fam, h: float, j0: int, j1: int, refuse_stiff: bool = False):
     past twice that; for G = 0 it is the bound 2 on a ket's norm.
 
     That bound is loose wherever the flow itself grows, so with
-    refuse_stiff (evolve_lift) the guard also refuses a stiff step: one
+    refuse_stiff (evolve) the guard also refuses a stiff step: one
     where h times the spectral radius of M at any of its three stage
     times exceeds half of RK4's real stability interval
     _RK4_REAL_STABILITY. The normalised image moves only by the eigenvalue
@@ -504,29 +494,26 @@ _BASIS_CHUNK_ENTRIES = 1 << 16  # basis-matrix entries one pass of _coordinate_g
 
 
 def _cap_coordinate_dim(d: int) -> None:
-    """B grows as d^4, so d is capped by TOL.max_coordinate_dim before B
+    """A grows as d^4, so d is capped by TOL.max_coordinate_dim before A
     is allocated, and before evolve steps a generator of any kind."""
     if d > TOL.max_coordinate_dim:
-        raise DomainError(f"evolve steps a ({d}^2 + 1) x {d}^2 real generator matrix; "
+        raise DomainError(f"evolve steps a {d}^2 x {d}^2 real generator matrix; "
                           f"at most d = {TOL.max_coordinate_dim} is supported")
 
 
 def _coordinate_generator(m: np.ndarray, lpairs, d: int) -> np.ndarray:
-    """B = [A; c] of shape (d^2 + 1, d^2): A maps the coordinates of rho to
-    those of Lambda(rho) and c to tr Lambda(rho). Its columns are
-    _linear_image of the coordinate basis, taken a chunk at a time,
-    after _cap_coordinate_dim."""
+    """A of shape (d^2, d^2), which maps the coordinates of rho to those
+    of Lambda(rho). Its columns are _linear_image of the coordinate
+    basis, taken a chunk at a time, after _cap_coordinate_dim."""
     _cap_coordinate_dim(d)
     n = d * d
-    b = np.empty((n + 1, n))
+    a = np.empty((n, n))
     chunk = max(1, _BASIS_CHUNK_ENTRIES // n)
     for k in range(0, n, chunk):
         unit = np.eye(min(chunk, n - k), n, k)  # coordinate vectors k, k + 1, ...
         lam = _linear_image(m, lpairs, _from_coordinates(unit, d))
-        cols = slice(k, k + unit.shape[0])
-        b[:n, cols] = _to_coordinates(lam).T
-        b[n, cols] = np.trace(lam, axis1=-2, axis2=-1).real
-    return b
+        a[:, k:k + unit.shape[0]] = _to_coordinates(lam).T
+    return a
 
 
 def state_vector_rhs(gen: Generator, psi: np.ndarray, kappa: float = 0.0) -> np.ndarray:
@@ -582,141 +569,91 @@ def _check_ket_sample(psi: np.ndarray, t: float) -> None:
         raise IntegrationDivergedError(f"norm drift {drift:.3e}", t)
 
 
-_STAGE_BLOCK_ENTRIES = 1 << 14  # stage-operator entries one block of _rk4 holds per stage
-
-
-def _rk4(rate, at, y0: np.ndarray, cfg: IntegratorConfig, check_sample) -> Trajectory:
-    """Classical fixed-step RK4 on y' = rate(op, y) with the operator op
-    of the stage time, sampled by _sampled_steps with check_sample
-    vetting each sample. y is what the caller steps: the real coordinates
-    of a density matrix for evolve of a RateFamily, the complex ket for
-    evolve_state_vector. at(t) gives the operators of an array of times.
-
-    Steps run in blocks; each block takes the stage times i h, i h + h/2
-    and i h + h of its steps as three arrays and calls at once per array.
-    A block holds at most _STAGE_BLOCK_ENTRIES / ((n + 1) n) steps for an
-    n-entry y, the size of evolve's B, so its stacks stay bounded."""
-    h = cfg.step
-    block = max(1, _STAGE_BLOCK_ENTRIES // ((y0.size + 1) * y0.size))
-
-    def advance(i0, y, m):
-        for j0 in range(i0, i0 + m, block):
-            t = np.arange(j0, min(j0 + block, i0 + m)) * h
-            for op1, op2, op4 in zip(at(t), at(t + 0.5 * h), at(t + h)):
-                k1 = rate(op1, y)
-                k2 = rate(op2, y + (0.5 * h) * k1)
-                k3 = rate(op2, y + (0.5 * h) * k2)
-                k4 = rate(op4, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        return y
-
-    return _sampled_steps(advance, y0, whole_steps(cfg.t_end, h), h,
-                          cfg.sample_stride, check_sample)
-
-
-def _coordinate_rate(b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """evolve's rate of a RateFamily in the coordinates, z[:-1] - z[-1] y
-    with z = B(t) y."""
-    z = b.dot(y)
-    return z[:-1] - y * z[-1]
-
-
 def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
-    """RK4 on the master equation of a Generator or a RateFamily, sampled
-    on the shared grid (see the module docstring).
+    """RK4 on the linear lift of a Generator or a 2x2 RateFamily, whose
+    normalised image is the state, sampled on the shared grid (see the
+    module docstring).
 
-    A Generator steps its linear lift with one fixed RK4 matrix R, of
-    the lift's matrix less its mean eigenvalue (_constant_lift_step),
-    and is normalised once per sample: without jump operators R steps
-    K' = M K and each sample is P rho P^dag / tr(...) of the last one;
-    with them R steps the coordinates and each sample is P y / tr(P y).
-    P is the product of the sample's steps (_successive_powers, rescaled
-    by a power of two every _RESCALE_EVERY steps). The horizon, the
-    sample count and the dimension are vetted first, then a stiff step
-    is refused before any step runs: h times the spectral radius of the
-    shifted M (or Lambda, with jumps) past half of RK4's real stability
-    interval, as evolve_lift refuses one. A RateFamily steps the
-    nonlinear equation in the coordinates, one product with B(t) per
-    stage.
+    A Generator steps with one fixed RK4 matrix R, of the lift's matrix
+    less its mean eigenvalue (_constant_lift_step): without jump
+    operators R steps K' = M K and each sample is P rho P^dag / tr(...)
+    of the last one; with them R steps the coordinates and each sample
+    is P y / tr(P y). P is the product of the sample's steps
+    (_successive_powers, rescaled by a power of two every _RESCALE_EVERY
+    steps). A RateFamily takes each P, of steps that depend on t, from
+    _lift_chunks, and each sample is P rho P^dag / tr(...) of the last.
+
+    The horizon, the sample count and the dimension are vetted first.
+    A stiff step is refused, where h times the spectral radius of the
+    stepped matrix (M, or Lambda with jumps) passes half of RK4's real
+    stability interval: for a Generator before any step, of that matrix
+    less its mean eigenvalue; for a RateFamily at the end of the first such step,
+    where _lift_steps also refuses a step whose R is not finite, is
+    singular, or stretches a vector past 2 exp(h mu), twice the log-norm
+    bound of the flow. A state past that interval would otherwise run to
+    its horizon with a transient that never decays.
 
     The start is read as its Hermitian part, which density_matrix has
-    held within TOL.hermitian_rel of it. Samples are exactly Hermitian;
-    each must keep the trace within the ode_* drift bounds and the
+    held within TOL.hermitian_rel of it. Samples are exactly Hermitian
+    and divided by their trace; each must keep the trace within
+    TOL.ode_trace_drift, which then sees only rounding, and the
     eigenvalues above the floor, and a breach raises with the offending
-    time. A Generator's samples are divided by their trace, so there the
-    drift bound sees only rounding.
+    time.
     """
     rho0 = density_matrix(rho0)
     d = rho0.shape[0]
     if not isinstance(gen, (Generator, RateFamily)):
         raise UnsupportedModeError(f"evolve steps a Generator or a RateFamily, "
                                    f"not {type(gen).__name__}")
+    if isinstance(gen, RateFamily) and gen.dim != 2:
+        raise UnsupportedModeError("evolve steps a RateFamily of dimension 2")
     if gen.dim != d:
         raise DimensionError("state dimension does not match the generator")
-    check = lambda y, t: _check_density_sample(_from_coordinates(y, d), t)
-    if isinstance(gen, RateFamily):
-        traj = _rk4(_coordinate_rate, gen._b_at, _to_coordinates(rho0), cfg, check)
-        return Trajectory(traj.times, _from_coordinates(traj.states, d))
     h, stride = cfg.step, cfg.sample_stride
     n_steps = whole_steps(cfg.t_end, h)
     sample_count(n_steps, stride)
-    _cap_coordinate_dim(d)
-    name, x = ("Lambda", gen._b[:-1]) if gen.lindblads else ("M", gen._m)
-    power = (_successive_powers(_constant_lift_step(name, x, h), rescale=True)
-             if n_steps else None)
-    if not gen.lindblads:
-        return _sampled_steps(lambda i0, rho, m: _normalised_image(power(m), rho),
-                              0.5 * (rho0 + dagger(rho0)), n_steps, h, stride,
-                              _check_density_sample)
+    if isinstance(gen, RateFamily):
+        chunks = _lift_chunks(gen, h, n_steps, stride, refuse_stiff=True)
+        power = lambda m: np.array(next(chunks)).reshape(2, 2)
+    else:
+        _cap_coordinate_dim(d)
+        name, x = ("Lambda", gen._a) if gen.lindblads else ("M", gen._m)
+        power = (_successive_powers(_constant_lift_step(name, x, h), rescale=True)
+                 if n_steps else None)
+        if gen.lindblads:
+            def advance(i0, y, m):
+                y = power(m) @ y
+                return y / y[:d].sum()
 
-    def advance(i0, y, m):
-        y = power(m) @ y
-        return y / y[:d].sum()
-
-    traj = _sampled_steps(advance, _to_coordinates(rho0), n_steps, h, stride, check)
-    return Trajectory(traj.times, _from_coordinates(traj.states, d))
-
-
-def evolve_lift(fam, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
-    """RK4 on the linear lift K' = M(t) K of a 2x2 RateFamily, whose
-    normalised image K rho0 K^dag / tr(...) is the state (see the module
-    docstring); same sampling rules and sample checks as evolve.
-
-    Each sample takes the product P of its steps from _lift_chunks and
-    the last sample rho, keeps the Hermitian part of P rho P^dag, so that
-    every sample is Hermitian bit for bit, and divides by its real trace.
-    The start is read as its Hermitian part, as evolve reads it. The
-    guard of _lift_chunks raises at the first step whose R is not finite,
-    is singular, or stretches a vector past 2 exp(h mu), twice the
-    log-norm bound of the flow, or that is stiff: h times the spectral
-    radius of M past half of RK4's real stability interval (see
-    _lift_steps). A state that leaves that interval would otherwise run
-    to its horizon with a transient that never decays."""
-    if not (isinstance(fam, RateFamily) and fam.dim == 2):
-        raise UnsupportedModeError("evolve_lift steps a RateFamily of dimension 2")
-    rho0 = density_matrix(rho0)
-    if rho0.shape != (2, 2):
-        raise DimensionError("state dimension does not match the generator")
-    h = cfg.step
-    n_steps = whole_steps(cfg.t_end, h)
-    chunks = _lift_chunks(fam, h, n_steps, cfg.sample_stride, refuse_stiff=True)
-
-    def advance(i0, rho, m):
-        return _normalised_image(np.array(next(chunks)).reshape(2, 2), rho)
-
-    return _sampled_steps(advance, 0.5 * (rho0 + dagger(rho0)), n_steps, h,
-                          cfg.sample_stride, _check_density_sample)
+            traj = _sampled_steps(advance, _to_coordinates(rho0), n_steps, h, stride,
+                                  lambda y, t: _check_density_sample(_from_coordinates(y, d), t))
+            return Trajectory(traj.times, _from_coordinates(traj.states, d))
+    return _sampled_steps(lambda i0, rho, m: _normalised_image(power(m), rho),
+                          0.5 * (rho0 + dagger(rho0)), n_steps, h, stride,
+                          _check_density_sample)
 
 
 def evolve_state_vector(gen: Generator, psi0: np.ndarray, cfg: IntegratorConfig,
                         kappa: float = 0.0) -> Trajectory:
-    """RK4 on the norm-preserving state-vector form of a Generator (and
-    nothing else); same sampling rules."""
+    """Classical RK4 on the norm-preserving state-vector form of a
+    Generator (and nothing else); same sampling rules as evolve, and
+    each sample must keep the norm within TOL.ode_norm_drift."""
     if not isinstance(gen, Generator):
         raise UnsupportedModeError(f"evolve_state_vector steps a Generator, not {type(gen).__name__}")
-    rate = lambda g, psi: state_vector_rhs(g, psi, kappa)
-    at = lambda t: repeat(gen, t.size)
-    return _rk4(rate, at, state_vector(psi0), cfg, _check_ket_sample)
+    h = cfg.step
+    rate = lambda psi: state_vector_rhs(gen, psi, kappa)
+
+    def advance(i0, psi, m):
+        for _ in range(m):
+            k1 = rate(psi)
+            k2 = rate(psi + (0.5 * h) * k1)
+            k3 = rate(psi + (0.5 * h) * k2)
+            k4 = rate(psi + h * k3)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        return psi
+
+    return _sampled_steps(advance, state_vector(psi0), whole_steps(cfg.t_end, h), h,
+                          cfg.sample_stride, _check_ket_sample)
 
 
 def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:
@@ -739,13 +676,10 @@ class RateFamily:
     float or an array. Every stepper reads f through _f, which broadcasts
     a constant f and checks that f keeps f M_slope finite, raising
     ValidityError as Generator does.
-    family(t) is Generator(H_base + f H_slope, G_base + f G_slope);
-    evolve steps B(t) = B_base + f(t) B_slope instead, its B to rounding,
-    built as one stack per block of stage times. B_base and B_slope are
-    built on the first such call, so a family that is never stepped by
-    evolve never builds them. A 2x2 family's linear lift is stepped from
-    M_base and M_slope alone (_lift_steps), by evolve_lift for a density
-    matrix and by neutrino_evolve for a ket."""
+    family(t) is Generator(H_base + f H_slope, G_base + f G_slope). A 2x2
+    family's linear lift is stepped from M_base and M_slope alone
+    (_lift_steps), by evolve for a density matrix and by neutrino_evolve
+    for a ket."""
 
     def __init__(self, base: Generator, slope: Generator, magnitude) -> None:
         if base.lindblads or slope.lindblads or base.dim != slope.dim:
@@ -763,11 +697,6 @@ class RateFamily:
             raise ValidityError("operator contains non-finite entries")
         return f
 
-    def _b_at(self, t: np.ndarray) -> np.ndarray:
-        """The stack (k, d^2 + 1, d^2) of B(t) = B_base + f(t) B_slope at
-        the k times t, the matrices evolve steps with."""
-        return self.base._b + self._f(t)[:, None, None] * self.slope._b
-
     def __call__(self, t: float) -> Generator:
         f = float(self._f(t))
         return Generator(self.base.hamiltonian + f * self.slope.hamiltonian,
@@ -776,10 +705,7 @@ class RateFamily:
 
 def qubit_rate_generator(omega_vec, g_direction,
                          magnitude: Callable[[float], float]) -> RateFamily:
-    """Constant omega, time-dependent g(t) = magnitude(t) * g_direction.
-    Its B(t) is the B of family(t) bit for bit: for a traceless 2x2
-    sigma_g each entry of B_sigma is one entry of sigma_g, twice one, or
-    zero."""
+    """Constant omega, time-dependent g(t) = magnitude(t) * g_direction."""
     zero = np.zeros(3)
     return RateFamily(Generator.qubit(omega_vec, zero), Generator.qubit(zero, g_direction),
                       magnitude)

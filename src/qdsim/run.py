@@ -24,7 +24,6 @@ from .dynamics import (
     IntegratorConfig,
     Trajectory,
     evolve,
-    evolve_lift,
     finite_difference_generator_check,
     inverted_morse_profile,
     qubit_rate_generator,
@@ -117,10 +116,11 @@ def _oracle(gen: Generator, xi, icfg: dict) -> Trajectory:
 
 def _closed_vs_ode(name: str, closed_form, ode: Trajectory) -> CheckResult:
     """Largest Bloch distance between an RK4 trajectory and
-    closed_form(times) at its sample times: _oracle's evolve run, the
-    linear lift of a constant Generator, or a gksl-ode run's evolve_lift.
-    The samples are read as they are: both steppers divide each sample
-    by its trace and hold it to the density guards."""
+    closed_form(times) at its sample times: _oracle's evolve run of a
+    constant Generator, or a gksl-ode run's evolve of its RateFamily,
+    both the paper's linear lift. The samples are read as they are:
+    evolve divides each sample by its trace and holds it to the density
+    guards."""
     dist = np.linalg.norm(pauli_components(ode.states) - closed_form(ode.times), axis=1).max()
     return CheckResult(name, float(dist), TOL.closed_vs_ode)
 
@@ -205,7 +205,7 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
         except NoCrossingError:
             notes.append("no |g(t)| = |omega| crossing inside the run window")
     family = qubit_rate_generator(omega, g, magnitude)
-    traj = evolve_lift(family, bloch_to_density(xi), cfg)
+    traj = evolve(family, bloch_to_density(xi), cfg)
     cols = _qubit_columns(pauli_components(traj.states))
     cols["g_norm"] = g_scale * family._f(traj.times)
 
@@ -218,7 +218,7 @@ def _run_gksl_ode(scn: Scenario, icfg: dict, check: bool):
         violation, engaged = 0.0, 0
         for k in picks:
             gen_k = family(traj.times[k])
-            # exactly Hermitian, and divided by its trace by evolve_lift;
+            # exactly Hermitian, and divided by its trace by evolve;
             # the division here only absorbs the rounding of that trace
             rho = traj.states[k] / np.trace(traj.states[k]).real
             # the first-order residual scales as dt ||G - iH||^2, so a step

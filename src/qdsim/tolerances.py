@@ -33,7 +33,7 @@ class Tolerances:
     whole_steps_rel: float = 1e-9      # |t_end/step - n| <= rel * n for a whole step count n
     max_samples: int = 10**6           # stored samples a run may ask for, checked before allocating
     max_steps: int = 10**7             # fixed steps a run may ask for, checked before stepping
-    max_coordinate_dim: int = 40       # d of evolve's (d^2 + 1) x d^2 generator, checked before allocating
+    max_coordinate_dim: int = 40       # d of evolve's d^2 x d^2 generator, checked before allocating
 
     # relativistic spin transport
     on_shell_rel: float = 1e-8         # |p.p - (mc)^2| relative to (mc)^2

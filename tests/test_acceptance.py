@@ -62,10 +62,9 @@ def emit(capsys):
 
 
 def bloch_of(rho) -> np.ndarray:
-    # raw Pauli projection: RK4 samples are exactly Hermitian. evolve
-    # divides a Generator's samples by their trace, but a RateFamily's
-    # trace may drift within the run guard (TOL.ode_trace_drift), beyond
-    # the state-validation tolerance (TOL.trace_one)
+    # raw Pauli projection: evolve's samples are exactly Hermitian and
+    # divided by their trace, for a Generator and for the RateFamily of
+    # criterion 10 alike, since both step the linear lift
     return np.array([np.trace(rho @ s).real for s in PAULI])
 
 

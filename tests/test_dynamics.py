@@ -16,7 +16,6 @@ from qdsim.dynamics import (
     _to_coordinates,
     closed_form_propagate,
     evolve,
-    evolve_lift,
     evolve_state_vector,
     finite_difference_generator_check,
     gksl_rhs,
@@ -43,7 +42,7 @@ from qdsim.states import bloch_to_density, density_to_bloch
 
 from qdsim.tolerances import TOL
 
-from conftest import random_density
+from conftest import family_rhs, random_density, rk4_on_gksl_rhs
 
 LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
@@ -110,22 +109,6 @@ def _random_generator(rng, dim, jumps):
     return Generator(0.5 * (h + h.conj().T), 0.15 * (g + g.conj().T), (0.4 * l,) * jumps)
 
 
-def _rk4_on_gksl_rhs(gen_at, rho, h, n_steps, stride):
-    """Classical RK4 on the complex matrix with gksl_rhs, sampled as
-    evolve samples: the reference for evolve's coordinate route."""
-    samples = [rho]
-    for i in range(n_steps):
-        t = i * h
-        k1 = gksl_rhs(gen_at(t), rho)
-        k2 = gksl_rhs(gen_at(t + 0.5 * h), rho + (0.5 * h) * k1)
-        k3 = gksl_rhs(gen_at(t + 0.5 * h), rho + (0.5 * h) * k2)
-        k4 = gksl_rhs(gen_at(t + h), rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if (i + 1) % stride == 0 or i + 1 == n_steps:
-            samples.append(rho)
-    return np.array(samples)
-
-
 def _rk4_on_the_linear_lift(gen, rho0, h, n_steps, stride):
     """Classical RK4 on the linear equation of a Generator less its mean
     eigenvalue, written out: K' = (M - tr M / d) K, M = G - iH, from
@@ -182,19 +165,9 @@ def test_evolve_is_fourth_order_against_rk4_on_gksl_rhs(rng, dim, jumps):
     for h in (0.1, 0.05, 0.025, 0.0125):
         stride = round(0.4 / h)
         traj = evolve(gen, rho0, IntegratorConfig(t_end=2.0, step=h, sample_stride=stride))
-        want = _rk4_on_gksl_rhs(lambda t: gen, rho0, h, round(2.0 / h), stride)
+        want = rk4_on_gksl_rhs(lambda t, rho: gksl_rhs(gen, rho), rho0, h, round(2.0 / h), stride)
         gaps.append(frobenius(traj.states - want).max())
     assert all(coarse >= 10.0 * fine for coarse, fine in zip(gaps, gaps[1:]))
-
-
-def test_evolve_of_a_rate_family_agrees_with_rk4_on_the_complex_right_hand_side():
-    omega, g_dir = (0.00225, 0.0012990381056766578, -0.0015), (0.43, -0.75, -0.5)
-    gen_at = qubit_rate_generator(omega, g_dir, inverted_morse_profile(0.007, 0.0005))
-    rho0 = bloch_to_density((-0.5, -0.5, -0.5))
-    traj = evolve(gen_at, rho0, IntegratorConfig(t_end=3000.0, step=5.0, sample_stride=100))
-    want = _rk4_on_gksl_rhs(gen_at, rho0, 5.0, 600, 100)
-    assert traj.states.shape == want.shape == (7, 2, 2)
-    assert frobenius(traj.states - want).max() <= 1e-12
 
 
 def test_the_shipped_damped_rabi_oracle_from_a_pure_start_is_the_closed_form():
@@ -241,21 +214,21 @@ def test_a_coarse_parabolic_leg_is_the_closed_form():
 
 @pytest.mark.parametrize("dim, jumps", [(2, 0), (2, 2), (3, 1), (4, 1)])
 def test_coordinate_generator_gives_the_complex_right_hand_side(rng, dim, jumps):
-    # B = [A; c]: z = B y, then z[:-1] - z[-1] y are the coordinates of
-    # gksl_rhs, and z[:-1] = A y those of the linear image that evolve's
-    # lift steps; a state is read as its Hermitian part, which its
-    # coordinates rebuild bit for bit
+    # A y are the coordinates of the linear image Lambda(rho) that
+    # evolve's lift steps, and A y - tr(Lambda) y, the trace the sum of
+    # its diagonal coordinates, those of gksl_rhs; a state is read as its
+    # Hermitian part, which its coordinates rebuild bit for bit
     gen = _random_generator(rng, dim, jumps)
-    assert gen._b.shape == (dim * dim + 1, dim * dim)
+    assert gen._a.shape == (dim * dim, dim * dim)
     for _ in range(5):
         rho = random_density(rng, dim)
         y = _to_coordinates(rho)
         assert np.array_equal(_from_coordinates(y, dim), 0.5 * (rho + rho.conj().T))
-        z = gen._b.dot(y)
-        lam = _from_coordinates(z[:-1], dim)
-        rate = _from_coordinates(z[:-1] - z[-1] * y, dim)
+        z = gen._a.dot(y)
+        lam = _to_coordinates(dynamics._linear_image(gen._m, gen._lpairs, rho))
+        assert np.abs(z - lam).max() <= 1e-13 * max(1.0, np.abs(lam).max())
+        rate = _from_coordinates(z - z[:dim].sum() * y, dim)
         assert frobenius(rate - gksl_rhs(gen, rho)) <= 1e-13 * max(1.0, frobenius(rate))
-        assert abs(z[-1] - np.trace(lam).real) <= 1e-13 * max(1.0, frobenius(lam))
 
 
 def test_evolve_refuses_an_oversized_dimension_before_building_its_matrix():
@@ -263,7 +236,7 @@ def test_evolve_refuses_an_oversized_dimension_before_building_its_matrix():
     gen = Generator(np.zeros((dim, dim)), np.zeros((dim, dim)))
     with pytest.raises(DomainError, match=f"at most d = {TOL.max_coordinate_dim}"):
         evolve(gen, np.eye(dim) / dim, IntegratorConfig(t_end=1.0, step=0.5))
-    assert "_b" not in vars(gen)
+    assert "_a" not in vars(gen)
     small = Generator.qubit((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
     with pytest.raises(DimensionError, match="state dimension does not match"):
         evolve(small, np.eye(3) / 3, IntegratorConfig(t_end=1.0, step=0.5))
@@ -359,19 +332,14 @@ def test_time_dependent_generator_tracks_profile():
 
 
 def test_rate_family_fills_the_caches_of_a_validated_generator():
-    # validated once when the family is made; the B(t) that evolve steps
-    # is that of Generator(H, magnitude(t) * sigma_g) bit for bit, and
-    # family(t) is that Generator
+    # validated once when the family is made; family(t) is
+    # Generator(H, magnitude(t) * sigma_g), caches included
     omega, g_dir = (0.00225, 0.0012990381056766578, -0.0015), (0.43, -0.75, -0.5)
     profile = inverted_morse_profile(0.007, 0.0005)
     family = qubit_rate_generator(omega, g_dir, profile)
     h, sig_g = 0.5 * pauli_dot(omega), 0.5 * pauli_dot(g_dir)
-    times = (0.0, 0.25, 2821.0, 35000.0)
-    stack = family._b_at(np.array(times))
-    assert stack.shape == (4, 5, 4)
-    for t, b in zip(times, stack):
+    for t in (0.0, 0.25, 2821.0, 35000.0):
         want = Generator(h, profile(t) * sig_g)
-        assert np.array_equal(b, want._b)
         got = family(t)
         for attr in ("hamiltonian", "damping", "_m"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
@@ -379,17 +347,16 @@ def test_rate_family_fills_the_caches_of_a_validated_generator():
     for bad in (math.inf, -math.inf, math.nan):
         bad_family = qubit_rate_generator(omega, g_dir, lambda t: bad)
         with pytest.raises(ValidityError, match="operator contains non-finite entries"):
-            bad_family._b_at(np.array([0.5, 1.0]))
-        with pytest.raises(ValidityError, match="operator contains non-finite entries"):
             bad_family(1.0)
     with pytest.raises(ValidityError):
         qubit_rate_generator(omega, (math.nan, 0.0, 0.0), profile)
 
 
 def test_evolve_overflow_is_an_integration_error_without_warnings():
-    # RK4 far past its stability limit overflows between two samples; under
-    # the suite's filterwarnings = error a numpy RuntimeWarning would fail here.
-    # A constant Generator's step is refused as stiff before it runs
+    # RK4 far past its stability limit would overflow between two samples;
+    # under the suite's filterwarnings = error a numpy RuntimeWarning would
+    # fail here. A constant Generator's step is refused as stiff before it
+    # runs, and a RateFamily's at the end of its first step
     gen = Generator.qubit((0.0, 0.0, 1.0), (1e3, 0.0, 0.0))
     cfg = IntegratorConfig(t_end=100.0, step=0.1, sample_stride=1000)
     with pytest.raises(IntegrationDivergedError) as err:
@@ -398,12 +365,15 @@ def test_evolve_overflow_is_an_integration_error_without_warnings():
                               "past 1.3926 (half RK4's real stability interval) (at t=0.1)")
     gen_at = qubit_rate_generator((0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
                                   inverted_morse_profile(1e4, 0.0005))
-    with pytest.raises(IntegrationDivergedError, match="state has non-finite entries"):
+    with pytest.raises(IntegrationDivergedError) as err:
         evolve(gen_at, bloch_to_density((0.0, 0.0, 1.0)), cfg)
+    assert str(err.value) == ("stiff step: h times the spectral radius of M is 5.000e+02, "
+                              "past 1.3926 (half RK4's real stability interval) (at t=0.1)")
 
 
 def test_evolve_refuses_a_stiff_constant_step_by_its_spectral_radius():
-    # evolve refuses in evolve_lift's words, before any step: M = sigma_x / 2
+    # evolve refuses a Generator's step before any step runs, in the words of
+    # a family's refusal (see test_the_lift_refuses_the_first_stiff_step): M = sigma_x / 2
     # runs at h = 2.78 and is refused at h = 2.79. A nilpotent M = 100
     # |0><1| has row sum 100 but spectral radius 0: it runs at h = 0.1,
     # where RK4's step is the exact I + hM, so every sample is the closed
@@ -437,7 +407,7 @@ def test_a_long_growing_constant_run_neither_overflows_nor_underflows(lindblads)
     gen = Generator.qubit((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), lindblads)
     traj = evolve(gen, bloch_to_density((0.3, 0.0, 0.8)),
                   IntegratorConfig(t_end=200.0, step=0.01, sample_stride=10 ** 9))
-    w, v = np.linalg.eig(gen._b[:-1])
+    w, v = np.linalg.eig(gen._a)
     top = v[:, np.argmax(w.real)].real
     want = _from_coordinates(top / top[:2].sum(), 2)
     assert frobenius(traj.final_state - want) <= 1e-12
@@ -463,74 +433,31 @@ def test_a_multiple_of_the_identity_in_g_reaches_no_sample(lindblads):
 
 
 def test_rate_family_of_constant_magnitude_retraces_the_autonomous_run():
-    # the family's B(t) is the Generator's B bit for bit, but the family
-    # steps the nonlinear coordinates and the Generator its linear lift:
-    # at this coarse step the two fourth-order runs are 2.5e-5 apart
+    # both step the same linear lift K' = M K with RK4 (M traceless, so
+    # the Generator's mean-eigenvalue shift is zero): the family through
+    # the entry arrays and trees of _lift_chunks, the Generator through
+    # powers of one fixed step, which differ only in rounding
     omega, g_dir = (0.0, 0.0, 3.0), (1.0, 0.0, 0.5)
     family = qubit_rate_generator(omega, g_dir, lambda t: 1.0)
     gen = Generator.qubit(omega, g_dir)
-    for b in family._b_at(np.array([0.0, 0.05, 0.1, 1.0])):
-        assert np.array_equal(b, gen._b)
     rho0 = bloch_to_density((0.3, 0.0, 0.8))
     cfg = IntegratorConfig(t_end=1.0, step=0.1, sample_stride=3)
     varying = evolve(family, rho0, cfg)
     constant = evolve(gen, rho0, cfg)
     assert np.array_equal(varying.times, constant.times)
-    assert frobenius(varying.states - constant.states).max() <= 1e-4
-
-
-def _textbook_rk4(family, rho0, h, n_steps, stride):
-    """RK4 on evolve's coordinates with family(t)._b built at each stage
-    time i h, i h + h/2 and i h + h, sampled as evolve samples."""
-    def rate(t, y):
-        z = family(t)._b.dot(y)
-        return z[:-1] - y * z[-1]
-
-    y = _to_coordinates(rho0)
-    samples = [y]
-    for i in range(n_steps):
-        t = i * h
-        k1 = rate(t, y)
-        k2 = rate(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rate(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rate(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if (i + 1) % stride == 0 or i + 1 == n_steps:
-            samples.append(y)
-    return _from_coordinates(np.array(samples), rho0.shape[0])
-
-
-@pytest.mark.parametrize("stride, block_entries", [
-    (1, None), (7, None),
-    # 60 entries hold three steps of the qubit's 5 x 4 B: a stride of 7
-    # spans three blocks and one of 40 fourteen
-    (7, 60), (40, 60),
-])
-@pytest.mark.parametrize("constant", [False, True], ids=["morse", "constant"])
-def test_evolve_of_a_rate_family_is_the_textbook_rk4_loop_bit_for_bit(
-        monkeypatch, stride, block_entries, constant):
-    if block_entries is not None:
-        monkeypatch.setattr(dynamics, "_STAGE_BLOCK_ENTRIES", block_entries)
-    omega, g_dir = (0.00225, 0.0012990381056766578, -0.0015), np.array([0.43, -0.75, -0.5])
-    if constant:  # the Morse gain at t = 0
-        family = qubit_rate_generator(omega, 0.007 * g_dir, lambda t: 1.0)
-    else:
-        family = qubit_rate_generator(omega, g_dir, inverted_morse_profile(0.007, 0.0005))
-    rho0 = bloch_to_density((-0.5, -0.5, -0.5))
-    h, n = 25.0, 40
-    traj = evolve(family, rho0, IntegratorConfig(t_end=n * h, step=h, sample_stride=stride))
-    assert np.array_equal(traj.states, _textbook_rk4(family, rho0, h, n, stride))
+    assert frobenius(varying.states - constant.states).max() <= 1e-14
 
 
 def test_a_rate_family_builds_its_matrices_on_first_use():
+    # evolve steps a family's lift from M_base and M_slope alone, so the
+    # coordinate matrix A of either part is built only when read
     family = qubit_rate_generator((0.0, 0.0, 3.0), (1.0, 0.0, 0.5),
                                   inverted_morse_profile(0.007, 0.0005))
     parts = (family.base, family.slope)
-    assert not any("_b" in vars(gen) for gen in parts)
     family(2.0)
-    assert not any("_b" in vars(gen) for gen in parts)
     evolve(family, bloch_to_density((0.3, 0.0, 0.8)), IntegratorConfig(t_end=1.0, step=0.5))
-    assert all("_b" in vars(gen) for gen in parts)
+    assert not any("_a" in vars(gen) for gen in parts)
+    assert family.base._a.shape == (4, 4) and "_a" in vars(family.base)
 
 
 def test_the_coordinate_maps_share_one_read_only_triangle_per_dimension():
@@ -541,23 +468,6 @@ def test_the_coordinate_maps_share_one_read_only_triangle_per_dimension():
     for index in (rows, cols):
         with pytest.raises(ValueError, match="read-only"):
             index[0] = 2
-
-
-def test_a_long_rate_family_run_holds_one_block_of_stage_matrices():
-    # 20000 steps of the qubit's 5 x 4 B(t) at three stages are 9.6 MB of
-    # stacks unblocked (a 13.2 MB peak); a block keeps it near 1 MB
-    family = qubit_rate_generator((0.00225, 0.0012990381056766578, -0.0015), (0.43, -0.75, -0.5),
-                                  inverted_morse_profile(0.007, 0.0005))
-    rho0 = bloch_to_density((-0.5, -0.5, -0.5))
-    cfg = IntegratorConfig(t_end=10000.0, step=0.5, sample_stride=10 ** 9)
-    evolve(family, rho0, IntegratorConfig(t_end=1.0, step=0.5))  # B_base, B_slope built
-    tracemalloc.start()
-    try:
-        evolve(family, rho0, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
 
 
 MORSE_XI = (-0.5773502691896258,) * 3
@@ -571,31 +481,33 @@ def _morse_family():
 
 
 def test_the_lift_of_the_shipped_morse_run_is_evolve_to_rounding():
-    # two discretisations of one flow: RK4 on the linear lift and RK4 on
-    # the nonlinear density coordinates, 7.8e-13 apart over the shipped
-    # 70000 steps; every lift sample is Hermitian bit for bit
+    # two discretisations of one flow: RK4 on the linear lift (evolve) and
+    # RK4 on the nonlinear equation (the test's reference), 7.8e-13 apart
+    # over the shipped 70000 steps; every lift sample is Hermitian bit for
+    # bit
     family, rho0 = _morse_family(), bloch_to_density(MORSE_XI)
     cfg = IntegratorConfig(t_end=35000.0, step=0.5, sample_stride=20)
-    lift, ode = evolve_lift(family, rho0, cfg), evolve(family, rho0, cfg)
-    assert np.array_equal(lift.times, ode.times)
+    lift = evolve(family, rho0, cfg)
+    ode = rk4_on_gksl_rhs(family_rhs(family), rho0, 0.5, 70000, 20)
+    assert lift.states.shape == ode.shape
     assert np.array_equal(lift.states, dagger(lift.states))
-    gap = np.linalg.norm(pauli_components(lift.states) - pauli_components(ode.states), axis=1)
+    gap = np.linalg.norm(pauli_components(lift.states) - pauli_components(ode), axis=1)
     assert gap.max() <= 1e-11
 
 
 def test_the_morse_lift_is_fourth_order_against_evolve():
-    # on a 500-unit grid to t = 10000, against evolve at step 1.25, the
-    # gap reads 8.4e-7, 5.2e-8, 3.3e-9 and 2.0e-10 at steps 50, 25, 12.5
-    # and 6.25: 16x per halved step. With the earlier step on the left of
+    # on a 500-unit grid to t = 10000, against RK4 on the nonlinear
+    # equation at step 1.25, the gap of evolve's lift falls about 16x per
+    # halved step from 50 to 6.25. With the earlier step on the left of
     # the tree product the gap stays near 0.048 at every step
     family, rho0 = _morse_family(), bloch_to_density(MORSE_XI)
-    ref = evolve(family, rho0, IntegratorConfig(t_end=10000.0, step=1.25, sample_stride=400))
+    ref = rk4_on_gksl_rhs(family_rhs(family), rho0, 1.25, 8000, 400)
     gaps = []
     for h in (50.0, 25.0, 12.5, 6.25):
-        traj = evolve_lift(family, rho0, IntegratorConfig(10000.0, h, round(500.0 / h)))
-        assert np.array_equal(traj.times, ref.times)
+        traj = evolve(family, rho0, IntegratorConfig(10000.0, h, round(500.0 / h)))
+        assert traj.states.shape == ref.shape
         gaps.append(np.linalg.norm(pauli_components(traj.states)
-                                   - pauli_components(ref.states), axis=1).max())
+                                   - pauli_components(ref), axis=1).max())
     assert all(coarse >= 10.0 * fine for coarse, fine in zip(gaps, gaps[1:]))
 
 
@@ -603,10 +515,10 @@ def test_a_long_lift_run_holds_one_block_of_step_matrices():
     # 20000 steps in one stride multiply block by block: blocks of 1024
     # steps keep the peak near 0.44 MB, where all steps at once are 8 MB
     family, rho0 = _morse_family(), bloch_to_density((-0.5, -0.5, -0.5))
-    evolve_lift(family, rho0, IntegratorConfig(t_end=1.0, step=0.5))
+    evolve(family, rho0, IntegratorConfig(t_end=1.0, step=0.5))
     tracemalloc.start()
     try:
-        evolve_lift(family, rho0, IntegratorConfig(10000.0, 0.5, sample_stride=10 ** 9))
+        evolve(family, rho0, IntegratorConfig(10000.0, 0.5, sample_stride=10 ** 9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -625,12 +537,11 @@ def test_the_lift_reads_its_magnitude_through_the_family():
     for stride in (1, 7, 100):
         assert (list(_lift_chunks(scalar, 0.01, 100, stride))
                 == list(_lift_chunks(array, 0.01, 100, stride)))
-    assert np.array_equal(evolve_lift(scalar, rho0, cfg).states,
-                          evolve_lift(array, rho0, cfg).states)
+    assert np.array_equal(evolve(scalar, rho0, cfg).states,
+                          evolve(array, rho0, cfg).states)
     infinite = qubit_rate_generator(omega, g_dir, lambda t: math.inf)
-    for step in (evolve, evolve_lift):
-        with pytest.raises(ValidityError, match="^operator contains non-finite entries$"):
-            step(infinite, rho0, cfg)
+    with pytest.raises(ValidityError, match="^operator contains non-finite entries$"):
+        evolve(infinite, rho0, cfg)
 
 
 def test_the_lift_refuses_the_first_stiff_step():
@@ -643,15 +554,15 @@ def test_the_lift_refuses_the_first_stiff_step():
     # the stiff-step guard
     rho0 = bloch_to_density((0.0, 0.0, 1.0))
     unit = qubit_rate_generator((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), lambda t: 1.0)
-    assert len(evolve_lift(unit, rho0, IntegratorConfig(2.78, 2.78))) == 2
+    assert len(evolve(unit, rho0, IntegratorConfig(2.78, 2.78))) == 2
     with pytest.raises(IntegrationDivergedError) as err:
-        evolve_lift(unit, rho0, IntegratorConfig(2.79, 2.79))
+        evolve(unit, rho0, IntegratorConfig(2.79, 2.79))
     assert str(err.value) == ("stiff step: h times the spectral radius of M is 1.395e+00, "
                               "past 1.3926 (half RK4's real stability interval) (at t=2.79)")
     growing = qubit_rate_generator((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), lambda t: 1.0 + t)
     cfg = IntegratorConfig(t_end=100.0, step=0.1, sample_stride=50)
     with pytest.raises(IntegrationDivergedError, match="^stiff step") as err:
-        evolve_lift(growing, rho0, cfg)
+        evolve(growing, rho0, cfg)
     assert err.value.time == pytest.approx(26.9)
     assert len(list(_lift_chunks(growing, 0.1, 1000, 50))) == 20
 
@@ -665,10 +576,8 @@ def test_steppers_refuse_what_they_cannot_step_in_one_line():
         evolve(lambda t: gen, bloch_to_density((0.3, 0.0, 0.8)), cfg)
     three = RateFamily(Generator(np.zeros((3, 3)), np.eye(3)), Generator(np.eye(3), np.zeros((3, 3))),
                        lambda t: 1.0)
-    for bad in (gen, three):
-        with pytest.raises(UnsupportedModeError,
-                           match="^evolve_lift steps a RateFamily of dimension 2$"):
-            evolve_lift(bad, bloch_to_density((0.3, 0.0, 0.8)), cfg)
+    with pytest.raises(UnsupportedModeError, match="^evolve steps a RateFamily of dimension 2$"):
+        evolve(three, bloch_to_density((0.3, 0.0, 0.8)), cfg)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     for bad, kind in ((family, "RateFamily"), (lambda t: gen, "function")):
         with pytest.raises(UnsupportedModeError,
@@ -750,7 +659,7 @@ def _lift_density(h, stride, n=10):
     family = qubit_rate_generator((0.0, 0.0, 3.0), (1.0, 0.0, 0.0), lambda t: 1.0)
     rho0 = bloch_to_density((0.3, 0.0, 0.4))
     cfg = IntegratorConfig(t_end=n * h, step=h, sample_stride=stride)
-    return evolve_lift(family, rho0, cfg), rho0
+    return evolve(family, rho0, cfg), rho0
 
 
 def _rk4_ket(h, stride, n=10):

@@ -15,13 +15,14 @@ import qdsim
 from qdsim import cli, dynamics, scenario
 from qdsim.cli import main
 from qdsim.errors import DomainError, IntegrationDivergedError
-from qdsim.dynamics import (Generator, IntegratorConfig, evolve, evolve_lift,
-                            qubit_rate_generator)
+from qdsim.dynamics import Generator, IntegratorConfig, evolve, qubit_rate_generator
 from qdsim.qubit import QubitGeneratorParams, bloch_trajectory_general
 from qdsim.linalg import pauli_components
 from qdsim.run import CheckResult, _closed_vs_ode, _qubit_columns, run, run_file
 from qdsim.scenario import parse_scenario
 from qdsim.states import bloch_to_density, purity, von_neumann_entropy
+
+from conftest import family_rhs, rk4_on_gksl_rhs
 
 PASS_SCN = """\
 [scenario]
@@ -173,9 +174,9 @@ def test_a_constant_gain_run_is_the_lift_bit_for_bit_and_near_the_autonomous_rk4
                                                                                   capsys):
     # the constant gain steps as a rate family of magnitude 1 on the raw g
     # (a unit direction scaled by |g| rounds apart from this g) through
-    # the linear lift; RK4 on the nonlinear density coordinates of the
-    # same family, evolve's route for a RateFamily, is another
-    # discretisation of the same flow, 7.4e-12 away at this step
+    # evolve's linear lift; RK4 on the nonlinear equation of the same
+    # family, the test's reference, is another discretisation of the same
+    # flow, 7.4e-12 away at this step
     omega, g, xi = (0.3, -1.0, 6.0), (3.0, 0.5, -0.2), (0.1, 0.0, 0.5)
     p = tmp_path / "constant.scn"
     p.write_text(ODE_PASS_SCN.replace("(0.0, 0.0, 6.0)", str(omega))
@@ -189,10 +190,10 @@ def test_a_constant_gain_run_is_the_lift_bit_for_bit_and_near_the_autonomous_rk4
     written = np.array([[float(v) for v in row.split(",")[1:4]] for row in rows[1:]])
     cfg = IntegratorConfig(1.0, 0.001, 7)
     family = qubit_rate_generator(omega, g, lambda t: 1.0)
-    lift = evolve_lift(family, bloch_to_density(xi), cfg)
+    lift = evolve(family, bloch_to_density(xi), cfg)
     assert np.array_equal(written, pauli_components(lift.states))
-    traj = evolve(family, bloch_to_density(xi), cfg)
-    assert np.abs(written - pauli_components(traj.states)).max() <= 1e-10
+    ode = rk4_on_gksl_rhs(family_rhs(family), bloch_to_density(xi), 0.001, 1000, 7)
+    assert np.abs(written - pauli_components(ode)).max() <= 1e-10
 
 
 def test_a_lift_step_of_half_the_step_fails_closed_form_vs_ode(tmp_path, monkeypatch, capsys):
@@ -204,6 +205,24 @@ def test_a_lift_step_of_half_the_step_fails_closed_form_vs_ode(tmp_path, monkeyp
     assert main(args) == 0
     right = dynamics._constant_lift_step
     monkeypatch.setattr(dynamics, "_constant_lift_step", lambda name, x, h: right(name, x, 0.5 * h))
+    capsys.readouterr()
+    assert main(args) == 2
+    lines = [l for l in capsys.readouterr().out.splitlines() if "check closed-form-vs-ode" in l]
+    assert len(lines) == 1 and lines[0].endswith(" FAIL")
+
+
+def test_lift_steps_of_half_the_step_fail_closed_form_vs_ode(tmp_path, monkeypatch, capsys):
+    # fault injection into the route of every gksl-ode run: the lift's
+    # time-dependent RK4 steps built from h/2, so the run lags the closed
+    # form of its constant gain by half its horizon; the check must read
+    # FAIL and the run exit 2. Untouched, it passes
+    p = tmp_path / "ode_pass.scn"
+    p.write_text(ODE_PASS_SCN)
+    args = ["run", str(p), "--check", "--out-dir", str(tmp_path / "o")]
+    assert main(args) == 0
+    right = dynamics._lift_steps
+    monkeypatch.setattr(dynamics, "_lift_steps",
+                        lambda fam, h, *rest: right(fam, 0.5 * h, *rest))
     capsys.readouterr()
     assert main(args) == 2
     lines = [l for l in capsys.readouterr().out.splitlines() if "check closed-form-vs-ode" in l]
