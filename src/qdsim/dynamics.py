@@ -19,10 +19,11 @@ normalises once per sample. Classical RK4 on a constant linear flow
 x' = X x is one fixed matrix R = I + hX + ... + (hX)^4/24
 (_rk4_linear_step), here of X less its mean eigenvalue, which the
 normalisation divides out. For a constant Generator without jump
-operators X = M and the lift is K' = M K, each sample's product P of
-steps taken to the last sample as P rho P^dag / tr(...); with them
-X = A and the coordinates go to P y / tr(P y). gksl_rhs is the
-nonlinear equation on the complex matrix.
+operators X = M and the lift is K' = M K, each sample P rho0 P^dag /
+tr(...) with P = R^n; with them X = A and each sample is P y0 / tr(P y0).
+R^n shares the eigenvectors of X, so every sample comes from the start
+through one eigendecomposition of X (_step_eigenpowers). gksl_rhs is
+the nonlinear equation on the complex matrix.
 
 _lift_chunks steps the linear lift K' = M(t) K of a 2x2 RateFamily,
 whose normalised image is the state: its RK4 steps depend on t only,
@@ -197,6 +198,31 @@ def _sampled_steps(advance, y0, n_steps: int, h: float, stride: int,
     return Trajectory(times=times, states=states)
 
 
+_SAMPLE_BLOCK = 256  # samples _sampled_from_start computes in one numpy pass
+
+
+def _sampled_from_start(sample, y0, n_steps: int, h: float, stride: int,
+                        check_sample) -> Trajectory:
+    """_sampled_steps for a run whose state after n steps follows from y0
+    directly: sample(ns) gives the states after the step counts ns, all
+    of one block of _SAMPLE_BLOCK samples in one pass. Each sample is
+    vetted by check_sample(y, t) in order, a block before the next is
+    computed, so a breach raises at the same sample and time."""
+    first = np.asarray(y0)
+    count = sample_count(n_steps, stride)
+    done = np.minimum(np.arange(count) * stride, n_steps)
+    times = done * h
+    states = np.empty((count,) + first.shape, dtype=first.dtype)
+    states[0] = first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(1, count, _SAMPLE_BLOCK):
+            k1 = min(k0 + _SAMPLE_BLOCK, count)
+            states[k0:k1] = sample(done[k0:k1])
+            for k in range(k0, k1):
+                check_sample(states[k], float(times[k]))
+    return Trajectory(times=times, states=states)
+
+
 def _rk4_linear_step(ha: np.ndarray) -> np.ndarray:
     """The RK4 step R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 of a
     constant linear flow y' = A y, given hA."""
@@ -209,7 +235,9 @@ _RESCALE_EVERY = 32  # constant lift steps between two rescalings of a product
 
 def _successive_powers(step: np.ndarray, rescale: bool = False) -> Callable[[int], np.ndarray]:
     """m -> step^m, cached per m. Storing every m-th step of a run with a
-    fixed linear step needs only step^m, one product per sample.
+    fixed linear step needs only step^m, one product per sample. evolve
+    and bmt_evolve take it only where _step_eigenpowers declines, and
+    neutrino_evolve past CUTOFF_KM.
 
     step^m is built by m - 1 successive products step @ step^(m-1), the
     rounding of m steps applied one at a time. Binary squaring
@@ -259,19 +287,75 @@ def _stiff_step(name: str, h_radius: float, t: float) -> IntegrationDivergedErro
         f"past {0.5 * _RK4_REAL_STABILITY:.4f} (half RK4's real stability interval)", t)
 
 
-def _constant_lift_step(name: str, x: np.ndarray, h: float) -> np.ndarray:
-    """The RK4 step R of the constant linear flow x' = X x, refused
-    first if it is stiff, as _lift_steps refuses one. X is first shifted
-    by its mean eigenvalue, tr X / n: that scales the exact flow by a
-    number, which the normalised image divides out, so that G and G + cI
+def _less_mean_eigenvalue(x: np.ndarray) -> np.ndarray:
+    """X - (tr X / n) I. The shift scales the exact flow x' = X x by a
+    number, which a normalised image divides out, so that G and G + cI
     step alike, as they do on the nonlinear equation; RK4's R would
-    otherwise follow the shift only to its own accuracy. A non-finite X
-    has an infinite spectral radius."""
-    x = x - (np.trace(x) / x.shape[0]) * np.eye(x.shape[0])
-    radius = float(np.abs(np.linalg.eigvals(x)).max()) if np.isfinite(x).all() else math.inf
+    otherwise follow the shift only to its own accuracy."""
+    return x - (np.trace(x) / x.shape[0]) * np.eye(x.shape[0])
+
+
+def _refuse_stiff(name: str, w: np.ndarray, h: float) -> None:
+    """Refuse the constant step h of a flow with eigenvalues w, as
+    _lift_steps refuses a stiff step; w = [inf] stands for a non-finite
+    matrix, whose spectral radius is infinite."""
+    radius = float(np.abs(w).max())
     if not h * radius <= 0.5 * _RK4_REAL_STABILITY:
         raise _stiff_step(name, h * radius, h)
+
+
+def _constant_lift_step(name: str, x: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step R of the constant linear flow x' = X x less its mean
+    eigenvalue (_less_mean_eigenvalue), refused first if it is stiff."""
+    x = _less_mean_eigenvalue(x)
+    _refuse_stiff(name, np.linalg.eigvals(x) if np.isfinite(x).all() else [math.inf], h)
     return _rk4_linear_step(h * x)
+
+
+def _step_eigenpowers(name: str | None, x: np.ndarray, h: float, normalised: bool = True):
+    """Every power of the RK4 step R of the constant linear flow x' = X x
+    from one eigendecomposition X = V diag(w) V^-1: R is the polynomial
+    r(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 in hX, so R^n = V diag(r(hw)^n)
+    V^-1 (the eigenvector method of Moler and Van Loan, SIAM Rev. 45
+    (2003) 3). Returns (V, V^-1, powers), powers(ns) the array of
+    r(hw)^n, one row per step count n of the array ns.
+
+    r(hw)^n = exp(n log1p(z)) with z = r(hw) - 1 formed from hw, not from
+    the eigenvalues of R, which would lose the digits of a small z; the
+    complex log1p(z) = log1p(2 Re z + |z|^2)/2 + i atan2(Im z, 1 + Re z)
+    keeps them. With normalised, each row is divided by its largest
+    modulus, which the caller's normalisation divides out, so no power
+    over- or underflows.
+
+    With a name, a stiff step is refused first, from the same
+    eigenvalues and in the words of _constant_lift_step. Returns None
+    where X is not finite or V is singular or ill-conditioned,
+    ||V||_1 ||V^-1||_1 past TOL.eigenvector_cond (a null BMT field or a
+    nilpotent M); the caller then takes _successive_powers."""
+    w, v = np.linalg.eig(x) if np.isfinite(x).all() else ([math.inf], None)
+    if name is not None:
+        _refuse_stiff(name, w, h)
+    if v is None:
+        return None
+    try:
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.abs(v).sum(axis=0).max() * np.abs(v_inv).sum(axis=0).max() <= TOL.eigenvector_cond:
+        return None
+    z = h * w.astype(complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+        log_r = (0.5 * np.log1p(2.0 * z.real + (z.real ** 2 + z.imag ** 2))
+                 + 1j * np.arctan2(z.imag, 1.0 + z.real))
+
+    def powers(ns):
+        e = np.multiply.outer(ns, log_r)
+        if normalised:
+            e -= e.real.max(axis=1, keepdims=True)
+        return np.exp(e)
+
+    return v, v_inv, powers
 
 
 def _normalised_image(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -574,13 +658,19 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     normalised image is the state, sampled on the shared grid (see the
     module docstring).
 
-    A Generator steps with one fixed RK4 matrix R, of the lift's matrix
-    less its mean eigenvalue (_constant_lift_step): without jump
-    operators R steps K' = M K and each sample is P rho P^dag / tr(...)
-    of the last one; with them R steps the coordinates and each sample
-    is P y / tr(P y). P is the product of the sample's steps
-    (_successive_powers, rescaled by a power of two every _RESCALE_EVERY
-    steps). A RateFamily takes each P, of steps that depend on t, from
+    A Generator steps with one fixed RK4 matrix R of the lift's matrix X
+    less its mean eigenvalue: X = M without jump operators, where R
+    steps K' = M K and the sample after n steps is P rho0 P^dag /
+    tr(...) with P = R^n; X = Lambda on the coordinates with them, where
+    it is P y0 / tr(P y0). Every P comes from one eigendecomposition
+    X = V diag(w) V^-1 as V diag(r(hw)^n) V^-1 (_step_eigenpowers), so
+    each sample is V (e e^dag . C) V^dag with C = V^-1 rho0 V^-dag, or
+    V (e . V^-1 y0), e = r(hw)^n, all samples of a block in one pass.
+    Where V is ill-conditioned (a nilpotent M), P is the product of the
+    sample's steps instead, taken to the last sample as P rho P^dag /
+    tr(...) or P y / tr(P y) (_constant_lift_step, _successive_powers,
+    rescaled by a power of two every _RESCALE_EVERY steps). A
+    RateFamily takes each P, of steps that depend on t, from
     _lift_chunks, and each sample is P rho P^dag / tr(...) of the last.
 
     The horizon, the sample count and the dimension are vetted first.
@@ -614,23 +704,46 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     sample_count(n_steps, stride)
     if isinstance(gen, RateFamily):
         chunks = _lift_chunks(gen, h, n_steps, stride, refuse_stiff=True)
-        power = lambda m: np.array(next(chunks)).reshape(2, 2)
+        return _sampled_steps(
+            lambda i0, rho, m: _normalised_image(np.array(next(chunks)).reshape(2, 2), rho),
+            0.5 * (rho0 + dagger(rho0)), n_steps, h, stride, _check_density_sample)
+    _cap_coordinate_dim(d)
+    if gen.lindblads:
+        name, x, start = "Lambda", gen._a, _to_coordinates(rho0)
+        check = lambda y, t: _check_density_sample(_from_coordinates(y, d), t)
     else:
-        _cap_coordinate_dim(d)
-        name, x = ("Lambda", gen._a) if gen.lindblads else ("M", gen._m)
+        name, x, start = "M", gen._m, 0.5 * (rho0 + dagger(rho0))
+        check = _check_density_sample
+    eigen = _step_eigenpowers(name, _less_mean_eigenvalue(x), h) if n_steps else None
+    if eigen is not None:
+        v, v_inv, powers = eigen
+        if gen.lindblads:
+            z = v_inv @ start
+
+            def sample(ns):
+                y = ((powers(ns) * z) @ v.T).real
+                return y / y[:, :d].sum(axis=1, keepdims=True)
+        else:
+            c, vh = v_inv @ start @ dagger(v_inv), dagger(v)
+
+            def sample(ns):
+                e = powers(ns)
+                y = v @ (e[:, :, None] * e.conj()[:, None, :] * c) @ vh
+                y = y + dagger(y)
+                return y / np.trace(y, axis1=1, axis2=2).real[:, None, None]
+
+        traj = _sampled_from_start(sample, start, n_steps, h, stride, check)
+    else:
         power = (_successive_powers(_constant_lift_step(name, x, h), rescale=True)
                  if n_steps else None)
         if gen.lindblads:
             def advance(i0, y, m):
                 y = power(m) @ y
                 return y / y[:d].sum()
-
-            traj = _sampled_steps(advance, _to_coordinates(rho0), n_steps, h, stride,
-                                  lambda y, t: _check_density_sample(_from_coordinates(y, d), t))
-            return Trajectory(traj.times, _from_coordinates(traj.states, d))
-    return _sampled_steps(lambda i0, rho, m: _normalised_image(power(m), rho),
-                          0.5 * (rho0 + dagger(rho0)), n_steps, h, stride,
-                          _check_density_sample)
+        else:
+            advance = lambda i0, rho, m: _normalised_image(power(m), rho)
+        traj = _sampled_steps(advance, start, n_steps, h, stride, check)
+    return Trajectory(traj.times, _from_coordinates(traj.states, d)) if gen.lindblads else traj
 
 
 def evolve_state_vector(gen: Generator, psi0: np.ndarray, cfg: IntegratorConfig,

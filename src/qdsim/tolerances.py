@@ -34,6 +34,13 @@ class Tolerances:
     max_samples: int = 10**6           # stored samples a run may ask for, checked before allocating
     max_steps: int = 10**7             # fixed steps a run may ask for, checked before stepping
     max_coordinate_dim: int = 40       # d of evolve's d^2 x d^2 generator, checked before allocating
+    # evolve and bmt_evolve take every power of a constant RK4 step from
+    # one eigendecomposition X = V diag(w) V^-1, whose rounding error is
+    # of order cond(V) u, u = 2^-53 (the eigenvector method of Moler and
+    # Van Loan, SIAM Rev. 45 (2003) 3). At cond(V) = 1e6 that is 1.1e-10,
+    # a ninth of |eigenvalue_floor|, so rounding alone cannot push a pure
+    # sample below the floor; past it the run takes successive products
+    eigenvector_cond: float = 1e6      # ||V||_1 ||V^-1||_1 of that eigendecomposition
 
     # relativistic spin transport
     on_shell_rel: float = 1e-8         # |p.p - (mc)^2| relative to (mc)^2

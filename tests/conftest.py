@@ -58,3 +58,42 @@ def family_rhs(family):
         return lam - np.trace(lam).real * rho
 
     return rate
+
+
+def rk4_on_gksl_rhs_2x2(family, rho, h, n_steps, stride):
+    """rk4_on_gksl_rhs(family_rhs(family), rho, ...) for a 2x2 RateFamily,
+    written out on the four entries of rho and M(t) as Python complex
+    numbers, about a quarter of the time of 2x2 numpy products: the same
+    RK4 on the nonlinear equation, independent of the lift, rounded
+    differently."""
+    m0 = [complex(v) for v in family.base._m.ravel()]
+    m1 = [complex(v) for v in family.slope._m.ravel()]
+
+    def m_at(t):
+        f = float(family.magnitude(t))
+        return [a + f * b for a, b in zip(m0, m1)]
+
+    def rate(m, r):
+        m00, m01, m10, m11 = m
+        r00, r01, r10, r11 = r
+        x00, x01 = m00 * r00 + m01 * r10, m00 * r01 + m01 * r11
+        x10, x11 = m10 * r00 + m11 * r10, m10 * r01 + m11 * r11
+        l00, l11 = 2.0 * x00.real, 2.0 * x11.real
+        tr = l00 + l11
+        return (l00 - tr * r00, x01 + x10.conjugate() - tr * r01,
+                x10 + x01.conjugate() - tr * r10, l11 - tr * r11)
+
+    r = tuple(complex(v) for v in np.asarray(rho).ravel())
+    samples = [r]
+    for i in range(n_steps):
+        t = i * h
+        mid = m_at(t + 0.5 * h)
+        k1 = rate(m_at(t), r)
+        k2 = rate(mid, [x + (0.5 * h) * k for x, k in zip(r, k1)])
+        k3 = rate(mid, [x + (0.5 * h) * k for x, k in zip(r, k2)])
+        k4 = rate(m_at(t + h), [x + h * k for x, k in zip(r, k3)])
+        r = tuple(x + (h / 6.0) * (a + 2.0 * (b + c) + d)
+                  for x, a, b, c, d in zip(r, k1, k2, k3, k4))
+        if (i + 1) % stride == 0 or i + 1 == n_steps:
+            samples.append(r)
+    return np.array(samples).reshape(-1, 2, 2)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qdsim import dynamics
 from qdsim.errors import DomainError, IntegrationDivergedError, PreconditionError, ValidityError
 from qdsim.models import dirac
 from qdsim.qubit import bloch_trajectory_general, sl2c_coefficients
@@ -178,12 +179,34 @@ def test_bmt_invariants_short_run():
 
 def test_bmt_runs_the_shipped_horizon_within_the_invariant_guard():
     # bmt_spin_damping_a's fields to tau = 8000: R^100 built by binary
-    # squaring drifts p.p, p.w and w.w past TOL.bmt_invariant_drift
-    # before the end; built by successive products it does not
+    # squaring drifts p.p, p.w and w.w past TOL.bmt_invariant_drift by
+    # tau = 7393, and built by successive products p.p drifts 6.8e-7 by
+    # the end; with every power taken from one eigendecomposition of the
+    # field tensor it drifts 2.0e-10 and p.w 5.1e-11
     p0 = dirac.rest_momentum(FIELDS.mass, FIELDS.c)
     traj = dirac.bmt_evolve(FIELDS, p0, (0.0, 0.0, 1.0), tau_end=8000.0, step=0.01,
                             sample_stride=100)
     assert len(traj) == 8001 and traj.times[-1] == 8000.0
+    p, w = traj.states[..., 0], traj.states[..., 1]
+    minkowski = lambda x, y: x[:, 0] * y[:, 0] - (x[:, 1:] * y[:, 1:]).sum(axis=1)
+    assert np.abs(minkowski(p, p) - 1.0).max() <= 1e-9
+    assert np.abs(minkowski(p, w)).max() <= 1e-9
+
+
+def test_a_null_field_takes_successive_powers_bit_for_bit():
+    # E perpendicular to B with |E| = c|B|: the field tensor is nilpotent
+    # and its computed eigenvectors nearly parallel (cond(V) about 1e15),
+    # so bmt_evolve falls back on successive products of its RK4 step,
+    # sample for sample the route every run took before exact powers
+    fields = dirac.EMFieldConfig((0.1, 0.0, 0.0), (0.0, 0.1, 0.0))
+    force = dirac.field_tensor_mixed(fields)
+    assert dynamics._step_eigenpowers(None, force, 0.01, normalised=False) is None
+    p0, xi0 = dirac.rest_momentum(1.0), np.array([0.6, 0.0, 0.8])
+    traj = dirac.bmt_evolve(fields, p0, xi0, tau_end=50.0, step=0.01, sample_stride=100)
+    power = dynamics._successive_powers(dynamics._rk4_linear_step(force * 0.01))
+    y0 = np.column_stack([p0, dirac.polarization_fourvector(p0, xi0, 1.0)])
+    want = dynamics._sampled_steps(lambda i, y, m: power(m) @ y, y0, 5000, 0.01, 100)
+    assert np.array_equal(traj.states, want.states)
 
 
 @pytest.mark.parametrize("stride, message", [

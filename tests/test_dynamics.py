@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdsim import dynamics
+from qdsim import run as qdsim_run
 from qdsim.dynamics import (
     Generator,
     IntegratorConfig,
@@ -42,7 +43,7 @@ from qdsim.states import bloch_to_density, density_to_bloch
 
 from qdsim.tolerances import TOL
 
-from conftest import family_rhs, random_density, rk4_on_gksl_rhs
+from conftest import family_rhs, random_density, rk4_on_gksl_rhs, rk4_on_gksl_rhs_2x2
 
 LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
@@ -171,10 +172,11 @@ def test_evolve_is_fourth_order_against_rk4_on_gksl_rhs(rng, dim, jumps):
 
 
 def test_the_shipped_damped_rabi_oracle_from_a_pure_start_is_the_closed_form():
-    # M of omega = 6, g = 5.95 is far from normal; stepping K keeps the
-    # pure samples' lower eigenvalue near rounding (-1.1e-11) and 3.2e-11
-    # from the closed form, where stepping the density coordinates
-    # without jumps dips to -3.0e-9 at t = 8.112, past the floor
+    # M of omega = 6, g = 5.95 is far from normal; exact powers of the
+    # step of K keep the pure samples' lower eigenvalue at -3.8e-15 and
+    # 5.5e-13 from the closed form (successive products: -1.1e-11 and
+    # 3.2e-11), where stepping the density coordinates without jumps
+    # dips to -3.0e-9 at t = 8.112, past the floor
     scn = parse_scenario(resources.files("qdsim").joinpath(
         "scenarios", "damped_rabi_w6_g595.scn").read_text())
     p = scn.parameters
@@ -400,10 +402,11 @@ def test_evolve_refuses_a_stiff_constant_step_by_its_spectral_radius():
 
 @pytest.mark.parametrize("lindblads", [(), (LOWER,)], ids=["K", "coordinates"])
 def test_a_long_growing_constant_run_neither_overflows_nor_underflows(lindblads):
-    # g = (10, 0, 0): the lift grows as e^(5 t) or faster, so 20000 steps in
-    # one sample take K to e^(+-1000), and the coordinates past e^1000,
-    # without the rescaling every 32 steps; the state settles on the top
-    # eigenvector of Lambda on the coordinates, taken here by numpy
+    # g = (10, 0, 0): the lift grows as e^(5 t) or faster, so 20000 steps
+    # in one sample take K to e^(+-1000), and the coordinates past
+    # e^1000, unless each sample's powers are divided by the largest; the
+    # state settles on the top eigenvector of Lambda on the coordinates,
+    # taken here by numpy
     gen = Generator.qubit((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), lindblads)
     traj = evolve(gen, bloch_to_density((0.3, 0.0, 0.8)),
                   IntegratorConfig(t_end=200.0, step=0.01, sample_stride=10 ** 9))
@@ -436,7 +439,7 @@ def test_rate_family_of_constant_magnitude_retraces_the_autonomous_run():
     # both step the same linear lift K' = M K with RK4 (M traceless, so
     # the Generator's mean-eigenvalue shift is zero): the family through
     # the entry arrays and trees of _lift_chunks, the Generator through
-    # powers of one fixed step, which differ only in rounding
+    # exact powers of one fixed step, which differ only in rounding
     omega, g_dir = (0.0, 0.0, 3.0), (1.0, 0.0, 0.5)
     family = qubit_rate_generator(omega, g_dir, lambda t: 1.0)
     gen = Generator.qubit(omega, g_dir)
@@ -488,11 +491,19 @@ def test_the_lift_of_the_shipped_morse_run_is_evolve_to_rounding():
     family, rho0 = _morse_family(), bloch_to_density(MORSE_XI)
     cfg = IntegratorConfig(t_end=35000.0, step=0.5, sample_stride=20)
     lift = evolve(family, rho0, cfg)
-    ode = rk4_on_gksl_rhs(family_rhs(family), rho0, 0.5, 70000, 20)
+    ode = rk4_on_gksl_rhs_2x2(family, rho0, 0.5, 70000, 20)
     assert lift.states.shape == ode.shape
     assert np.array_equal(lift.states, dagger(lift.states))
     gap = np.linalg.norm(pauli_components(lift.states) - pauli_components(ode), axis=1)
     assert gap.max() <= 1e-11
+
+
+def test_the_scalar_2x2_reference_is_rk4_on_the_complex_right_hand_side():
+    # the Morse tests' reference on Python complex entries is the numpy
+    # one to rounding, through the crossing near t = 2821
+    family, rho0 = _morse_family(), bloch_to_density(MORSE_XI)
+    scalar = rk4_on_gksl_rhs_2x2(family, rho0, 0.5, 8000, 100)
+    assert np.abs(scalar - rk4_on_gksl_rhs(family_rhs(family), rho0, 0.5, 8000, 100)).max() <= 1e-13
 
 
 def test_the_morse_lift_is_fourth_order_against_evolve():
@@ -501,7 +512,7 @@ def test_the_morse_lift_is_fourth_order_against_evolve():
     # halved step from 50 to 6.25. With the earlier step on the left of
     # the tree product the gap stays near 0.048 at every step
     family, rho0 = _morse_family(), bloch_to_density(MORSE_XI)
-    ref = rk4_on_gksl_rhs(family_rhs(family), rho0, 1.25, 8000, 400)
+    ref = rk4_on_gksl_rhs_2x2(family, rho0, 1.25, 8000, 400)
     gaps = []
     for h in (50.0, 25.0, 12.5, 6.25):
         traj = evolve(family, rho0, IntegratorConfig(10000.0, h, round(500.0 / h)))
@@ -509,6 +520,74 @@ def test_the_morse_lift_is_fourth_order_against_evolve():
         gaps.append(np.linalg.norm(pauli_components(traj.states)
                                    - pauli_components(ref), axis=1).max())
     assert all(coarse >= 10.0 * fine for coarse, fine in zip(gaps, gaps[1:]))
+
+
+def _successive_route(gen, rho0, cfg):
+    """evolve of a Generator without jump operators by successive
+    products of its RK4 step, written out from the parts evolve falls
+    back on: the route every such run took before its exact powers."""
+    h, stride = cfg.step, cfg.sample_stride
+    power = dynamics._successive_powers(dynamics._constant_lift_step("M", gen._m, h),
+                                        rescale=True)
+    return dynamics._sampled_steps(
+        lambda i0, rho, m: dynamics._normalised_image(power(m), rho),
+        0.5 * (rho0 + dagger(rho0)), whole_steps(cfg.t_end, h), h, stride,
+        dynamics._check_density_sample)
+
+
+def _takes_successive_powers(gen, h):
+    """Whether evolve of gen at step h falls back on successive powers."""
+    name, x = ("Lambda", gen._a) if gen.lindblads else ("M", gen._m)
+    return dynamics._step_eigenpowers(name, dynamics._less_mean_eigenvalue(x), h) is None
+
+
+def test_a_nilpotent_m_takes_successive_powers_bit_for_bit():
+    # g = omega with g perpendicular to omega: M - tr M / 2 is nilpotent,
+    # its two computed eigenvectors nearly parallel, and exact powers
+    # through them would carry cond(V) times the rounding; evolve falls
+    # back on successive products, sample for sample as before
+    gen = Generator.qubit((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+    assert _takes_successive_powers(gen, 0.01)
+    rho0 = bloch_to_density((0.3, -0.2, 0.5))
+    cfg = IntegratorConfig(t_end=20.0, step=0.01, sample_stride=150)
+    assert np.array_equal(evolve(gen, rho0, cfg).states, _successive_route(gen, rho0, cfg).states)
+
+
+def test_the_shipped_parabolic_oracle_falls_back_on_successive_powers(monkeypatch):
+    # parabolic_equalization's closed-form-vs-ode oracle: at
+    # TOL.eigenvector_cond = 1e6 it falls back and reads 8.1e-16 from the
+    # closed form; exact powers would read it through nearly parallel
+    # eigenvectors
+    scn = parse_scenario(resources.files("qdsim").joinpath(
+        "scenarios", "parabolic_equalization.scn").read_text())
+    params = QubitGeneratorParams(scn.parameters["omega"], scn.parameters["g"])
+    gen, xi = params.generator(), scn.parameters["xi"]
+    cfgs = []
+    monkeypatch.setattr(qdsim_run, "evolve",
+                        lambda gen, rho0, cfg: cfgs.append(cfg) or evolve(gen, rho0, cfg))
+    traj = _oracle(gen, xi, scn.integrator)
+    (cfg,) = cfgs
+    assert _takes_successive_powers(gen, cfg.step)
+    assert np.array_equal(traj.states, _successive_route(gen, bloch_to_density(xi), cfg).states)
+
+
+@pytest.mark.parametrize("lindblads", [(), (0.4 * LOWER,)], ids=["K", "coordinates"])
+def test_a_long_constant_run_holds_one_block_of_samples(lindblads):
+    # exact powers compute _SAMPLE_BLOCK samples at a time: 20001 samples
+    # peak at 1.4 (K) and 2.1 (coordinates, which the trajectory's complex
+    # matrices are built from) times the stored trajectory, where all
+    # samples at once peak at 4.8 and 2.9 times
+    gen = Generator.qubit((0.3, -1.1, 0.8), (1.0, -0.3, -0.7), lindblads)
+    rho0 = bloch_to_density((0.1, -0.2, 0.3))
+    evolve(gen, rho0, IntegratorConfig(t_end=1.0, step=0.01))
+    tracemalloc.start()
+    try:
+        traj = evolve(gen, rho0, IntegratorConfig(t_end=200.0, step=0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not _takes_successive_powers(gen, 0.01) and len(traj) == 20001
+    assert peak < (2.5 if lindblads else 2.0) * traj.states.nbytes
 
 
 def test_a_long_lift_run_holds_one_block_of_step_matrices():

@@ -13,6 +13,7 @@ import pytest
 
 import qdsim
 from qdsim import cli, dynamics, scenario
+from qdsim.models import dirac
 from qdsim.cli import main
 from qdsim.errors import DomainError, IntegrationDivergedError
 from qdsim.dynamics import Generator, IntegratorConfig, evolve, qubit_rate_generator
@@ -196,19 +197,69 @@ def test_a_constant_gain_run_is_the_lift_bit_for_bit_and_near_the_autonomous_rk4
     assert np.abs(written - pauli_components(ode)).max() <= 1e-10
 
 
-def test_a_lift_step_of_half_the_step_fails_closed_form_vs_ode(tmp_path, monkeypatch, capsys):
-    # fault injection: the oracle's fixed RK4 step R built from h/2, so
-    # the cross-check run lags the closed form by half its horizon; the
-    # check must read FAIL and the run exit 2. Untouched, it passes
-    path = resources.files("qdsim").joinpath("scenarios", "damped_rabi_w6_g4.scn")
-    args = ["run", str(path), "--check", "--out-dir", str(tmp_path / "o")]
+def _fails_under(module, name, fault, scn_name, check, tmp_path, monkeypatch, capsys,
+                 extra=()):
+    """Fault injection: the shipped scenario scn_name passes its checks,
+    and with module.name replaced by fault(right) its check line reads
+    FAIL and the run exits 2."""
+    path = resources.files("qdsim").joinpath("scenarios", scn_name)
+    args = ["run", str(path), "--check", "--out-dir", str(tmp_path / "o"), *extra]
     assert main(args) == 0
-    right = dynamics._constant_lift_step
-    monkeypatch.setattr(dynamics, "_constant_lift_step", lambda name, x, h: right(name, x, 0.5 * h))
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
     capsys.readouterr()
     assert main(args) == 2
-    lines = [l for l in capsys.readouterr().out.splitlines() if "check closed-form-vs-ode" in l]
+    lines = [l for l in capsys.readouterr().out.splitlines() if f"check {check}:" in l]
     assert len(lines) == 1 and lines[0].endswith(" FAIL")
+
+
+def test_a_lift_step_of_half_the_step_fails_closed_form_vs_ode(tmp_path, monkeypatch, capsys):
+    # the oracle's exact powers taken from the eigenvalues of h/2 times
+    # the shifted M, so the cross-check run lags the closed form by half
+    # its horizon; the check must read FAIL and the run exit 2
+    _fails_under(dynamics, "_step_eigenpowers",
+                 lambda right: lambda name, x, h, **kw: right(name, x, 0.5 * h, **kw),
+                 "damped_rabi_w6_g4.scn", "closed-form-vs-ode", tmp_path, monkeypatch, capsys)
+
+
+def test_a_fallback_lift_step_of_half_the_step_fails_closed_form_vs_ode(
+        tmp_path, monkeypatch, capsys):
+    # the parabolic oracle's M is nilpotent, so it takes successive
+    # powers of the RK4 step R; R built from h/2 must fail alike
+    _fails_under(dynamics, "_constant_lift_step",
+                 lambda right: lambda name, x, h: right(name, x, 0.5 * h),
+                 "parabolic_equalization.scn", "closed-form-vs-ode", tmp_path, monkeypatch,
+                 capsys)
+
+
+def test_bmt_eigenvalues_of_half_the_step_fail_four_vectors_vs_sigma_map(
+        tmp_path, monkeypatch, capsys):
+    # the four-vector transport's exact powers taken from h/2 times the
+    # field tensor lag the sigma map by half the (shortened) horizon
+    _fails_under(dirac, "_step_eigenpowers",
+                 lambda right: lambda name, x, h, **kw: right(name, x, 0.5 * h, **kw),
+                 "bmt_spin_damping_a.scn", "four-vectors-vs-sigma-map", tmp_path, monkeypatch,
+                 capsys, ("--t-end", "100"))
+
+
+@pytest.mark.parametrize("name", ["bmt_spin_damping_a", "bmt_spin_damping_b"])
+def test_bmt_exact_powers_keep_the_sigma_map_to_rounding(tmp_path, name):
+    # the shipped runs read four-vectors-vs-sigma-map 5.7e-15 (a) and
+    # 2.1e-14 (b). Successive products read 2.7e-12 and 2.3e-11, and
+    # exact powers through log(1 + z), which drops the digits of a small
+    # z = r - 1, read 7.0e-13 and 1.3e-10
+    path = resources.files("qdsim").joinpath("scenarios", f"{name}.scn")
+    *_, report = run_file(path, out_dir=str(tmp_path / "o"))
+    (gap,) = [c.max_violation for c in report.checks if c.name == "four-vectors-vs-sigma-map"]
+    assert gap <= 1e-13
+
+
+def test_bmt_spin_damping_a_runs_past_its_shipped_horizon(tmp_path):
+    # successive products of the RK4 step drifted the four-vector
+    # invariants past TOL.bmt_invariant_drift at tau = 8227; with exact
+    # powers they drift 9.3e-9 by tau = 10000
+    path = resources.files("qdsim").joinpath("scenarios", "bmt_spin_damping_a.scn")
+    assert main(["run", str(path), "--check", "--t-end", "10000",
+                 "--out-dir", str(tmp_path / "o")]) == 0
 
 
 def test_lift_steps_of_half_the_step_fail_closed_form_vs_ode(tmp_path, monkeypatch, capsys):
