@@ -27,8 +27,10 @@ the nonlinear equation on the complex matrix.
 
 _lift_chunks steps the linear lift K' = M(t) K of a 2x2 RateFamily,
 whose normalised image is the state: its RK4 steps depend on t only,
-so they are built as entry arrays per block of steps and each
-sample's steps are multiplied together before they meet the state.
+so each block of steps is built as one complex array of shape
+(2, 2, block), a 2x2 matrix per position of its last axis, and each
+sample's steps are multiplied together, a pairwise tree over the same
+layout, before they meet the state.
 evolve applies each product P to a density matrix as P rho P^dag /
 tr(...), the route of every gksl-ode run, and neutrino_evolve applies
 it to a ket.
@@ -240,15 +242,8 @@ def _successive_powers(step: np.ndarray, rescale: bool = False) -> Callable[[int
     neutrino_evolve past CUTOFF_KM.
 
     step^m is built by m - 1 successive products step @ step^(m-1), the
-    rounding of m steps applied one at a time. Binary squaring
-    (np.linalg.matrix_power) rounds differently: on the shipped
-    bmt_spin_damping_a run it drifts the four-vector invariants about
-    four times faster (5.1e-7 against 1.2e-7 by tau = 7000) and passes
-    TOL.bmt_invariant_drift at tau = 7393, before the horizon 8000. On
-    the 5920-step sample of a coarse parabolic evolve run (M nilpotent)
-    it ends about 50 times further from the closed form (1e-11 against
-    1.3e-13), and squaring the 4x4 step of the density coordinates
-    there leaves the eigenvalue floor or ends 1e-5 away.
+    rounding of m steps applied one at a time; binary squaring rounds
+    differently, and further from the closed form.
 
     With rescale, for a normalised image, every _RESCALE_EVERY-th
     product is scaled by the power of two that puts its largest real or
@@ -366,33 +361,27 @@ def _normalised_image(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return x / np.trace(x).real
 
 
-def _entry_product(x, y):
-    """x @ y for 2x2 matrices held as entry tuples (00, 01, 10, 11) of
-    arrays, one matrix per array position."""
-    x00, x01, x10, x11 = x
-    y00, y01, y10, y11 = y
-    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
-            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+def _stacked_product(x, y):
+    """x @ y for 2x2 matrices stacked as (2, 2, ...) arrays, one matrix per
+    position of the trailing axes: x[i, 0] y[0, j] + x[i, 1] y[1, j]."""
+    return x[:, 0, None] * y[0] + x[:, 1, None] * y[1]
 
 
 def _unit_scaled(x):
-    """Scale each matrix of the entry tuple x, in place, by the power of
-    two 2^-e that puts its largest real or imaginary part in [1/2, 1);
+    """Scale each matrix of the stack x, in place, by the power of two
+    2^-e that puts its largest real or imaginary part in [1/2, 1);
     returns x and the exponents e. A power of two changes no mantissa
     bit, so a normalised image keeps its direction."""
-    big = np.maximum.reduce([np.maximum(abs(e.real), abs(e.imag)) for e in x])
-    exponent = np.frexp(big)[1]
-    scale = np.ldexp(1.0, -exponent)
-    for e in x:
-        e *= scale
+    exponent = np.frexp(np.maximum(abs(x.real), abs(x.imag)).max(axis=(0, 1)))[1]
+    x *= np.ldexp(1.0, -exponent)
     return x, exponent
 
 
 def _lift_steps(fam, h: float, j0: int, j1: int, refuse_stiff: bool = False):
     """The classical RK4 steps R_i of the linear lift K' = M(t) K of a
-    2x2 RateFamily, for steps i = j0 .. j1 - 1, as one entry tuple
-    scaled by powers of two (_unit_scaled). With A1, A2, A4 = M(t),
-    M(t + h/2), M(t + h):
+    2x2 RateFamily, for steps i = j0 .. j1 - 1, as one stack of shape
+    (2, 2, j1 - j0) scaled by powers of two (_unit_scaled). With A1, A2,
+    A4 = M(t), M(t + h/2), M(t + h):
 
         P2 = A2 (I + h/2 A1),  P3 = A2 (I + h/2 P2),  P4 = A4 (I + h P3),
         R = I + h/6 (A1 + 2 P2 + 2 P3 + P4).
@@ -416,54 +405,59 @@ def _lift_steps(fam, h: float, j0: int, j1: int, refuse_stiff: bool = False):
     decays, and every sample is still a valid state. Where both guards
     refuse the same first step, the amplitude message is raised."""
     t = np.arange(j0, j1) * h
-    v1, v2, v4 = (fam._f(s) for s in (t, t + 0.5 * h, t + h))
+    v = fam._f(np.stack([t, t + 0.5 * h, t + h]))  # f at the stage times, a row per stage
     # lambda_max of G0 + v G1 is c + sqrt(d^2 + |o|^2) with c, d the mean
     # and the half-difference of its diagonal and o its off-diagonal entry
     (g00, g01), (_, g11) = fam.base.damping.tolist()
     (s00, s01), (_, s11) = fam.slope.damping.tolist()
-    mu = np.maximum.reduce([
-        0.5 * (g00 + g11).real + 0.5 * (s00 + s11).real * v
-        + np.sqrt((0.5 * (g00 - g11).real + 0.5 * (s00 - s11).real * v) ** 2
-                  + abs(g01 + s01 * v) ** 2)
-        for v in (v1, v2, v4)])
+    mu = (0.5 * (g00 + g11).real + 0.5 * (s00 + s11).real * v
+          + np.sqrt((0.5 * (g00 - g11).real + 0.5 * (s00 - s11).real * v) ** 2
+                    + abs(g01 + s01 * v) ** 2)).max(axis=0)
 
-    m0, m1 = fam.base._m.ravel().tolist(), fam.slope._m.ravel().tolist()
+    m0, m1 = fam.base._m[:, :, None], fam.slope._m[:, :, None]
 
-    def at(v):
-        return tuple(a + v * b for a, b in zip(m0, m1))
+    def at(f):
+        return m0 + f * m1
 
-    def shifted(c, x):  # I + c X
-        return 1.0 + c * x[0], c * x[1], c * x[2], 1.0 + c * x[3]
+    def shifted(c, x):  # I + c X, in place
+        x *= c
+        x[0, 0] += 1.0
+        x[1, 1] += 1.0
+        return x
+
+    def product(x, y):  # _stacked_product a row at a time, to hold fewer temporaries
+        out = np.empty_like(y)
+        for i in range(2):
+            np.multiply(x[i, 0], y[0], out=out[i])
+            out[i] += x[i, 1] * y[1]
+        return out
 
     def radius(x):  # the spectral radius of each matrix, tr/2 +- s its eigenvalues
-        half_trace = 0.5 * (x[0] + x[3])
-        s = np.sqrt(0.25 * (x[0] - x[3]) ** 2 + x[1] * x[2])
+        half_trace = 0.5 * (x[0, 0] + x[1, 1])
+        s = np.sqrt(0.25 * (x[0, 0] - x[1, 1]) ** 2 + x[0, 1] * x[1, 0])
         return np.maximum(abs(half_trace + s), abs(half_trace - s))
 
     if refuse_stiff:
-        radii = np.maximum.reduce([radius(at(v)) for v in (v1, v2, v4)])
+        radii = np.maximum.reduce([radius(at(f)) for f in v])
         stiff = np.flatnonzero(~(h * radii <= 0.5 * _RK4_REAL_STABILITY))
 
     # the stage sum A1 + 2 P2 + 2 P3 + P4 is accumulated as the stages
-    # are built, so that a block holds few entry arrays at once
+    # are built, so that a block holds few stacks at once
+    v1, v2, v4 = v
     a2, total = at(v2), at(v1)
-    p = _entry_product(a2, shifted(0.5 * h, total))
-    for e, k in zip(total, p):
-        e += 2.0 * k
-    p = _entry_product(a2, shifted(0.5 * h, p))
-    for e, k in zip(total, p):
-        e += 2.0 * k
+    p = product(a2, shifted(0.5 * h, total.copy()))
+    total += 2.0 * p
+    p = product(a2, shifted(0.5 * h, p))
+    total += 2.0 * p
     del a2
-    p = _entry_product(at(v4), shifted(h, p))
-    for e, k in zip(total, p):
-        e += k
+    p = product(at(v4), shifted(h, p))
+    total += p
     del p
     r, exponent = _unit_scaled(shifted(h / 6.0, total))
-    del total
 
-    r00, r01, r10, r11 = r
-    det = r00 * r11 - r01 * r10
-    frob = sum(e.real ** 2 + e.imag ** 2 for e in r)
+    det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
+    sq = r.real ** 2 + r.imag ** 2
+    frob = sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1]
     # sigma_max^2 = (|R|_F^2 + sqrt(|R|_F^4 - 4 |det R|^2)) / 2; the clamp
     # only absorbs rounding, a nan stays nan and fails the comparison
     sigma = np.sqrt(0.5 * (frob + np.sqrt(np.maximum(frob ** 2 - 4.0 * abs(det) ** 2, 0.0))))
@@ -476,49 +470,51 @@ def _lift_steps(fam, h: float, j0: int, j1: int, refuse_stiff: bool = False):
 
 
 def _tree_products(r, width: int):
-    """Products of consecutive runs of width matrices of the entry tuple
-    r (the last run may be shorter), the later factor on the left, by a
-    pairwise tree whose levels each take every run at once; each level's
-    partial products are _unit_scaled, so none over- or underflows."""
-    n = r[0].size
+    """Products of consecutive runs of width matrices of the stack r, of
+    shape (2, 2, n) (the last run may be shorter), the later factor on
+    the left, as one stack of shape (2, 2, runs), by a pairwise tree whose
+    levels each take every run at once; each level's partial products
+    are _unit_scaled, so none over- or underflows."""
+    n = r.shape[2]
     full, rest = divmod(n, width)
     runs = [(0, full, width)] if full else []
     if rest:
         runs.append((full * width, 1, rest))
     out = []
     for start, k, w in runs:
-        x = tuple(e[start:start + k * w].reshape(k, w) for e in r)
+        x = r[:, :, start:start + k * w].reshape(2, 2, k, w)
         while w > 1:
-            pairs = _entry_product(tuple(e[:, 1::2] for e in x),
-                                   tuple(e[:, 0:w - 1:2] for e in x))
+            pairs = _stacked_product(x[..., 1::2], x[..., 0:w - 1:2])
             if w % 2:
-                pairs = tuple(np.concatenate([p, e[:, -1:]], axis=1) for p, e in zip(pairs, x))
+                pairs = np.concatenate([pairs, x[..., -1:]], axis=3)
             x, _ = _unit_scaled(pairs)
-            w = x[0].shape[1]
-        out.append(x)
-    return tuple(np.concatenate([x[j][:, 0] for x in out]) for j in range(4))
+            w = x.shape[3]
+        out.append(x[..., 0])
+    return np.concatenate(out, axis=2)
 
 
 def _lift_chunks(fam, h: float, n: int, stride: int, refuse_stiff: bool = False):
     """Yield, for each run of stride steps of steps 0 .. n - 1 (the last
     may be shorter), the product R_{i1 - 1} ... R_{i0} of their RK4 steps
-    of the linear lift (_lift_steps) as four complex entries, scaled by a
-    power of two. The steps are built _LIFT_BLOCK at a time: a block holds
-    whole runs, or part of one run, which then multiplies block by block.
-    refuse_stiff adds the stiff-step guard of _lift_steps."""
+    of the linear lift (_lift_steps) as four complex entries (00, 01, 10,
+    11), scaled by a power of two. The steps are built _LIFT_BLOCK at a
+    time as one (2, 2, block) stack, and _tree_products takes every run
+    of the block at once: a block holds whole runs, or part of one run,
+    which then multiplies block by block. refuse_stiff adds the
+    stiff-step guard of _lift_steps."""
     per_block = max(1, _LIFT_BLOCK // stride)
     for c0 in range(0, n, per_block * stride):
         c1 = min(c0 + per_block * stride, n)
         if stride <= _LIFT_BLOCK:
             products = _tree_products(_lift_steps(fam, h, c0, c1, refuse_stiff), stride)
-            yield from zip(*(e.tolist() for e in products))
+            yield from zip(*products.reshape(4, -1).tolist())
         else:
             acc = None
             for j0 in range(c0, c1, _LIFT_BLOCK):
                 p = _tree_products(_lift_steps(fam, h, j0, min(j0 + _LIFT_BLOCK, c1),
                                                refuse_stiff), _LIFT_BLOCK)
-                acc = p if acc is None else _unit_scaled(_entry_product(p, acc))[0]
-            yield tuple(e.item() for e in acc)
+                acc = p if acc is None else _unit_scaled(_stacked_product(p, acc))[0]
+            yield tuple(acc.ravel().tolist())
 
 
 def _linear_image(m: np.ndarray, lpairs, rho: np.ndarray) -> np.ndarray:
@@ -710,19 +706,19 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     _cap_coordinate_dim(d)
     if gen.lindblads:
         name, x, start = "Lambda", gen._a, _to_coordinates(rho0)
-        check = lambda y, t: _check_density_sample(_from_coordinates(y, d), t)
     else:
         name, x, start = "M", gen._m, 0.5 * (rho0 + dagger(rho0))
-        check = _check_density_sample
     eigen = _step_eigenpowers(name, _less_mean_eigenvalue(x), h) if n_steps else None
     if eigen is not None:
         v, v_inv, powers = eigen
         if gen.lindblads:
             z = v_inv @ start
 
-            def sample(ns):
+            def sample(ns):  # each block of coordinates becomes matrices as it is computed
                 y = ((powers(ns) * z) @ v.T).real
-                return y / y[:, :d].sum(axis=1, keepdims=True)
+                return _from_coordinates(y / y[:, :d].sum(axis=1, keepdims=True), d)
+
+            first = _from_coordinates(start, d)
         else:
             c, vh = v_inv @ start @ dagger(v_inv), dagger(v)
 
@@ -732,18 +728,19 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
                 y = y + dagger(y)
                 return y / np.trace(y, axis1=1, axis2=2).real[:, None, None]
 
-        traj = _sampled_from_start(sample, start, n_steps, h, stride, check)
-    else:
-        power = (_successive_powers(_constant_lift_step(name, x, h), rescale=True)
-                 if n_steps else None)
-        if gen.lindblads:
-            def advance(i0, y, m):
-                y = power(m) @ y
-                return y / y[:d].sum()
-        else:
-            advance = lambda i0, rho, m: _normalised_image(power(m), rho)
-        traj = _sampled_steps(advance, start, n_steps, h, stride, check)
-    return Trajectory(traj.times, _from_coordinates(traj.states, d)) if gen.lindblads else traj
+            first = start
+        return _sampled_from_start(sample, first, n_steps, h, stride, _check_density_sample)
+    power = _successive_powers(_constant_lift_step(name, x, h), rescale=True) if n_steps else None
+    if gen.lindblads:
+        def advance(i0, y, m):
+            y = power(m) @ y
+            return y / y[:d].sum()
+
+        traj = _sampled_steps(advance, start, n_steps, h, stride,
+                              lambda y, t: _check_density_sample(_from_coordinates(y, d), t))
+        return Trajectory(traj.times, _from_coordinates(traj.states, d))
+    return _sampled_steps(lambda i0, rho, m: _normalised_image(power(m), rho),
+                          start, n_steps, h, stride, _check_density_sample)
 
 
 def evolve_state_vector(gen: Generator, psi0: np.ndarray, cfg: IntegratorConfig,

@@ -285,16 +285,12 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     constant fields the RK4 step is a single matrix R, a polynomial in
     the field tensor F, so each sample R^n (p0, w0) is V diag(r^n) V^-1
     (p0, w0) from one eigendecomposition of F (_step_eigenpowers), its
-    real part taken. Successive products R^m of the steps between two
-    samples drifted the shipped bmt_spin_damping_a run's invariants 6.8e-7
-    by tau = 8000 and past the guard at tau = 8227; exact powers drift
-    them 2.0e-10 and 9.3e-9. A null field (E perpendicular to B, |E| =
-    c|B|) makes F nilpotent and V ill-conditioned, and there R^m is
-    built by successive products instead (_successive_powers).
-    Conservation of p.p, p.w and
-    w.w + (mc/2)^2 xi0^2 is enforced at every sample; a non-finite
-    sample or drift beyond TOL.bmt_invariant_drift relative aborts the
-    run. The horizon must be a whole number of steps (see
+    real part taken. A null field (E perpendicular to B, |E| = c|B|)
+    makes F nilpotent and V ill-conditioned, and there R^m is built by
+    successive products instead (_successive_powers). Conservation of
+    p.p, p.w and w.w + (mc/2)^2 xi0^2 is enforced at every sample; a
+    non-finite sample or drift beyond TOL.bmt_invariant_drift relative
+    aborts the run. The horizon must be a whole number of steps (see
     whole_steps); tau_end = 0 gives the single tau = 0 sample.
     sample_stride = None chooses a stride capping storage near 2000
     samples; a given stride must be at least 1 (see sample_count). p0

@@ -28,12 +28,13 @@ values of M; none depends on the state. Normalisation commutes with the
 linear maps, so the steps up to each sample are multiplied first (the
 later step on the left) and the sample is one product with the ket,
 normalised once. Before the cutoff the R_i of a block of steps are
-built as four complex entry arrays from V at the stage distances, and
-each sample's steps are reduced by a pairwise tree across all samples
-of the block at once; every partial product is rescaled by a power of
-two, which changes no mantissa bit and keeps every stride finite,
-however far the damping grows K. Past the cutoff V = 0, so M = M0 in
-both modes, R is fixed, and a sample's steps are a power R^m.
+built as one complex array of shape (2, 2, block) from V at the stage
+distances, and each sample's steps are reduced by a pairwise tree
+across all samples of the block at once; every partial product is
+rescaled by a power of two, which changes no mantissa bit and keeps
+every stride finite, however far the damping grows K. Past the cutoff
+V = 0, so M = M0 in both modes, R is fixed, and a sample's steps are a
+power R^m.
 
 A step is refused where RK4 amplifies past the flow itself: the exact
 step stretches no ket by more than exp(h mu), mu the largest eigenvalue
@@ -41,24 +42,17 @@ of G over the step (the logarithmic-norm bound), and a run raises
 "amplitude norm left (0, 2)" at the first step whose R is not finite,
 is singular, or has sigma_max(R) >= 2 exp(h mu). In msw G = 0 and that
 is the bound 2 on a unit ket's norm. The amplitudes turn at
-(eps/2)|omega| (msw) or up to (eps/2)|g| (damping). At the calibrated
-v_scale = 8.0e-5 of the shipped 10 MeV scenarios that is about
-0.03 rad/km near the core, and a 1 km step resolves it to RK4 accuracy
-far below the tolerances in play. With the default v_scale = 0.012 it
-is about 4.7 rad/km: a 1 km step lies past RK4's stability limit of
-about 2.8 rad per step, where R stretches a ket by about 16, so
-neutrino_evolve(NeutrinoConfig(energy_gev=0.01), 2000.0, 1.0)
-raises "amplitude norm left (0, 2)"; a msw run at that scale needs steps
-well below 0.6 km. In damping the same step runs, since the flow
-itself stretches a ket by up to exp(4.7), more than R does, but h
-times the spectral radius of M is 4.7, past half RK4's real stability
-interval (1.39), so the decaying direction decays too slowly: the
-survival probability reads 0.973, 0.961 and 0.959 at L = 1, 2 and
-3 km, where a 0.01 km step reads 0.958. That gap of 1.4e-2 falls to
-5.7e-9 by 10 km and to the 8e-12 at which the two steps differ from
-50 km on. neutrino_evolve does not yet refuse such a stiff step, as
-evolve of a RateFamily does: that guard adds about a sixth to the run
-time of the two shipped neutrino scenarios.
+(eps/2)|omega| (msw) or up to (eps/2)|g| (damping): about 0.03 rad/km
+near the core at the calibrated v_scale = 8.0e-5 of the shipped 10 MeV
+scenarios, which a 1 km step resolves to RK4 accuracy, and about
+4.7 rad/km at the default v_scale = 0.012, where a 1 km step lies past
+RK4's stability limit of about 2.8 rad per step: in msw
+neutrino_evolve(NeutrinoConfig(energy_gev=0.01), 2000.0, 1.0) raises
+"amplitude norm left (0, 2)". A stiff step, h times the spectral
+radius of M past half RK4's real stability interval, is not refused
+here as evolve of a RateFamily refuses it: in damping such a step
+passes the guard, since the flow itself stretches a ket more than R
+does, and the decaying direction then decays too slowly.
 """
 
 from __future__ import annotations
@@ -197,9 +191,10 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
 
     The run steps the linear lift K' = M(L) K of c.generator() (see the
     module docstring) with dynamics._lift_chunks: per block of about
-    1024 steps, the RK4 steps R_i as four entry arrays, and per sample
-    one tree product of its steps, rescaled by powers of two. Each
-    sample is that product applied to the last ket, normalised once.
+    1024 steps, the RK4 steps R_i as one complex array of shape
+    (2, 2, block), and per sample one tree product of its steps,
+    rescaled by powers of two. Each sample is that product applied to
+    the last ket, normalised once.
     The guard of _lift_chunks raises at the first step whose R_i is not
     finite, is singular, or stretches a ket past 2 exp(h mu), twice the
     log-norm bound of the flow.

@@ -574,9 +574,10 @@ def test_the_shipped_parabolic_oracle_falls_back_on_successive_powers(monkeypatc
 @pytest.mark.parametrize("lindblads", [(), (0.4 * LOWER,)], ids=["K", "coordinates"])
 def test_a_long_constant_run_holds_one_block_of_samples(lindblads):
     # exact powers compute _SAMPLE_BLOCK samples at a time: 20001 samples
-    # peak at 1.4 (K) and 2.1 (coordinates, which the trajectory's complex
-    # matrices are built from) times the stored trajectory, where all
-    # samples at once peak at 4.8 and 2.9 times
+    # peak at 1.4 times the stored trajectory, where all samples at once
+    # peak at 4.8 (K) and 2.9 (coordinates) times. The coordinates route
+    # turns each block into matrices as it is computed; holding every
+    # sample's coordinates and converting them at the end peaked at 2.1
     gen = Generator.qubit((0.3, -1.1, 0.8), (1.0, -0.3, -0.7), lindblads)
     rho0 = bloch_to_density((0.1, -0.2, 0.3))
     evolve(gen, rho0, IntegratorConfig(t_end=1.0, step=0.01))
@@ -588,6 +589,8 @@ def test_a_long_constant_run_holds_one_block_of_samples(lindblads):
         tracemalloc.stop()
     assert not _takes_successive_powers(gen, 0.01) and len(traj) == 20001
     assert peak < (2.5 if lindblads else 2.0) * traj.states.nbytes
+    if lindblads:
+        assert peak < 1.6 * traj.states.nbytes
 
 
 def test_a_long_lift_run_holds_one_block_of_step_matrices():
@@ -621,6 +624,23 @@ def test_the_lift_reads_its_magnitude_through_the_family():
     infinite = qubit_rate_generator(omega, g_dir, lambda t: math.inf)
     with pytest.raises(ValidityError, match="^operator contains non-finite entries$"):
         evolve(infinite, rho0, cfg)
+
+
+@pytest.mark.parametrize("stride", [1, 5, 7])
+@pytest.mark.parametrize("family", ["msw", "damping", "morse"])
+def test_the_lift_products_do_not_depend_on_the_block_size(monkeypatch, family, stride):
+    # every step is built from its own stage times and every run of
+    # stride steps multiplied by its own tree, so blocks of 7 steps, which
+    # hold whole runs of 1, 5 or 7 steps, give the products of blocks of
+    # 1024 bit for bit, the short last run of 2000 steps included
+    if family == "morse":
+        fam, h, refuse_stiff = _morse_family(), 0.5, True
+    else:
+        fam = nu.NeutrinoConfig(energy_gev=0.01, mode=family, v_scale=8e-5).generator()
+        h, refuse_stiff = 1.0, False
+    want = list(_lift_chunks(fam, h, 2000, stride, refuse_stiff))
+    monkeypatch.setattr(dynamics, "_LIFT_BLOCK", 7)
+    assert list(_lift_chunks(fam, h, 2000, stride, refuse_stiff)) == want
 
 
 def test_the_lift_refuses_the_first_stiff_step():
