@@ -34,6 +34,10 @@ layout, before they meet the state.
 evolve applies each product P to a density matrix as P rho P^dag /
 tr(...), the route of every gksl-ode run, and neutrino_evolve applies
 it to a ket.
+
+One loop, _sampled, stores the samples of every fixed-step run, a
+block of _SAMPLE_BLOCK at a time, computed from the start or stepped to
+(_stepped); the run's guard vets each block before the next.
 """
 
 from __future__ import annotations
@@ -174,55 +178,80 @@ class Trajectory:
         return self.states[-1]
 
 
-def _sampled_steps(advance, y0, n_steps: int, h: float, stride: int,
-                   check_sample=None) -> Trajectory:
+_SAMPLE_BLOCK = 256  # samples _sampled asks of a route, and its guard vets, at once
+
+
+def _sampled(sample, y0, n_steps: int, h: float, stride: int, check=None) -> Trajectory:
     """The one sampling loop of every fixed-step run: stores y0 at t = 0
-    and the state after every stride-th step and after the last, each
-    vetted first by check_sample(y, t). advance(i, y, m) steps y from
-    step i across m steps. y0 is read only for the storage shape and
-    dtype, so a scalar stepper keeps its Python numbers."""
-    first = np.asarray(y0)
-    times = np.empty(sample_count(n_steps, stride))
-    states = np.empty(times.shape + first.shape, dtype=first.dtype)
-    times[0], states[0] = 0.0, first
-    y, done = y0, 0
-    # a state that overflows turns non-finite without a numpy warning;
-    # check_sample (or the model's own guard) names it, with the time
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, times.shape[0]):
-            m = min(stride, n_steps - done)
-            y = advance(done, y, m)
-            done += m
-            t = done * h
-            if check_sample is not None:
-                check_sample(y, t)
-            times[k], states[k] = t, y
-    return Trajectory(times=times, states=states)
-
-
-_SAMPLE_BLOCK = 256  # samples _sampled_from_start computes in one numpy pass
-
-
-def _sampled_from_start(sample, y0, n_steps: int, h: float, stride: int,
-                        check_sample) -> Trajectory:
-    """_sampled_steps for a run whose state after n steps follows from y0
-    directly: sample(ns) gives the states after the step counts ns, all
-    of one block of _SAMPLE_BLOCK samples in one pass. Each sample is
-    vetted by check_sample(y, t) in order, a block before the next is
-    computed, so a breach raises at the same sample and time."""
+    and the state after every stride-th step and after the last.
+    sample(ns) gives the states after the step counts ns, a block of
+    _SAMPLE_BLOCK at a time (or fewer, see _stepped), and check(states,
+    times) vets each block before the next is asked for."""
     first = np.asarray(y0)
     count = sample_count(n_steps, stride)
     done = np.minimum(np.arange(count) * stride, n_steps)
     times = done * h
     states = np.empty((count,) + first.shape, dtype=first.dtype)
     states[0] = first
+    k = 1
+    # a state that overflows turns non-finite without a numpy warning;
+    # check (or the model's own guard) names it, with the time
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(1, count, _SAMPLE_BLOCK):
-            k1 = min(k0 + _SAMPLE_BLOCK, count)
-            states[k0:k1] = sample(done[k0:k1])
-            for k in range(k0, k1):
-                check_sample(states[k], float(times[k]))
+        while k < count:
+            block = sample(done[k:k + _SAMPLE_BLOCK])
+            k1 = k + len(block)
+            states[k:k1] = block
+            if check is not None:
+                check(states[k:k1], times[k:k1])
+            k = k1
     return Trajectory(times=times, states=states)
+
+
+def _stepped(advance, y0):
+    """sample(ns) of a route that steps: advance(i, y, m) steps y, kept
+    between calls in the route's own form, from step i across m steps.
+    Where advance raises, sample returns the states before it and raises
+    the error on the next call, so that they are vetted first."""
+    first = np.asarray(y0)
+    done, y, error = 0, y0, None
+
+    def sample(ns):
+        nonlocal done, y, error
+        if error is not None:
+            raise error
+        out = np.empty((len(ns),) + first.shape, dtype=first.dtype)
+        for j, n in enumerate(ns.tolist()):
+            try:
+                out[j] = y = advance(done, y, n - done)
+            except Exception as err:
+                error = err
+                return out[:j]
+            done = n
+        return out
+
+    return sample
+
+
+def _raise_at_first(finite, times, tests) -> None:
+    """Raise IntegrationDivergedError at the first sample of a block that
+    is not finite or fails one of tests, pairs (bad, message(k)) of a
+    boolean per sample and its text; non-finite entries, then the first
+    pair failed, are named, as testing each sample in turn would."""
+    bad = ~finite
+    for fails, _ in tests:
+        bad |= fails
+    if bad.any():
+        k = int(bad.argmax())
+        if not finite[k]:
+            raise IntegrationDivergedError("state has non-finite entries", float(times[k]))
+        message = next(message for fails, message in tests if fails[k])
+        raise IntegrationDivergedError(message(k), float(times[k]))
+
+
+def _row_dots(x, y):
+    """The dot product of each row of x with the same row of y, rounded as
+    np.dot, np.linalg.norm and minkowski_dot round one, as a sum does not."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _rk4_linear_step(ha: np.ndarray) -> np.ndarray:
@@ -299,14 +328,6 @@ def _refuse_stiff(name: str, w: np.ndarray, h: float) -> None:
         raise _stiff_step(name, h * radius, h)
 
 
-def _constant_lift_step(name: str, x: np.ndarray, h: float) -> np.ndarray:
-    """The RK4 step R of the constant linear flow x' = X x less its mean
-    eigenvalue (_less_mean_eigenvalue), refused first if it is stiff."""
-    x = _less_mean_eigenvalue(x)
-    _refuse_stiff(name, np.linalg.eigvals(x) if np.isfinite(x).all() else [math.inf], h)
-    return _rk4_linear_step(h * x)
-
-
 def _step_eigenpowers(name: str | None, x: np.ndarray, h: float, normalised: bool = True):
     """Every power of the RK4 step R of the constant linear flow x' = X x
     from one eigendecomposition X = V diag(w) V^-1: R is the polynomial
@@ -323,7 +344,7 @@ def _step_eigenpowers(name: str | None, x: np.ndarray, h: float, normalised: boo
     over- or underflows.
 
     With a name, a stiff step is refused first, from the same
-    eigenvalues and in the words of _constant_lift_step. Returns None
+    eigenvalues (_refuse_stiff). Returns None
     where X is not finite or V is singular or ill-conditioned,
     ||V||_1 ||V^-1||_1 past TOL.eigenvector_cond (a null BMT field or a
     nilpotent M); the caller then takes _successive_powers."""
@@ -630,23 +651,26 @@ def finite_difference_generator_check(gen: Generator, rho: np.ndarray, dt: float
     return frobenius((stepped - rho) / dt - gksl_rhs(gen, rho))
 
 
-def _check_density_sample(rho: np.ndarray, t: float) -> None:
-    if not np.isfinite(rho).all():
-        raise IntegrationDivergedError("state has non-finite entries", t)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TOL.ode_trace_drift:
-        raise IntegrationDivergedError(f"trace drift {tr - 1.0:.3e}", t)
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < TOL.eigenvalue_floor:
-        raise IntegrationDivergedError(f"eigenvalue {w.min():.3e} below the floor", t)
+def _check_density_block(rho: np.ndarray, times: np.ndarray) -> None:
+    """Each density matrix must be finite, keep its trace within
+    TOL.ode_trace_drift of 1 and its eigenvalues above the floor."""
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    drift = rho.trace(axis1=1, axis2=2).real - 1.0
+    # eigvalsh, of the finite matrices only, lists the eigenvalues in
+    # ascending order
+    low = np.linalg.eigvalsh(rho if finite.all()
+                             else np.where(finite[:, None, None], rho, 0.0))[:, 0]
+    _raise_at_first(finite, times, (
+        (abs(drift) > TOL.ode_trace_drift, lambda k: f"trace drift {drift[k]:.3e}"),
+        (low < TOL.eigenvalue_floor, lambda k: f"eigenvalue {low[k]:.3e} below the floor")))
 
 
-def _check_ket_sample(psi: np.ndarray, t: float) -> None:
-    if not np.isfinite(psi).all():
-        raise IntegrationDivergedError("state has non-finite entries", t)
-    drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > TOL.ode_norm_drift:
-        raise IntegrationDivergedError(f"norm drift {drift:.3e}", t)
+def _check_ket_block(psi: np.ndarray, times: np.ndarray) -> None:
+    """Each ket must be finite and keep its norm within
+    TOL.ode_norm_drift of 1."""
+    drift = abs(np.sqrt(_row_dots(psi.real, psi.real) + _row_dots(psi.imag, psi.imag)) - 1.0)
+    _raise_at_first(np.isfinite(psi).all(axis=1), times, (
+        (drift > TOL.ode_norm_drift, lambda k: f"norm drift {drift[k]:.3e}"),))
 
 
 def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
@@ -664,9 +688,9 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     V (e . V^-1 y0), e = r(hw)^n, all samples of a block in one pass.
     Where V is ill-conditioned (a nilpotent M), P is the product of the
     sample's steps instead, taken to the last sample as P rho P^dag /
-    tr(...) or P y / tr(P y) (_constant_lift_step, _successive_powers,
-    rescaled by a power of two every _RESCALE_EVERY steps). A
-    RateFamily takes each P, of steps that depend on t, from
+    tr(...) or P y / tr(P y) (R = _rk4_linear_step of the shifted X,
+    _successive_powers, rescaled by a power of two every _RESCALE_EVERY
+    steps). A RateFamily takes each P, of steps that depend on t, from
     _lift_chunks, and each sample is P rho P^dag / tr(...) of the last.
 
     The horizon, the sample count and the dimension are vetted first.
@@ -684,7 +708,7 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     and divided by their trace; each must keep the trace within
     TOL.ode_trace_drift, which then sees only rounding, and the
     eigenvalues above the floor, and a breach raises with the offending
-    time.
+    time (_check_density_block, a block of samples at a time).
     """
     rho0 = density_matrix(rho0)
     d = rho0.shape[0]
@@ -700,47 +724,49 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     sample_count(n_steps, stride)
     if isinstance(gen, RateFamily):
         chunks = _lift_chunks(gen, h, n_steps, stride, refuse_stiff=True)
-        return _sampled_steps(
+        first = 0.5 * (rho0 + dagger(rho0))
+        sample = _stepped(
             lambda i0, rho, m: _normalised_image(np.array(next(chunks)).reshape(2, 2), rho),
-            0.5 * (rho0 + dagger(rho0)), n_steps, h, stride, _check_density_sample)
-    _cap_coordinate_dim(d)
-    if gen.lindblads:
-        name, x, start = "Lambda", gen._a, _to_coordinates(rho0)
+            first)
     else:
-        name, x, start = "M", gen._m, 0.5 * (rho0 + dagger(rho0))
-    eigen = _step_eigenpowers(name, _less_mean_eigenvalue(x), h) if n_steps else None
-    if eigen is not None:
-        v, v_inv, powers = eigen
+        _cap_coordinate_dim(d)
         if gen.lindblads:
-            z = v_inv @ start
-
-            def sample(ns):  # each block of coordinates becomes matrices as it is computed
-                y = ((powers(ns) * z) @ v.T).real
-                return _from_coordinates(y / y[:, :d].sum(axis=1, keepdims=True), d)
-
+            name, x, start = "Lambda", gen._a, _to_coordinates(rho0)
             first = _from_coordinates(start, d)
         else:
-            c, vh = v_inv @ start @ dagger(v_inv), dagger(v)
-
-            def sample(ns):
-                e = powers(ns)
-                y = v @ (e[:, :, None] * e.conj()[:, None, :] * c) @ vh
-                y = y + dagger(y)
-                return y / np.trace(y, axis1=1, axis2=2).real[:, None, None]
-
+            name, x, start = "M", gen._m, 0.5 * (rho0 + dagger(rho0))
             first = start
-        return _sampled_from_start(sample, first, n_steps, h, stride, _check_density_sample)
-    power = _successive_powers(_constant_lift_step(name, x, h), rescale=True) if n_steps else None
-    if gen.lindblads:
-        def advance(i0, y, m):
-            y = power(m) @ y
-            return y / y[:d].sum()
+        x = _less_mean_eigenvalue(x)
+        eigen = _step_eigenpowers(name, x, h) if n_steps else None
+        if eigen is not None:
+            v, v_inv, powers = eigen
+            if gen.lindblads:
+                z = v_inv @ start
 
-        traj = _sampled_steps(advance, start, n_steps, h, stride,
-                              lambda y, t: _check_density_sample(_from_coordinates(y, d), t))
-        return Trajectory(traj.times, _from_coordinates(traj.states, d))
-    return _sampled_steps(lambda i0, rho, m: _normalised_image(power(m), rho),
-                          start, n_steps, h, stride, _check_density_sample)
+                def sample(ns):  # one product per sample, as a block of one rounds
+                    y = (v @ (powers(ns) * z)[:, :, None])[:, :, 0].real
+                    return _from_coordinates(y / y[:, :d].sum(axis=1, keepdims=True), d)
+            else:
+                c, vh = v_inv @ start @ dagger(v_inv), dagger(v)
+
+                def sample(ns):
+                    e = powers(ns)
+                    y = v @ (e[:, :, None] * e.conj()[:, None, :] * c) @ vh
+                    y = y + dagger(y)
+                    return y / np.trace(y, axis1=1, axis2=2).real[:, None, None]
+        else:  # successive products; _step_eigenpowers has refused a stiff step
+            step = _rk4_linear_step(h * x) if n_steps else None  # a 0-step run builds none
+            power = _successive_powers(step, rescale=True)
+            if gen.lindblads:
+                def advance(i0, y, m):
+                    y = power(m) @ y
+                    return y / y[:d].sum()
+
+                coordinates = _stepped(advance, start)
+                sample = lambda ns: _from_coordinates(coordinates(ns), d)
+            else:
+                sample = _stepped(lambda i0, rho, m: _normalised_image(power(m), rho), start)
+    return _sampled(sample, first, n_steps, h, stride, _check_density_block)
 
 
 def evolve_state_vector(gen: Generator, psi0: np.ndarray, cfg: IntegratorConfig,
@@ -762,8 +788,9 @@ def evolve_state_vector(gen: Generator, psi0: np.ndarray, cfg: IntegratorConfig,
             psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         return psi
 
-    return _sampled_steps(advance, state_vector(psi0), whole_steps(cfg.t_end, h), h,
-                          cfg.sample_stride, _check_ket_sample)
+    psi0 = state_vector(psi0)
+    return _sampled(_stepped(advance, psi0), psi0, whole_steps(cfg.t_end, h), h,
+                    cfg.sample_stride, _check_ket_block)
 
 
 def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:

@@ -37,11 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import (Trajectory, _rk4_linear_step, _sampled_from_start, _sampled_steps,
-                        _step_eigenpowers, _successive_powers, whole_steps)
+from ..dynamics import (Trajectory, _raise_at_first, _rk4_linear_step, _row_dots, _sampled,
+                        _step_eigenpowers, _stepped, _successive_powers, whole_steps)
 from ..errors import (
     DomainError,
-    IntegrationDivergedError,
     PreconditionError,
     ValidityError,
 )
@@ -288,9 +287,10 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     real part taken. A null field (E perpendicular to B, |E| = c|B|)
     makes F nilpotent and V ill-conditioned, and there R^m is built by
     successive products instead (_successive_powers). Conservation of
-    p.p, p.w and w.w + (mc/2)^2 xi0^2 is enforced at every sample; a
-    non-finite sample or drift beyond TOL.bmt_invariant_drift relative
-    aborts the run. The horizon must be a whole number of steps (see
+    p.p, p.w and w.w + (mc/2)^2 xi0^2 is enforced at every sample, a
+    block of samples at a time; the first non-finite sample or drift
+    beyond TOL.bmt_invariant_drift relative aborts the run, with its
+    time. The horizon must be a whole number of steps (see
     whole_steps); tau_end = 0 gives the single tau = 0 sample.
     sample_stride = None chooses a stride capping storage near 2000
     samples; a given stride must be at least 1 (see sample_count). p0
@@ -314,36 +314,34 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
         eigen = _step_eigenpowers(None, force, step, normalised=False)
         if eigen is None:
             power = _successive_powers(_rk4_linear_step(force * step))
+            sample = _stepped(lambda i, y, m: power(m) @ y, y0)
+        else:
+            v, v_inv, powers = eigen
+            z = v_inv @ y0
+            sample = lambda ns: (v @ (powers(ns)[:, :, None] * z)).real
 
     pp_ref = minkowski_dot(p0, p0)
     ww_ref = minkowski_dot(w0, w0)  # equals -(mc/2)^2 xi0^2
     scale = max(mc * mc, float(np.abs(w0) @ np.abs(w0)))
 
-    def check_invariants(y, tau):
-        if not np.isfinite(y).all():
-            raise IntegrationDivergedError("state has non-finite entries", tau)
-        p_now, w_now = y[:, 0], y[:, 1]
-        drifts = (abs(minkowski_dot(p_now, p_now) - pp_ref),
-                  abs(minkowski_dot(p_now, w_now)),
-                  abs(minkowski_dot(w_now, w_now) - ww_ref))
-        # a finite state past about 1e154 overflows an invariant to NaN,
-        # which no comparison with the bound flags
-        if not all(d <= TOL.bmt_invariant_drift * scale for d in drifts):
-            # no step advice: a finer step does not drift less; the
-            # shipped bmt_spin_damping_a fields drift p.p 2.0e-10 by
-            # tau = 8000 at steps 0.01, 0.005 and 0.0025 alike
-            worst = float(np.max(drifts)) / scale
-            raise IntegrationDivergedError(
-                f"four-vector invariant drift {worst:.3e} beyond "
-                f"TOL.bmt_invariant_drift = {TOL.bmt_invariant_drift:g}", tau)
+    def minkowski(x, y):  # minkowski_dot of each row, rounded alike (_row_dots)
+        return x[:, 0] * y[:, 0] - _row_dots(x[:, 1:], y[:, 1:])
 
-    if eigen is None:
-        return _sampled_steps(lambda i, y, m: power(m) @ y, y0, n_steps, step,
-                              sample_stride, check_invariants)
-    v, v_inv, powers = eigen
-    z = v_inv @ y0
-    return _sampled_from_start(lambda ns: (v @ (powers(ns)[:, :, None] * z)).real, y0,
-                               n_steps, step, sample_stride, check_invariants)
+    def check_invariants(y, tau):
+        p_now, w_now = y[:, :, 0], y[:, :, 1]
+        drifts = np.stack([abs(minkowski(p_now, p_now) - pp_ref), abs(minkowski(p_now, w_now)),
+                           abs(minkowski(w_now, w_now) - ww_ref)], axis=1)
+        # a finite state past about 1e154 overflows an invariant to NaN,
+        # which no comparison with the bound flags; no step advice: a
+        # finer step does not drift less, the shipped bmt_spin_damping_a
+        # fields drift p.p 2.0e-10 by tau = 8000 at steps 0.01, 0.005 and
+        # 0.0025 alike
+        _raise_at_first(np.isfinite(y).all(axis=(1, 2)), tau, ((
+            ~(drifts <= TOL.bmt_invariant_drift * scale).all(axis=1),
+            lambda k: f"four-vector invariant drift {float(np.max(drifts[k])) / scale:.3e} "
+                      f"beyond TOL.bmt_invariant_drift = {TOL.bmt_invariant_drift:g}"),))
+
+    return _sampled(sample, y0, n_steps, step, sample_stride, check_invariants)
 
 
 def spinor_density_flow(f: EMFieldConfig, p0, xi0, tau) -> np.ndarray:

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dynamics import (Generator, RateFamily, Trajectory, _lift_chunks, _rk4_linear_step,
-                        _sampled_steps, _successive_powers, whole_steps)
+                        _sampled, _stepped, _successive_powers, whole_steps)
 from ..errors import DomainError
 from ..rootfind import find_crossing
 
@@ -194,7 +194,8 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
     1024 steps, the RK4 steps R_i as one complex array of shape
     (2, 2, block), and per sample one tree product of its steps,
     rescaled by powers of two. Each sample is that product applied to
-    the last ket, normalised once.
+    the last ket, normalised once, and kept as two Python complex numbers
+    from one sample to the next (dynamics._stepped).
     The guard of _lift_chunks raises at the first step whose R_i is not
     finite, is singular, or stretches a ket past 2 exp(h mu), twice the
     log-norm bound of the flow.
@@ -248,4 +249,5 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
         norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
         return a / norm, b / norm
 
-    return _sampled_steps(advance, (1.0 + 0.0j, 0.0j), n_steps, h, sample_stride)
+    y0 = (1.0 + 0.0j, 0.0j)
+    return _sampled(_stepped(advance, y0), y0, n_steps, h, sample_stride)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from qdsim.errors import IntegrationDivergedError
+from qdsim.tolerances import TOL
+
 # numeric property tests routinely out-run hypothesis' default deadline
 # on a loaded core; the budget is enforced suite-wide instead
 settings.register_profile("qdsim", deadline=None, max_examples=50)
@@ -97,3 +100,26 @@ def rk4_on_gksl_rhs_2x2(family, rho, h, n_steps, stride):
         if (i + 1) % stride == 0 or i + 1 == n_steps:
             samples.append(r)
     return np.array(samples).reshape(-1, 2, 2)
+
+
+def check_density_sample(rho, t):
+    """The density guard of one sample, its tests in order: applied to
+    each sample in turn, the reference for dynamics._check_density_block."""
+    if not np.isfinite(rho).all():
+        raise IntegrationDivergedError("state has non-finite entries", t)
+    tr = np.trace(rho).real
+    if abs(tr - 1.0) > TOL.ode_trace_drift:
+        raise IntegrationDivergedError(f"trace drift {tr - 1.0:.3e}", t)
+    w = np.linalg.eigvalsh(rho)
+    if w.min() < TOL.eigenvalue_floor:
+        raise IntegrationDivergedError(f"eigenvalue {w.min():.3e} below the floor", t)
+
+
+def check_ket_sample(psi, t):
+    """The ket guard of one sample: applied to each sample in turn, the
+    reference for dynamics._check_ket_block."""
+    if not np.isfinite(psi).all():
+        raise IntegrationDivergedError("state has non-finite entries", t)
+    drift = abs(np.linalg.norm(psi) - 1.0)
+    if drift > TOL.ode_norm_drift:
+        raise IntegrationDivergedError(f"norm drift {drift:.3e}", t)

@@ -43,7 +43,8 @@ from qdsim.states import bloch_to_density, density_to_bloch
 
 from qdsim.tolerances import TOL
 
-from conftest import family_rhs, random_density, rk4_on_gksl_rhs, rk4_on_gksl_rhs_2x2
+from conftest import (check_density_sample, check_ket_sample, family_rhs, random_density,
+                      rk4_on_gksl_rhs, rk4_on_gksl_rhs_2x2)
 
 LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
@@ -523,16 +524,20 @@ def test_the_morse_lift_is_fourth_order_against_evolve():
 
 
 def _successive_route(gen, rho0, cfg):
-    """evolve of a Generator without jump operators by successive
-    products of its RK4 step, written out from the parts evolve falls
-    back on: the route every such run took before its exact powers."""
+    """The states of evolve of a Generator without jump operators by
+    successive products of its RK4 step, written out from the parts
+    evolve falls back on and sampled here without its sampler: the route
+    every such run took before its exact powers."""
     h, stride = cfg.step, cfg.sample_stride
-    power = dynamics._successive_powers(dynamics._constant_lift_step("M", gen._m, h),
-                                        rescale=True)
-    return dynamics._sampled_steps(
-        lambda i0, rho, m: dynamics._normalised_image(power(m), rho),
-        0.5 * (rho0 + dagger(rho0)), whole_steps(cfg.t_end, h), h, stride,
-        dynamics._check_density_sample)
+    step = dynamics._rk4_linear_step(h * dynamics._less_mean_eigenvalue(gen._m))
+    power = dynamics._successive_powers(step, rescale=True)
+    rho = 0.5 * (rho0 + dagger(rho0))
+    samples = [rho]
+    n_steps = whole_steps(cfg.t_end, h)
+    for done in range(0, n_steps, stride):
+        rho = dynamics._normalised_image(power(min(stride, n_steps - done)), rho)
+        samples.append(rho)
+    return np.array(samples)
 
 
 def _takes_successive_powers(gen, h):
@@ -550,7 +555,7 @@ def test_a_nilpotent_m_takes_successive_powers_bit_for_bit():
     assert _takes_successive_powers(gen, 0.01)
     rho0 = bloch_to_density((0.3, -0.2, 0.5))
     cfg = IntegratorConfig(t_end=20.0, step=0.01, sample_stride=150)
-    assert np.array_equal(evolve(gen, rho0, cfg).states, _successive_route(gen, rho0, cfg).states)
+    assert np.array_equal(evolve(gen, rho0, cfg).states, _successive_route(gen, rho0, cfg))
 
 
 def test_the_shipped_parabolic_oracle_falls_back_on_successive_powers(monkeypatch):
@@ -568,7 +573,7 @@ def test_the_shipped_parabolic_oracle_falls_back_on_successive_powers(monkeypatc
     traj = _oracle(gen, xi, scn.integrator)
     (cfg,) = cfgs
     assert _takes_successive_powers(gen, cfg.step)
-    assert np.array_equal(traj.states, _successive_route(gen, bloch_to_density(xi), cfg).states)
+    assert np.array_equal(traj.states, _successive_route(gen, bloch_to_density(xi), cfg))
 
 
 @pytest.mark.parametrize("lindblads", [(), (0.4 * LOWER,)], ids=["K", "coordinates"])
@@ -641,6 +646,177 @@ def test_the_lift_products_do_not_depend_on_the_block_size(monkeypatch, family, 
     want = list(_lift_chunks(fam, h, 2000, stride, refuse_stiff))
     monkeypatch.setattr(dynamics, "_LIFT_BLOCK", 7)
     assert list(_lift_chunks(fam, h, 2000, stride, refuse_stiff)) == want
+
+
+def _shipped_bmt_run(name):
+    scn = parse_scenario(resources.files("qdsim").joinpath("scenarios", f"{name}.scn").read_text())
+    fields = dirac.EMFieldConfig(scn.parameters["e"], scn.parameters["b"])
+    return lambda: dirac.bmt_evolve(fields, dirac.rest_momentum(1.0), scn.parameters["xi"],
+                                    50.0, scn.integrator["step"], 7)
+
+
+_BLOCK_ROUTES = {
+    # every run stores more than one block of 256 samples, the last one short
+    "eigen": lambda: evolve(Generator.qubit((0.3, -1.1, 0.8), (1.0, -0.3, -0.7)),
+                            bloch_to_density((0.1, -0.2, 0.3)), IntegratorConfig(20.0, 0.01, 3)),
+    "eigen-jumps": lambda: evolve(
+        Generator.qubit((0.3, -1.1, 0.8), (1.0, -0.3, -0.7), (0.4 * LOWER,)),
+        bloch_to_density((0.1, -0.2, 0.3)), IntegratorConfig(20.0, 0.01, 3)),
+    "nilpotent": lambda: evolve(
+        Generator.qubit((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+        bloch_to_density((0.3, -0.2, 0.5)), IntegratorConfig(20.0, 0.01, 3)),
+    # a zero jump operator keeps M nilpotent and steps the coordinates
+    "nilpotent-jumps": lambda: evolve(
+        Generator.qubit((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0 * LOWER,)),
+        bloch_to_density((0.3, -0.2, 0.5)), IntegratorConfig(20.0, 0.01, 3)),
+    "morse": lambda: evolve(_morse_family(), bloch_to_density(MORSE_XI),
+                            IntegratorConfig(3000.0, 0.5, 7)),
+    "state-vector": lambda: evolve_state_vector(
+        Generator.qubit((6.0, 0.0, 0.0), (0.0, 0.0, 4.0)), np.array([0.6, 0.8j]),
+        IntegratorConfig(2.0, 1e-3, 3)),
+    # past CUTOFF_KM both modes take powers of the vacuum step
+    "neutrino-msw": lambda: nu.neutrino_evolve(
+        nu.NeutrinoConfig(energy_gev=0.01, mode="msw", v_scale=8e-5), 600000.0, 10.0, 173),
+    "neutrino-damping": lambda: nu.neutrino_evolve(
+        nu.NeutrinoConfig(energy_gev=0.01, mode="damping", v_scale=8e-5), 600000.0, 10.0, 173),
+    "bmt-a": _shipped_bmt_run("bmt_spin_damping_a"),
+    "bmt-b": _shipped_bmt_run("bmt_spin_damping_b"),
+    "bmt-null-field": lambda: dirac.bmt_evolve(
+        dirac.EMFieldConfig((0.1, 0.0, 0.0), (0.0, 0.1, 0.0)), dirac.rest_momentum(1.0),
+        (0.6, 0.0, 0.8), 50.0, 0.01, 7),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("route", sorted(_BLOCK_ROUTES))
+def test_no_route_depends_on_the_sample_block_size(monkeypatch, route, block):
+    # a stepping route keeps its state from one block to the next, and a
+    # from-start route takes one product per sample, so blocks of 1 or 7
+    # samples give the times and states of blocks of 256 bit for bit
+    want = _BLOCK_ROUTES[route]()
+    assert len(want) > 256
+    monkeypatch.setattr(dynamics, "_SAMPLE_BLOCK", block)
+    got = _BLOCK_ROUTES[route]()
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
+
+
+def _raised(run):
+    """(message, time) of the IntegrationDivergedError run() raises, or None."""
+    try:
+        run()
+    except IntegrationDivergedError as err:
+        assert type(err.time) is float
+        return str(err), err.time
+    return None
+
+
+def _first_breach(check_sample, states, times):
+    """_raised of the per-sample reference guard applied to each sample in turn."""
+    def run():
+        for y, t in zip(states, times.tolist()):
+            check_sample(y, t)
+    return _raised(run)
+
+
+def _density_breaches(at):
+    """(name, stack of 300 density matrices) with the named breaches: each
+    kind at each index of at, two breaches in one stack, and none."""
+    base = np.repeat(bloch_to_density((0.3, -0.2, 0.5))[None], 300, axis=0)
+    nan, inf = base[0].copy(), base[0].copy()
+    nan[0, 1] = nan[1, 0] = math.nan
+    inf[1, 1] = math.inf  # and so a trace breach
+    kinds = {"nan": nan, "inf": inf, "trace": base[0] * (1.0 + 3e-8),
+             "eigenvalue": np.diag([1.0 + 2e-9, -2e-9]).astype(complex),
+             "trace+eigenvalue": np.diag([1.1, -0.05]).astype(complex)}
+    for name, bad in kinds.items():
+        for k in at:
+            states = base.copy()
+            states[k] = bad
+            yield f"{name}@{k}", states
+    for (a, ka), (b, kb) in [(("eigenvalue", 3), ("trace", 9)), (("trace", 3), ("nan", 9)),
+                             (("eigenvalue", 9), ("inf", 3)), (("nan", 200), ("trace", 250))]:
+        states = base.copy()
+        states[ka], states[kb] = kinds[a], kinds[b]
+        yield f"{a}@{ka}+{b}@{kb}", states
+    yield "none", base
+
+
+def _ket_breaches(at):
+    base = np.repeat(np.array([[0.6, 0.8j]]), 300, axis=0)
+    kinds = {"nan": np.array([math.nan, 0.8j]), "inf": np.array([math.inf, 0.0]),
+             "norm": np.array([0.6, 0.8j]) * (1.0 + 3e-8)}
+    for name, bad in kinds.items():
+        for k in at:
+            states = base.copy()
+            states[k] = bad
+            yield f"{name}@{k}", states
+    states = base.copy()
+    states[40], states[90] = kinds["norm"], kinds["nan"]
+    yield "norm@40+nan@90", states
+    yield "none", base
+
+
+@pytest.mark.parametrize("guard, reference, stacks", [
+    (dynamics._check_density_block, check_density_sample, _density_breaches),
+    (dynamics._check_ket_block, check_ket_sample, _ket_breaches),
+], ids=["density", "ket"])
+def test_the_block_guards_raise_as_the_per_sample_guards(guard, reference, stacks):
+    # each block guard names the first bad sample with the message and
+    # time of the per-sample guard applied in order; at one sample,
+    # non-finite entries beat the trace, which beats the eigenvalue floor
+    times = np.arange(300) * 0.25
+    for name, states in stacks((0, 255, 256)):
+        want = _first_breach(reference, states, times)
+        assert (name == "none") == (want is None), name
+        assert _raised(lambda: guard(states, times)) == want, name
+
+
+def test_the_sampler_finds_a_breach_on_either_side_of_a_block_boundary():
+    # sample 256 closes the first block of _SAMPLE_BLOCK samples and 257
+    # opens the second; y0 at t = 0 is stored as given
+    for name, states in _density_breaches((1, 256, 257)):
+        want = _first_breach(check_density_sample, states[1:], np.arange(1, 300) * 0.5)
+        got = _raised(lambda: dynamics._sampled(lambda ns: states[ns], states[0], 299, 0.5, 1,
+                                                dynamics._check_density_block))
+        assert got == want, name
+
+
+def _failing_route(breach_at):
+    """A stepping route whose advance raises at the end of step 9 and
+    whose state leaves the trace bound at step breach_at."""
+    rho0 = bloch_to_density((0.3, -0.2, 0.5))
+
+    def advance(i, rho, m):
+        if i + m == 9:
+            raise IntegrationDivergedError("amplitude norm left (0, 2)", 0.9)
+        return rho * (1.0 + 3e-8) if i + m == breach_at else rho
+
+    return _raised(lambda: dynamics._sampled(dynamics._stepped(advance, rho0), rho0, 20, 0.1, 1,
+                                             dynamics._check_density_block))
+
+
+def test_a_stepping_route_that_fails_partway_vets_its_block_first():
+    # the breach at step 5 lies in the block that step 9 cuts short, and
+    # is raised, as when each sample was vetted before the next step
+    assert _failing_route(5) == ("trace drift 3.000e-08 (at t=0.5)", 0.5)
+    assert _failing_route(None) == ("amplitude norm left (0, 2) (at t=0.9)", 0.9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_stacked_eigvalsh_and_row_dots_round_as_one_matrix_at_a_time(rng, d):
+    # the block guards read a stack where the per-sample guards read one
+    # sample: eigvalsh, the trace, the ket norm and the Minkowski products
+    # must round alike, or a breach could move by a sample
+    rho = np.array([random_density(rng, d) for _ in range(200)])
+    assert np.array_equal(np.linalg.eigvalsh(rho), [np.linalg.eigvalsh(r) for r in rho])
+    assert np.array_equal(np.trace(rho, axis1=1, axis2=2), [np.trace(r) for r in rho])
+    psi = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+    norms = np.sqrt(dynamics._row_dots(psi.real, psi.real) + dynamics._row_dots(psi.imag, psi.imag))
+    assert np.array_equal(norms, [np.linalg.norm(p) for p in psi])
+    x, y = rng.normal(size=(2, 200, 4))
+    minkowski = x[:, 0] * y[:, 0] - dynamics._row_dots(x[:, 1:], y[:, 1:])
+    assert np.array_equal(minkowski, [dirac.minkowski_dot(a, b) for a, b in zip(x, y)])
 
 
 def test_the_lift_refuses_the_first_stiff_step():

@@ -224,9 +224,10 @@ def test_a_lift_step_of_half_the_step_fails_closed_form_vs_ode(tmp_path, monkeyp
 def test_a_fallback_lift_step_of_half_the_step_fails_closed_form_vs_ode(
         tmp_path, monkeypatch, capsys):
     # the parabolic oracle's M is nilpotent, so it takes successive
-    # powers of the RK4 step R; R built from h/2 must fail alike
-    _fails_under(dynamics, "_constant_lift_step",
-                 lambda right: lambda name, x, h: right(name, x, 0.5 * h),
+    # powers of the RK4 step R; R built from h/2 must fail alike. The
+    # neutrino and BMT models bind _rk4_linear_step themselves, so only
+    # evolve's fallback takes the fault
+    _fails_under(dynamics, "_rk4_linear_step", lambda right: lambda hx: right(0.5 * hx),
                  "parabolic_equalization.scn", "closed-form-vs-ode", tmp_path, monkeypatch,
                  capsys)
 
