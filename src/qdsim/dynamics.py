@@ -10,9 +10,9 @@ For L_a = 0 it is solved by rho(t) = K rho0 K^dag / tr(...) with
 dK/dt = M(t) K: in closed form K = exp((G - iH) t) for a constant M,
 the oracle for the fixed-step integrators.
 
-In the real coordinates y of rho (its diagonal, then the real and the
-imaginary parts of its upper triangle) Lambda is a fixed real d^2 x d^2
-matrix A.
+On vec(rho), the rows of rho laid end to end, Lambda is the complex
+d^2 x d^2 matrix S = M (x) I + I (x) conj(M) + sum_a L_a (x) conj(L_a)
+(Havel, J. Math. Phys. 44 (2003) 534).
 
 evolve steps the linear lift instead of the nonlinear equation, and
 normalises once per sample. Classical RK4 on a constant linear flow
@@ -20,7 +20,8 @@ x' = X x is one fixed matrix R = I + hX + ... + (hX)^4/24
 (_rk4_linear_step), here of X less its mean eigenvalue, which the
 normalisation divides out. For a constant Generator without jump
 operators X = M and the lift is K' = M K, each sample P rho0 P^dag /
-tr(...) with P = R^n; with them X = A and each sample is P y0 / tr(P y0).
+tr(...) with P = R^n; with them X = S and each sample is P vec(rho0)
+read back as a d x d matrix x, as (x + x^dag) / tr(...) (_unit_trace).
 R^n shares the eigenvectors of X, so every sample comes from the start
 through one eigendecomposition of X (_step_eigenpowers). gksl_rhs is
 the nonlinear equation on the complex matrix.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -90,10 +91,23 @@ class Generator:
         object.__setattr__(self, "_lpairs", tuple((l, dagger(l)) for l in halves))
 
     @cached_property
-    def _a(self) -> np.ndarray:
-        """A of the coordinates (see the module docstring), built on first
-        use: evolve steps its lift for a generator with jump operators."""
-        return _coordinate_generator(self._m, self._lpairs, self.dim)
+    def _s(self) -> np.ndarray:
+        """S, Lambda on vec(rho) (see the module docstring), built on first
+        use: evolve steps its lift for a generator with jump operators.
+        S[(i, j), (k, l)] is s[i, j, k, l]; the terms are added in place,
+        each jump term a row i at a time, so the build holds no second
+        d^4 array."""
+        d = self.dim
+        _cap_coordinate_dim(d)
+        i = np.arange(d)
+        s = np.zeros((d, d, d, d), dtype=complex)
+        s[:, i, :, i] = self._m  # M[i, k] at j = l
+        s[i, :, i, :] += self._m.conj()  # conj(M)[j, l] at i = k
+        for l in self.lindblads:
+            l_bar = l.conj()[:, None, :]
+            for row, s_row in zip(l, s):
+                s_row += row[:, None] * l_bar
+        return s.reshape(d * d, d * d)
 
     @classmethod
     def qubit(cls, omega, g, lindblads=()) -> "Generator":
@@ -275,8 +289,7 @@ def _successive_powers(step: np.ndarray, rescale: bool = False) -> Callable[[int
     differently, and further from the closed form.
 
     With rescale, for a normalised image, every _RESCALE_EVERY-th
-    product is scaled by the power of two that puts its largest real or
-    imaginary part in [1/2, 1), as _unit_scaled scales: that changes no
+    product is scaled by a power of two (_unit_scaled): that changes no
     mantissa bit, and no power over- or underflows.
     """
     cache = {}
@@ -288,8 +301,7 @@ def _successive_powers(step: np.ndarray, rescale: bool = False) -> Callable[[int
             for k in range(1, m):
                 rm = step @ rm
                 if rescale and k % _RESCALE_EVERY == 0:
-                    big = max(np.abs(rm.real).max(), np.abs(rm.imag).max())
-                    rm = rm * np.ldexp(1.0, -np.frexp(big)[1])
+                    rm = _unit_scaled(rm)[0]
             cache[m] = rm
         return rm
 
@@ -374,12 +386,17 @@ def _step_eigenpowers(name: str | None, x: np.ndarray, h: float, normalised: boo
     return v, v_inv, powers
 
 
-def _normalised_image(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """P rho P^dag divided by its real trace, of its Hermitian part, so
-    that the image is Hermitian bit for bit."""
-    x = p @ rho @ dagger(p)
+def _unit_trace(x: np.ndarray) -> np.ndarray:
+    """(x + x^dag) / tr(x + x^dag) of one matrix or a stack: a state's
+    image divided by its real trace, of its Hermitian part, so that it
+    is Hermitian bit for bit."""
     x = x + dagger(x)  # twice the Hermitian part; the trace divides the 2 out
-    return x / np.trace(x).real
+    return x / np.trace(x, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _normalised_image(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """P rho P^dag divided by its real trace, of its Hermitian part."""
+    return _unit_trace(p @ rho @ dagger(p))
 
 
 def _stacked_product(x, y):
@@ -557,64 +574,12 @@ def gksl_rhs(gen: Generator, rho: np.ndarray) -> np.ndarray:
     return lam - np.trace(lam).real * rho
 
 
-@cache
-def _upper_triangle(d: int) -> tuple:
-    """np.triu_indices(d, 1), built once per d and read-only. The maps run
-    after d is capped by TOL.max_coordinate_dim, so the cache stays small."""
-    rows, cols = np.triu_indices(d, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def _to_coordinates(rho: np.ndarray) -> np.ndarray:
-    """Real coordinates (..., d^2) of the Hermitian part of rho (..., d, d):
-    the diagonal, then the real and the imaginary parts of the upper
-    triangle, row by row."""
-    herm = 0.5 * (rho + dagger(rho))
-    upper = herm[(...,) + _upper_triangle(rho.shape[-1])]
-    return np.concatenate([herm.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag],
-                          axis=-1)
-
-
-def _from_coordinates(y: np.ndarray, d: int) -> np.ndarray:
-    """The Hermitian matrices (..., d, d) with coordinates y (..., d^2).
-    Each conjugate pair is written from the same two reals, so the
-    result is Hermitian bit for bit."""
-    rows, cols = _upper_triangle(d)
-    p = rows.size
-    rho = np.zeros(y.shape[:-1] + (d, d), dtype=complex)
-    diag = np.arange(d)
-    rho[..., diag, diag] = y[..., :d]
-    upper = y[..., d:d + p] + 1j * y[..., d + p:]
-    rho[..., rows, cols] = upper
-    rho[..., cols, rows] = upper.conj()
-    return rho
-
-
-_BASIS_CHUNK_ENTRIES = 1 << 16  # basis-matrix entries one pass of _coordinate_generator holds
-
-
 def _cap_coordinate_dim(d: int) -> None:
-    """A grows as d^4, so d is capped by TOL.max_coordinate_dim before A
+    """S grows as d^4, so d is capped by TOL.max_coordinate_dim before S
     is allocated, and before evolve steps a generator of any kind."""
     if d > TOL.max_coordinate_dim:
-        raise DomainError(f"evolve steps a {d}^2 x {d}^2 real generator matrix; "
+        raise DomainError(f"evolve steps a {d}^2 x {d}^2 generator matrix; "
                           f"at most d = {TOL.max_coordinate_dim} is supported")
-
-
-def _coordinate_generator(m: np.ndarray, lpairs, d: int) -> np.ndarray:
-    """A of shape (d^2, d^2), which maps the coordinates of rho to those
-    of Lambda(rho). Its columns are _linear_image of the coordinate
-    basis, taken a chunk at a time, after _cap_coordinate_dim."""
-    _cap_coordinate_dim(d)
-    n = d * d
-    a = np.empty((n, n))
-    chunk = max(1, _BASIS_CHUNK_ENTRIES // n)
-    for k in range(0, n, chunk):
-        unit = np.eye(min(chunk, n - k), n, k)  # coordinate vectors k, k + 1, ...
-        lam = _linear_image(m, lpairs, _from_coordinates(unit, d))
-        a[:, k:k + unit.shape[0]] = _to_coordinates(lam).T
-    return a
 
 
 def state_vector_rhs(gen: Generator, psi: np.ndarray, kappa: float = 0.0) -> np.ndarray:
@@ -681,17 +646,19 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     A Generator steps with one fixed RK4 matrix R of the lift's matrix X
     less its mean eigenvalue: X = M without jump operators, where R
     steps K' = M K and the sample after n steps is P rho0 P^dag /
-    tr(...) with P = R^n; X = Lambda on the coordinates with them, where
-    it is P y0 / tr(P y0). Every P comes from one eigendecomposition
-    X = V diag(w) V^-1 as V diag(r(hw)^n) V^-1 (_step_eigenpowers), so
-    each sample is V (e e^dag . C) V^dag with C = V^-1 rho0 V^-dag, or
-    V (e . V^-1 y0), e = r(hw)^n, all samples of a block in one pass.
-    Where V is ill-conditioned (a nilpotent M), P is the product of the
-    sample's steps instead, taken to the last sample as P rho P^dag /
-    tr(...) or P y / tr(P y) (R = _rk4_linear_step of the shifted X,
-    _successive_powers, rescaled by a power of two every _RESCALE_EVERY
-    steps). A RateFamily takes each P, of steps that depend on t, from
-    _lift_chunks, and each sample is P rho P^dag / tr(...) of the last.
+    tr(...) with P = R^n; X = S, Lambda on vec(rho), with them, where it
+    is P vec(rho0) read back as a d x d matrix. Every P comes from one
+    eigendecomposition X = V diag(w) V^-1 as V diag(r(hw)^n) V^-1
+    (_step_eigenpowers), so each image is V (e e^dag . C) V^dag with
+    C = V^-1 rho0 V^-dag, or V (e . V^-1 vec(rho0)), e = r(hw)^n, all
+    samples of a block in one pass. Where V is ill-conditioned (a
+    nilpotent M), P is the product of the sample's steps instead, taken
+    to the last sample as P rho P^dag or P vec(rho) (R =
+    _rk4_linear_step of the shifted X, _successive_powers, rescaled by a
+    power of two every _RESCALE_EVERY steps). A RateFamily takes each P,
+    of steps that depend on t, from _lift_chunks, and each image is
+    P rho P^dag of the last sample. Every image x gives the sample
+    (x + x^dag) / tr(x + x^dag) (_unit_trace).
 
     The horizon, the sample count and the dimension are vetted first.
     A stiff step is refused, where h times the spectral radius of the
@@ -722,50 +689,38 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     h, stride = cfg.step, cfg.sample_stride
     n_steps = whole_steps(cfg.t_end, h)
     sample_count(n_steps, stride)
+    first = 0.5 * (rho0 + dagger(rho0))
     if isinstance(gen, RateFamily):
         chunks = _lift_chunks(gen, h, n_steps, stride, refuse_stiff=True)
-        first = 0.5 * (rho0 + dagger(rho0))
         sample = _stepped(
             lambda i0, rho, m: _normalised_image(np.array(next(chunks)).reshape(2, 2), rho),
             first)
     else:
         _cap_coordinate_dim(d)
-        if gen.lindblads:
-            name, x, start = "Lambda", gen._a, _to_coordinates(rho0)
-            first = _from_coordinates(start, d)
-        else:
-            name, x, start = "M", gen._m, 0.5 * (rho0 + dagger(rho0))
-            first = start
+        name, x = ("Lambda", gen._s) if gen.lindblads else ("M", gen._m)
         x = _less_mean_eigenvalue(x)
         eigen = _step_eigenpowers(name, x, h) if n_steps else None
         if eigen is not None:
             v, v_inv, powers = eigen
             if gen.lindblads:
-                z = v_inv @ start
+                z = v_inv @ first.reshape(-1)
 
                 def sample(ns):  # one product per sample, as a block of one rounds
-                    y = (v @ (powers(ns) * z)[:, :, None])[:, :, 0].real
-                    return _from_coordinates(y / y[:, :d].sum(axis=1, keepdims=True), d)
+                    return _unit_trace((v @ (powers(ns) * z)[:, :, None]).reshape(-1, d, d))
             else:
-                c, vh = v_inv @ start @ dagger(v_inv), dagger(v)
+                c, vh = v_inv @ first @ dagger(v_inv), dagger(v)
 
                 def sample(ns):
                     e = powers(ns)
-                    y = v @ (e[:, :, None] * e.conj()[:, None, :] * c) @ vh
-                    y = y + dagger(y)
-                    return y / np.trace(y, axis1=1, axis2=2).real[:, None, None]
+                    return _unit_trace(v @ (e[:, :, None] * e.conj()[:, None, :] * c) @ vh)
         else:  # successive products; _step_eigenpowers has refused a stiff step
             step = _rk4_linear_step(h * x) if n_steps else None  # a 0-step run builds none
             power = _successive_powers(step, rescale=True)
             if gen.lindblads:
-                def advance(i0, y, m):
-                    y = power(m) @ y
-                    return y / y[:d].sum()
-
-                coordinates = _stepped(advance, start)
-                sample = lambda ns: _from_coordinates(coordinates(ns), d)
+                image = lambda p, rho: _unit_trace((p @ rho.reshape(-1)).reshape(d, d))
             else:
-                sample = _stepped(lambda i0, rho, m: _normalised_image(power(m), rho), start)
+                image = _normalised_image
+            sample = _stepped(lambda i0, rho, m: image(power(m), rho), first)
     return _sampled(sample, first, n_steps, h, stride, _check_density_block)
 
 

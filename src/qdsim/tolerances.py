@@ -33,7 +33,7 @@ class Tolerances:
     whole_steps_rel: float = 1e-9      # |t_end/step - n| <= rel * n for a whole step count n
     max_samples: int = 10**6           # stored samples a run may ask for, checked before allocating
     max_steps: int = 10**7             # fixed steps a run may ask for, checked before stepping
-    max_coordinate_dim: int = 40       # d of evolve's d^2 x d^2 generator, checked before allocating
+    max_coordinate_dim: int = 40       # d of evolve's d^2 x d^2 matrix S, checked before allocating
     # evolve and bmt_evolve take every power of a constant RK4 step from
     # one eigendecomposition X = V diag(w) V^-1, whose rounding error is
     # of order cond(V) u, u = 2^-53 (the eigenvector method of Moler and

@@ -12,9 +12,7 @@ from qdsim.dynamics import (
     IntegratorConfig,
     RateFamily,
     Trajectory,
-    _from_coordinates,
     _lift_chunks,
-    _to_coordinates,
     closed_form_propagate,
     evolve,
     evolve_state_vector,
@@ -94,11 +92,17 @@ def test_rhs_is_the_normalized_image_of_the_linear_generator(rng):
     assert np.linalg.norm(state_vector_rhs(gen, psi, 0.7) - want) <= 1e-14
 
 
-@pytest.mark.parametrize("lindblads", [(), (0.4 * LOWER,)])
+@pytest.mark.parametrize("lindblads", [(), (0.4 * LOWER,), (0.0 * LOWER,)])
 def test_evolve_samples_from_a_hermitian_start_are_exactly_hermitian(lindblads):
-    # evolve steps real coordinates and writes each conjugate pair of a
-    # sample from the same two reals, so no rounding drift from Hermiticity
-    gen = Generator.qubit((0.3, -1.1, 0.8), (1.0, -0.3, -0.7), lindblads)
+    # evolve takes each sample as (x + x^dag) / tr(...) of its stepped
+    # image x, so no rounding drift from Hermiticity: on both eigen routes,
+    # and on the jump fallback, which a zero jump operator with a
+    # nilpotent M takes
+    fallback = bool(lindblads) and not lindblads[0].any()
+    omega, g = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)) if fallback else ((0.3, -1.1, 0.8),
+                                                                    (1.0, -0.3, -0.7))
+    gen = Generator.qubit(omega, g, lindblads)
+    assert _takes_successive_powers(gen, 0.01) == fallback
     traj = evolve(gen, bloch_to_density((0.1, -0.2, 0.3)),
                   IntegratorConfig(t_end=50.0, step=0.01, sample_stride=500))
     assert len(traj) == 11
@@ -144,7 +148,7 @@ def _rk4_on_the_linear_lift(gen, rho0, h, n_steps, stride):
     return np.array(samples)
 
 
-@pytest.mark.parametrize("dim, jumps", [(2, 0), (2, 1), (3, 0), (3, 1)])
+@pytest.mark.parametrize("dim, jumps", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 2)])
 def test_evolve_agrees_with_rk4_on_the_complex_right_hand_side(rng, dim, jumps):
     # evolve of a Generator is RK4 on the linear lift, normalised per
     # sample: the textbook loop on the complex matrices to rounding
@@ -217,20 +221,23 @@ def test_a_coarse_parabolic_leg_is_the_closed_form():
 
 @pytest.mark.parametrize("dim, jumps", [(2, 0), (2, 2), (3, 1), (4, 1)])
 def test_coordinate_generator_gives_the_complex_right_hand_side(rng, dim, jumps):
-    # A y are the coordinates of the linear image Lambda(rho) that
-    # evolve's lift steps, and A y - tr(Lambda) y, the trace the sum of
-    # its diagonal coordinates, those of gksl_rhs; a state is read as its
-    # Hermitian part, which its coordinates rebuild bit for bit
+    # S is the Kronecker sum M (x) I + I (x) conj(M) + sum_a L_a (x)
+    # conj(L_a) bit for bit; S vec(rho), rho read row by row, is the
+    # linear image Lambda(rho) that evolve's lift steps, and less
+    # tr Lambda(rho) rho it is gksl_rhs
     gen = _random_generator(rng, dim, jumps)
-    assert gen._a.shape == (dim * dim, dim * dim)
+    m, eye = gen.damping - 1j * gen.hamiltonian, np.eye(dim)
+    want = np.kron(m, eye) + np.kron(eye, m.conj())
+    for l in gen.lindblads:
+        want = want + np.kron(l, l.conj())
+    assert gen._s.shape == (dim * dim, dim * dim)
+    assert np.array_equal(gen._s, want)
     for _ in range(5):
         rho = random_density(rng, dim)
-        y = _to_coordinates(rho)
-        assert np.array_equal(_from_coordinates(y, dim), 0.5 * (rho + rho.conj().T))
-        z = gen._a.dot(y)
-        lam = _to_coordinates(dynamics._linear_image(gen._m, gen._lpairs, rho))
-        assert np.abs(z - lam).max() <= 1e-13 * max(1.0, np.abs(lam).max())
-        rate = _from_coordinates(z - z[:dim].sum() * y, dim)
+        lam = (gen._s @ rho.reshape(-1)).reshape(dim, dim)
+        image = dynamics._linear_image(gen._m, gen._lpairs, rho)
+        assert np.abs(lam - image).max() <= 1e-13 * max(1.0, np.abs(image).max())
+        rate = lam - np.trace(lam).real * rho
         assert frobenius(rate - gksl_rhs(gen, rho)) <= 1e-13 * max(1.0, frobenius(rate))
 
 
@@ -239,7 +246,7 @@ def test_evolve_refuses_an_oversized_dimension_before_building_its_matrix():
     gen = Generator(np.zeros((dim, dim)), np.zeros((dim, dim)))
     with pytest.raises(DomainError, match=f"at most d = {TOL.max_coordinate_dim}"):
         evolve(gen, np.eye(dim) / dim, IntegratorConfig(t_end=1.0, step=0.5))
-    assert "_a" not in vars(gen)
+    assert "_s" not in vars(gen)
     small = Generator.qubit((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
     with pytest.raises(DimensionError, match="state dimension does not match"):
         evolve(small, np.eye(3) / 3, IntegratorConfig(t_end=1.0, step=0.5))
@@ -380,7 +387,7 @@ def test_evolve_refuses_a_stiff_constant_step_by_its_spectral_radius():
     # runs at h = 2.78 and is refused at h = 2.79. A nilpotent M = 100
     # |0><1| has row sum 100 but spectral radius 0: it runs at h = 0.1,
     # where RK4's step is the exact I + hM, so every sample is the closed
-    # form. With jumps the radius is that of Lambda on the coordinates,
+    # form. With jumps the radius is that of S, Lambda on vec(rho),
     # 100 for L = 10 sigma_z
     rho0 = bloch_to_density((0.3, 0.0, 0.8))
     unit = Generator.qubit((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
@@ -404,16 +411,16 @@ def test_evolve_refuses_a_stiff_constant_step_by_its_spectral_radius():
 @pytest.mark.parametrize("lindblads", [(), (LOWER,)], ids=["K", "coordinates"])
 def test_a_long_growing_constant_run_neither_overflows_nor_underflows(lindblads):
     # g = (10, 0, 0): the lift grows as e^(5 t) or faster, so 20000 steps
-    # in one sample take K to e^(+-1000), and the coordinates past
-    # e^1000, unless each sample's powers are divided by the largest; the
-    # state settles on the top eigenvector of Lambda on the coordinates,
-    # taken here by numpy
+    # in one sample take K to e^(+-1000), and vec(rho) past e^1000,
+    # unless each sample's powers are divided by the largest; the state
+    # settles on the top eigenvector of S, Lambda on vec(rho), taken here
+    # by numpy
     gen = Generator.qubit((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), lindblads)
     traj = evolve(gen, bloch_to_density((0.3, 0.0, 0.8)),
                   IntegratorConfig(t_end=200.0, step=0.01, sample_stride=10 ** 9))
-    w, v = np.linalg.eig(gen._a)
-    top = v[:, np.argmax(w.real)].real
-    want = _from_coordinates(top / top[:2].sum(), 2)
+    w, v = np.linalg.eig(gen._s)
+    top = v[:, np.argmax(w.real)].reshape(2, 2)
+    want = top / np.trace(top)
     assert frobenius(traj.final_state - want) <= 1e-12
 
 
@@ -454,24 +461,14 @@ def test_rate_family_of_constant_magnitude_retraces_the_autonomous_run():
 
 def test_a_rate_family_builds_its_matrices_on_first_use():
     # evolve steps a family's lift from M_base and M_slope alone, so the
-    # coordinate matrix A of either part is built only when read
+    # matrix S of either part is built only when read
     family = qubit_rate_generator((0.0, 0.0, 3.0), (1.0, 0.0, 0.5),
                                   inverted_morse_profile(0.007, 0.0005))
     parts = (family.base, family.slope)
     family(2.0)
     evolve(family, bloch_to_density((0.3, 0.0, 0.8)), IntegratorConfig(t_end=1.0, step=0.5))
-    assert not any("_a" in vars(gen) for gen in parts)
-    assert family.base._a.shape == (4, 4) and "_a" in vars(family.base)
-
-
-def test_the_coordinate_maps_share_one_read_only_triangle_per_dimension():
-    rows, cols = dynamics._upper_triangle(3)
-    assert dynamics._upper_triangle(3)[0] is rows
-    want_rows, want_cols = np.triu_indices(3, 1)
-    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-    for index in (rows, cols):
-        with pytest.raises(ValueError, match="read-only"):
-            index[0] = 2
+    assert not any("_s" in vars(gen) for gen in parts)
+    assert family.base._s.shape == (4, 4) and "_s" in vars(family.base)
 
 
 MORSE_XI = (-0.5773502691896258,) * 3
@@ -542,7 +539,7 @@ def _successive_route(gen, rho0, cfg):
 
 def _takes_successive_powers(gen, h):
     """Whether evolve of gen at step h falls back on successive powers."""
-    name, x = ("Lambda", gen._a) if gen.lindblads else ("M", gen._m)
+    name, x = ("Lambda", gen._s) if gen.lindblads else ("M", gen._m)
     return dynamics._step_eigenpowers(name, dynamics._less_mean_eigenvalue(x), h) is None
 
 
@@ -580,9 +577,7 @@ def test_the_shipped_parabolic_oracle_falls_back_on_successive_powers(monkeypatc
 def test_a_long_constant_run_holds_one_block_of_samples(lindblads):
     # exact powers compute _SAMPLE_BLOCK samples at a time: 20001 samples
     # peak at 1.4 times the stored trajectory, where all samples at once
-    # peak at 4.8 (K) and 2.9 (coordinates) times. The coordinates route
-    # turns each block into matrices as it is computed; holding every
-    # sample's coordinates and converting them at the end peaked at 2.1
+    # peak at 4.9 (K) and 4.4 (vec(rho), with jumps) times
     gen = Generator.qubit((0.3, -1.1, 0.8), (1.0, -0.3, -0.7), lindblads)
     rho0 = bloch_to_density((0.1, -0.2, 0.3))
     evolve(gen, rho0, IntegratorConfig(t_end=1.0, step=0.01))
@@ -593,9 +588,7 @@ def test_a_long_constant_run_holds_one_block_of_samples(lindblads):
     finally:
         tracemalloc.stop()
     assert not _takes_successive_powers(gen, 0.01) and len(traj) == 20001
-    assert peak < (2.5 if lindblads else 2.0) * traj.states.nbytes
-    if lindblads:
-        assert peak < 1.6 * traj.states.nbytes
+    assert peak < 1.6 * traj.states.nbytes
 
 
 def test_a_long_lift_run_holds_one_block_of_step_matrices():
@@ -665,7 +658,7 @@ _BLOCK_ROUTES = {
     "nilpotent": lambda: evolve(
         Generator.qubit((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
         bloch_to_density((0.3, -0.2, 0.5)), IntegratorConfig(20.0, 0.01, 3)),
-    # a zero jump operator keeps M nilpotent and steps the coordinates
+    # a zero jump operator keeps M nilpotent and steps vec(rho)
     "nilpotent-jumps": lambda: evolve(
         Generator.qubit((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0 * LOWER,)),
         bloch_to_density((0.3, -0.2, 0.5)), IntegratorConfig(20.0, 0.01, 3)),

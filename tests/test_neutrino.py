@@ -314,7 +314,7 @@ def test_a_neutrino_run_builds_no_coordinate_matrix(monkeypatch):
                         lambda c: built.append(make(c)) or built[-1])
     nu.neutrino_evolve(DAMPING_10MEV, 400000.0, 10.0)
     (fam,) = built
-    assert "_a" not in vars(fam.base) and "_a" not in vars(fam.slope)
+    assert "_s" not in vars(fam.base) and "_s" not in vars(fam.slope)
 
 
 def test_a_long_neutrino_run_holds_one_block_of_stage_potentials():

@@ -910,8 +910,8 @@ def test_qubit_rates_whose_squares_overflow_are_refused(tmp_path, pass_file, rat
 
 
 # a parabolic generator (|g| = |omega|, g perpendicular to omega) at a
-# coarse step. Its RK4 samples are exactly Hermitian, since evolve writes
-# each conjugate pair from the same two real coordinates; they once
+# coarse step. Its RK4 samples are exactly Hermitian, since evolve takes
+# each as (x + x^dag) / tr(...) of its stepped image x; they once
 # drifted by up to 5.3e-10, beyond a fresh density matrix's tolerance, so
 # the run pins that samples are read as they are
 PARABOLIC_SCN = """\
