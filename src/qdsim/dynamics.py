@@ -14,17 +14,25 @@ On vec(rho), the rows of rho laid end to end, Lambda is the complex
 d^2 x d^2 matrix S = M (x) I + I (x) conj(M) + sum_a L_a (x) conj(L_a)
 (Havel, J. Math. Phys. 44 (2003) 534).
 
-evolve steps the linear lift instead of the nonlinear equation, and
-normalises once per sample. Classical RK4 on a constant linear flow
-x' = X x is one fixed matrix R = I + hX + ... + (hX)^4/24
-(_rk4_linear_step), here of X less its mean eigenvalue, which the
-normalisation divides out. For a constant Generator without jump
-operators X = M and the lift is K' = M K, each sample P rho0 P^dag /
-tr(...) with P = R^n; with them X = S and each sample is P vec(rho0)
-read back as a d x d matrix x, as (x + x^dag) / tr(...) (_unit_trace).
-R^n shares the eigenvectors of X, so every sample comes from the start
-through one eigendecomposition of X (_step_eigenpowers). gksl_rhs is
-the nonlinear equation on the complex matrix.
+Every fixed-step run steps a linear lift instead of the nonlinear
+equation, and normalises once per sample. Classical RK4 on a constant
+linear flow y' = X y is one fixed matrix R = I + hX + ... + (hX)^4/24
+(_rk4_linear_step), so the sample after n steps is read from R^n y0,
+which _constant_powers gives for every constant run:
+
+    evolve, no jump operators   X = M, y0 = I: P rho0 P^dag / tr(...), P = R^n
+    evolve, jump operators      X = S, y0 = vec(rho0), read back as d x d
+    evolve_state_vector         X = M, y0 = psi0, normalised, times a phase
+    dirac.bmt_evolve            X = the force law's field tensor, y0 = (p0, w0)
+    neutrino_evolve             X = M0 past the cutoff, y0 the cutoff ket
+
+evolve and evolve_state_vector take X less its mean eigenvalue, which
+the normalisation divides out. R^n shares the eigenvectors of X, so
+each sample comes from y0 through one eigendecomposition of X
+(_step_eigenpowers); where its eigenvectors are ill-conditioned, R^m
+is built by successive products (_successive_powers) and applied to
+the last sample. gksl_rhs is the nonlinear equation on the complex
+matrix.
 
 _lift_chunks steps the linear lift K' = M(t) K of a 2x2 RateFamily,
 whose normalised image is the state: its RK4 steps depend on t only,
@@ -34,7 +42,7 @@ sample's steps are multiplied together, a pairwise tree over the same
 layout, before they meet the state.
 evolve applies each product P to a density matrix as P rho P^dag /
 tr(...), the route of every gksl-ode run, and neutrino_evolve applies
-it to a ket.
+it to a ket up to the cutoff.
 
 One loop, _sampled, stores the samples of every fixed-step run, a
 block of _SAMPLE_BLOCK at a time, computed from the start or stepped to
@@ -45,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -222,8 +230,8 @@ def _sampled(sample, y0, n_steps: int, h: float, stride: int, check=None) -> Tra
 
 
 def _stepped(advance, y0):
-    """sample(ns) of a route that steps: advance(i, y, m) steps y, kept
-    between calls in the route's own form, from step i across m steps.
+    """sample(ns) of a route that steps: advance(y, m) steps y, kept
+    between calls in the route's own form, across m steps.
     Where advance raises, sample returns the states before it and raises
     the error on the next call, so that they are vetted first."""
     first = np.asarray(y0)
@@ -236,7 +244,7 @@ def _stepped(advance, y0):
         out = np.empty((len(ns),) + first.shape, dtype=first.dtype)
         for j, n in enumerate(ns.tolist()):
             try:
-                out[j] = y = advance(done, y, n - done)
+                out[j] = y = advance(y, n - done)
             except Exception as err:
                 error = err
                 return out[:j]
@@ -280,9 +288,8 @@ _RESCALE_EVERY = 32  # constant lift steps between two rescalings of a product
 
 def _successive_powers(step: np.ndarray, rescale: bool = False) -> Callable[[int], np.ndarray]:
     """m -> step^m, cached per m. Storing every m-th step of a run with a
-    fixed linear step needs only step^m, one product per sample. evolve
-    and bmt_evolve take it only where _step_eigenpowers declines, and
-    neutrino_evolve past CUTOFF_KM.
+    fixed linear step needs only step^m, one product per sample;
+    _constant_powers takes it where _step_eigenpowers declines.
 
     step^m is built by m - 1 successive products step @ step^(m-1), the
     rounding of m steps applied one at a time; binary squaring rounds
@@ -359,7 +366,7 @@ def _step_eigenpowers(name: str | None, x: np.ndarray, h: float, normalised: boo
     eigenvalues (_refuse_stiff). Returns None
     where X is not finite or V is singular or ill-conditioned,
     ||V||_1 ||V^-1||_1 past TOL.eigenvector_cond (a null BMT field or a
-    nilpotent M); the caller then takes _successive_powers."""
+    nilpotent M); _constant_powers then takes _successive_powers."""
     w, v = np.linalg.eig(x) if np.isfinite(x).all() else ([math.inf], None)
     if name is not None:
         _refuse_stiff(name, w, h)
@@ -384,6 +391,43 @@ def _step_eigenpowers(name: str | None, x: np.ndarray, h: float, normalised: boo
         return np.exp(e)
 
     return v, v_inv, powers
+
+
+def _constant_powers(name: str | None, x: np.ndarray, h: float, y0: np.ndarray,
+                     normalised: bool):
+    """sample(ns), the stack of R^n y0 for the step counts ns, R =
+    _rk4_linear_step(hX) the RK4 step of the constant flow y' = X y and
+    y0 a vector or a matrix of columns. Each sample is V (r(hw)^n .
+    V^-1 y0), one product per sample, from _step_eigenpowers (which,
+    with a name, refuses a stiff step); where that declines, R^m is
+    stepped from the last sample by _successive_powers (_stepped). With
+    normalised, for a caller that divides out the scale, every power is
+    scaled by a positive factor: a row of r(hw)^n by its largest
+    modulus, a stepped sample by a power of two (_unit_scaled).
+
+    The route is built on the first call, so a 0-step run builds
+    nothing and refuses nothing, and the caller's horizon and sample
+    checks run before any eig."""
+
+    @cache
+    def route():
+        eigen = _step_eigenpowers(name, x, h, normalised=normalised)
+        if eigen is None:
+            power = _successive_powers(_rk4_linear_step(h * x), rescale=normalised)
+
+            def advance(y, m):
+                y = power(m) @ y
+                if normalised:  # in place, through a 2-d view of the fresh product
+                    _unit_scaled(y.reshape(len(y), -1))
+                return y
+
+            return _stepped(advance, y0)
+        v, v_inv, powers = eigen
+        z = v_inv @ y0
+        shape, z = z.shape, z.reshape(len(z), -1)
+        return lambda ns: (v @ (powers(ns)[:, :, None] * z)).reshape((len(ns),) + shape)
+
+    return lambda ns: route()(ns)
 
 
 def _unit_trace(x: np.ndarray) -> np.ndarray:
@@ -582,15 +626,6 @@ def _cap_coordinate_dim(d: int) -> None:
                           f"at most d = {TOL.max_coordinate_dim} is supported")
 
 
-def state_vector_rhs(gen: Generator, psi: np.ndarray, kappa: float = 0.0) -> np.ndarray:
-    """d/dt psi = x - (Re<psi|x> - i kappa) psi with x = (G - iH) psi, the
-    same as (-iH + G - <G> + i kappa) psi; norm-preserving for any kappa."""
-    if gen.lindblads:
-        raise UnsupportedModeError("state-vector form requires empty lindblads")
-    x = gen._m @ psi
-    return x - (np.vdot(psi, x).real - 1j * kappa) * psi
-
-
 def closed_form_propagate(gen: Generator, rho0: np.ndarray, t: float) -> np.ndarray:
     """rho(t) = K rho0 K^dag / tr(...) with K = exp((G - iH) t); L_a = 0 only."""
     if gen.lindblads:
@@ -644,21 +679,14 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     module docstring).
 
     A Generator steps with one fixed RK4 matrix R of the lift's matrix X
-    less its mean eigenvalue: X = M without jump operators, where R
-    steps K' = M K and the sample after n steps is P rho0 P^dag /
-    tr(...) with P = R^n; X = S, Lambda on vec(rho), with them, where it
-    is P vec(rho0) read back as a d x d matrix. Every P comes from one
-    eigendecomposition X = V diag(w) V^-1 as V diag(r(hw)^n) V^-1
-    (_step_eigenpowers), so each image is V (e e^dag . C) V^dag with
-    C = V^-1 rho0 V^-dag, or V (e . V^-1 vec(rho0)), e = r(hw)^n, all
-    samples of a block in one pass. Where V is ill-conditioned (a
-    nilpotent M), P is the product of the sample's steps instead, taken
-    to the last sample as P rho P^dag or P vec(rho) (R =
-    _rk4_linear_step of the shifted X, _successive_powers, rescaled by a
-    power of two every _RESCALE_EVERY steps). A RateFamily takes each P,
-    of steps that depend on t, from _lift_chunks, and each image is
-    P rho P^dag of the last sample. Every image x gives the sample
-    (x + x^dag) / tr(x + x^dag) (_unit_trace).
+    less its mean eigenvalue: without jump operators X = M, and the
+    sample after n steps is P rho0 P^dag / tr(...) with P = R^n, taken
+    as R^n I; with them X = S, Lambda on vec(rho), and it is R^n
+    vec(rho0) read back as a d x d matrix. _constant_powers gives every
+    R^n y0. A RateFamily takes the product P of each sample's steps,
+    which depend on t, from _lift_chunks, and the image is P rho P^dag
+    of the last sample. Every image x gives the sample (x + x^dag) /
+    tr(x + x^dag) (_unit_trace).
 
     The horizon, the sample count and the dimension are vetted first.
     A stiff step is refused, where h times the spectral radius of the
@@ -693,59 +721,51 @@ def evolve(gen, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     if isinstance(gen, RateFamily):
         chunks = _lift_chunks(gen, h, n_steps, stride, refuse_stiff=True)
         sample = _stepped(
-            lambda i0, rho, m: _normalised_image(np.array(next(chunks)).reshape(2, 2), rho),
+            lambda rho, m: _normalised_image(np.array(next(chunks)).reshape(2, 2), rho),
             first)
     else:
         _cap_coordinate_dim(d)
-        name, x = ("Lambda", gen._s) if gen.lindblads else ("M", gen._m)
-        x = _less_mean_eigenvalue(x)
-        eigen = _step_eigenpowers(name, x, h) if n_steps else None
-        if eigen is not None:
-            v, v_inv, powers = eigen
-            if gen.lindblads:
-                z = v_inv @ first.reshape(-1)
-
-                def sample(ns):  # one product per sample, as a block of one rounds
-                    return _unit_trace((v @ (powers(ns) * z)[:, :, None]).reshape(-1, d, d))
-            else:
-                c, vh = v_inv @ first @ dagger(v_inv), dagger(v)
-
-                def sample(ns):
-                    e = powers(ns)
-                    return _unit_trace(v @ (e[:, :, None] * e.conj()[:, None, :] * c) @ vh)
-        else:  # successive products; _step_eigenpowers has refused a stiff step
-            step = _rk4_linear_step(h * x) if n_steps else None  # a 0-step run builds none
-            power = _successive_powers(step, rescale=True)
-            if gen.lindblads:
-                image = lambda p, rho: _unit_trace((p @ rho.reshape(-1)).reshape(d, d))
-            else:
-                image = _normalised_image
-            sample = _stepped(lambda i0, rho, m: image(power(m), rho), first)
+        if gen.lindblads:
+            powers = _constant_powers("Lambda", _less_mean_eigenvalue(gen._s), h,
+                                      first.reshape(-1), normalised=True)
+            sample = lambda ns: _unit_trace(powers(ns).reshape(-1, d, d))
+        else:
+            powers = _constant_powers("M", _less_mean_eigenvalue(gen._m), h,
+                                      np.eye(d, dtype=complex), normalised=True)
+            sample = lambda ns: _normalised_image(powers(ns), first)
     return _sampled(sample, first, n_steps, h, stride, _check_density_block)
 
 
 def evolve_state_vector(gen: Generator, psi0: np.ndarray, cfg: IntegratorConfig,
                         kappa: float = 0.0) -> Trajectory:
-    """Classical RK4 on the norm-preserving state-vector form of a
-    Generator (and nothing else); same sampling rules as evolve, and
-    each sample must keep the norm within TOL.ode_norm_drift."""
+    """The norm-preserving state-vector form of a Generator without jump
+    operators (and nothing else),
+
+        d/dt psi = M psi - (Re<psi|M psi> - i kappa) psi,
+
+    on its linear lift: psi(t) = N[K psi0] exp(i (kappa + Im(tr M)/d) t)
+    with K' = (M - tr M / d) K and N dividing by the norm, so the sample
+    after n steps is N[R^n psi0] times that phase, R the RK4 step of M
+    less its mean eigenvalue (_constant_powers). A stiff step is refused
+    before any step, as evolve refuses it; same sampling rules as
+    evolve, and each sample must keep the norm within
+    TOL.ode_norm_drift."""
     if not isinstance(gen, Generator):
         raise UnsupportedModeError(f"evolve_state_vector steps a Generator, not {type(gen).__name__}")
-    h = cfg.step
-    rate = lambda psi: state_vector_rhs(gen, psi, kappa)
-
-    def advance(i0, psi, m):
-        for _ in range(m):
-            k1 = rate(psi)
-            k2 = rate(psi + (0.5 * h) * k1)
-            k3 = rate(psi + (0.5 * h) * k2)
-            k4 = rate(psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        return psi
-
+    if gen.lindblads:
+        raise UnsupportedModeError("state-vector form requires empty lindblads")
     psi0 = state_vector(psi0)
-    return _sampled(_stepped(advance, psi0), psi0, whole_steps(cfg.t_end, h), h,
-                    cfg.sample_stride, _check_ket_block)
+    h = cfg.step
+    n_steps = whole_steps(cfg.t_end, h)
+    powers = _constant_powers("M", _less_mean_eigenvalue(gen._m), h, psi0, normalised=True)
+    rate = kappa + float(np.trace(gen._m).imag) / gen.dim  # the phase rate N[K psi0] lacks
+
+    def sample(ns):
+        psi = powers(ns)
+        norm = np.sqrt(_row_dots(psi.real, psi.real) + _row_dots(psi.imag, psi.imag))
+        return psi * (np.exp(1j * rate * (ns * h)) / norm)[:, None]
+
+    return _sampled(sample, psi0, n_steps, h, cfg.sample_stride, _check_ket_block)
 
 
 def inverted_morse_profile(q: float, nu: float) -> Callable[[float], float]:

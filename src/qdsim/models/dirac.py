@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import (Trajectory, _raise_at_first, _rk4_linear_step, _row_dots, _sampled,
-                        _step_eigenpowers, _stepped, _successive_powers, whole_steps)
+from ..dynamics import (Trajectory, _constant_powers, _raise_at_first, _row_dots, _sampled,
+                        whole_steps)
 from ..errors import (
     DomainError,
     PreconditionError,
@@ -282,11 +282,12 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
 
     (p, w) advance by fixed-step RK4 on the linear force law; with
     constant fields the RK4 step is a single matrix R, a polynomial in
-    the field tensor F, so each sample R^n (p0, w0) is V diag(r^n) V^-1
-    (p0, w0) from one eigendecomposition of F (_step_eigenpowers), its
-    real part taken. A null field (E perpendicular to B, |E| = c|B|)
-    makes F nilpotent and V ill-conditioned, and there R^m is built by
-    successive products instead (_successive_powers). Conservation of
+    the field tensor F, and each sample is the real part of R^n (p0, w0)
+    from dynamics._constant_powers, unscaled: V diag(r^n) V^-1 (p0, w0)
+    from one eigendecomposition of F, or, for a null field (E
+    perpendicular to B, |E| = c|B|), whose F is nilpotent and V
+    ill-conditioned, R^m by successive products applied to the last
+    sample. Conservation of
     p.p, p.w and w.w + (mc/2)^2 xi0^2 is enforced at every sample, a
     block of samples at a time; the first non-finite sample or drift
     beyond TOL.bmt_invariant_drift relative aborts the run, with its
@@ -311,14 +312,7 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
     # the first sample it reaches, with its time
     with np.errstate(over="ignore", invalid="ignore"):
         force = (f.charge / f.mass) * field_tensor_mixed(f)
-        eigen = _step_eigenpowers(None, force, step, normalised=False)
-        if eigen is None:
-            power = _successive_powers(_rk4_linear_step(force * step))
-            sample = _stepped(lambda i, y, m: power(m) @ y, y0)
-        else:
-            v, v_inv, powers = eigen
-            z = v_inv @ y0
-            sample = lambda ns: (v @ (powers(ns)[:, :, None] * z)).real
+    powers = _constant_powers(None, force, step, y0, normalised=False)
 
     pp_ref = minkowski_dot(p0, p0)
     ww_ref = minkowski_dot(w0, w0)  # equals -(mc/2)^2 xi0^2
@@ -341,7 +335,8 @@ def bmt_evolve(f: EMFieldConfig, p0, xi0, tau_end: float, step: float,
             lambda k: f"four-vector invariant drift {float(np.max(drifts[k])) / scale:.3e} "
                       f"beyond TOL.bmt_invariant_drift = {TOL.bmt_invariant_drift:g}"),))
 
-    return _sampled(sample, y0, n_steps, step, sample_stride, check_invariants)
+    return _sampled(lambda ns: powers(ns).real, y0, n_steps, step, sample_stride,
+                    check_invariants)
 
 
 def spinor_density_flow(f: EMFieldConfig, p0, xi0, tau) -> np.ndarray:

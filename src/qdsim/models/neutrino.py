@@ -33,8 +33,10 @@ distances, and each sample's steps are reduced by a pairwise tree
 across all samples of the block at once; every partial product is
 rescaled by a power of two, which changes no mantissa bit and keeps
 every stride finite, however far the damping grows K. Past the cutoff
-V = 0, so M = M0 in both modes, R is fixed, and a sample's steps are a
-power R^m.
+V = 0, so M = M0 in both modes and R is one fixed matrix: from the
+first step whose stages all lie past it, each sample is R^n applied to
+the ket there, from one eigendecomposition of M0
+(dynamics._constant_powers), and normalised.
 
 A step is refused where RK4 amplifies past the flow itself: the exact
 step stretches no ket by more than exp(h mu), mu the largest eigenvalue
@@ -62,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dynamics import (Generator, RateFamily, Trajectory, _lift_chunks, _rk4_linear_step,
-                        _sampled, _stepped, _successive_powers, whole_steps)
+from ..dynamics import (Generator, RateFamily, Trajectory, _constant_powers, _lift_chunks,
+                        _lift_steps, _sampled, whole_steps)
 from ..errors import DomainError
 from ..rootfind import find_crossing
 
@@ -195,19 +197,17 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
     (2, 2, block), and per sample one tree product of its steps,
     rescaled by powers of two. Each sample is that product applied to
     the last ket, normalised once, and kept as two Python complex numbers
-    from one sample to the next (dynamics._stepped).
-    The guard of _lift_chunks raises at the first step whose R_i is not
-    finite, is singular, or stretches a ket past 2 exp(h mu), twice the
-    log-norm bound of the flow.
+    from one sample to the next. The guard of _lift_chunks raises at the
+    first step whose R_i is not finite, is singular, or stretches a ket
+    past 2 exp(h mu), twice the log-norm bound of the flow.
 
-    From the first step whose stages all lie past CUTOFF_KM (i h >
-    CUTOFF_KM) both modes are the linear vacuum flow, and the steps up
-    to each sample become one product with R^m of the fixed RK4 step R.
-    That route is taken only when R's singular values lie in (0, 2), the
-    guard's bound at G = 0, with the powers of R divided by its singular
-    value (a scale, so the direction is the same) so that no stride over-
-    or underflows. Otherwise the lift runs to the end and its guard fires
-    where it would.
+    From the first step i_past whose stages all lie past CUTOFF_KM
+    (i_past h > CUTOFF_KM) both modes are the linear vacuum flow with
+    the fixed RK4 step R. The lift runs to i_past, and that one vacuum
+    step is vetted by the lift's own guard (_lift_steps), which thereby
+    vets every later step; each later sample, n steps in, is R^(n -
+    i_past) applied to the ket at i_past (dynamics._constant_powers), a
+    block of samples at a time, normalised.
     """
     n_steps = whole_steps(L_end, step)
     if sample_stride is None:
@@ -215,39 +215,34 @@ def neutrino_evolve(c: NeutrinoConfig, L_end: float, step: float,
 
     h = step
     fam = c.generator()
-    # steps from i_past on take powers of the vacuum step; i_past = n_steps
-    # keeps the lift to the end
-    i_past = n_steps
-    if L_end > CUTOFF_KM:
-        # a vacuum step far past RK4's stability limit overflows R; the
-        # lift then raises at its guard
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = _rk4_linear_step(h * fam.base._m)
-        if np.isfinite(r).all():
-            sv = np.linalg.svd(r, compute_uv=False)
-            if 0.0 < sv.min() and sv.max() < 2.0:
-                # R is a real polynomial in the anti-Hermitian h M0, so
-                # normal with equal singular values: R / sigma is unitary
-                # to rounding and none of its powers over- or underflows
-                power = _successive_powers(r / sv.max())
-                # the first step whose stages all see v = 0
-                i_past = int(CUTOFF_KM // h)
-                while not i_past * h > CUTOFF_KM:
-                    i_past += 1
-
+    # the first step whose stages all see v = 0, or the end
+    i_past = int(CUTOFF_KM // h)
+    while not i_past * h > CUTOFF_KM:
+        i_past += 1
+    i_past = min(i_past, n_steps)
     chunks = _lift_chunks(fam, h, i_past, sample_stride)
+    a, b = y0 = (1.0 + 0.0j, 0.0j)
+    vacuum = None
 
-    def advance(i0, y, m):
-        a, b = y
-        if i0 < i_past:
-            r00, r01, r10, r11 = next(chunks)
-            a, b = r00 * a + r01 * b, r10 * a + r11 * b
-        rest = i0 + m - max(i0, i_past)
-        if rest > 0:
-            (r00, r01), (r10, r11) = power(rest).tolist()
-            a, b = r00 * a + r01 * b, r10 * a + r11 * b
+    def lift():  # the next chunk of steps applied to the ket, normalised
+        nonlocal a, b
+        r00, r01, r10, r11 = next(chunks)
+        a, b = r00 * a + r01 * b, r10 * a + r11 * b
         norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
-        return a / norm, b / norm
+        a, b = a / norm, b / norm
+        return a, b
 
-    y0 = (1.0 + 0.0j, 0.0j)
-    return _sampled(_stepped(advance, y0), y0, n_steps, h, sample_stride)
+    def sample(ns):
+        nonlocal vacuum
+        if vacuum is None:
+            inside = int(np.searchsorted(ns, i_past, side="right"))
+            if inside:  # the samples up to i_past; _sampled asks again for the rest
+                return np.array([lift() for _ in range(inside)])
+            if i_past % sample_stride:
+                lift()  # the steps from the last sample to i_past
+            _lift_steps(fam, h, i_past, i_past + 1)
+            vacuum = _constant_powers(None, fam.base._m, h, np.array([a, b]), normalised=True)
+        psi = vacuum(ns - i_past)
+        return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+    return _sampled(sample, y0, n_steps, h, sample_stride)

@@ -355,7 +355,7 @@ def emit_svg(times, columns: dict, plot: PlotSpec, path) -> int:
     x_title = f"log10({plot.x_label})" if plot.log_x else plot.x_label
     out.append(
         f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_title}</text>'
+        f'font-family="sans-serif" font-size="13">{_escape(x_title)}</text>'
     )
     # a point is two words, 'x,' and 'y ', and a series' text drops its
     # last space; the x pixels are formatted once for every series
@@ -380,7 +380,7 @@ def emit_svg(times, columns: dict, plot: PlotSpec, path) -> int:
         )
         out.append(
             f'<text x="{_W - _MR - 90}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
+            f'font-size="11">{_escape(name)}</text>'
         )
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qdsim.errors import IntegrationDivergedError
+from qdsim.errors import IntegrationDivergedError, UnsupportedModeError
 from qdsim.tolerances import TOL
 
 # numeric property tests routinely out-run hypothesis' default deadline
@@ -123,3 +123,31 @@ def check_ket_sample(psi, t):
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > TOL.ode_norm_drift:
         raise IntegrationDivergedError(f"norm drift {drift:.3e}", t)
+
+
+def state_vector_rhs(gen, psi, kappa=0.0):
+    """d/dt psi = x - (Re<psi|x> - i kappa) psi with x = (G - iH) psi, the
+    same as (-iH + G - <G> + i kappa) psi; norm-preserving for any kappa.
+    The nonlinear state-vector equation, independent of evolve_state_vector's
+    linear lift."""
+    if gen.lindblads:
+        raise UnsupportedModeError("state-vector form requires empty lindblads")
+    x = gen._m @ psi
+    return x - (np.vdot(psi, x).real - 1j * kappa) * psi
+
+
+def rk4_on_state_vector(gen, psi, h, n_steps, stride, kappa=0.0):
+    """Classical RK4 on state_vector_rhs, one step at a time, sampled as
+    evolve_state_vector samples (t = 0, every stride-th step and the
+    last): the reference for its lift, independent of it."""
+    rate = lambda p: state_vector_rhs(gen, p, kappa)
+    samples = [psi]
+    for i in range(n_steps):
+        k1 = rate(psi)
+        k2 = rate(psi + (0.5 * h) * k1)
+        k3 = rate(psi + (0.5 * h) * k2)
+        k4 = rate(psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if (i + 1) % stride == 0 or i + 1 == n_steps:
+            samples.append(psi)
+    return np.array(samples)

@@ -21,7 +21,6 @@ from qdsim.dynamics import (
     inverted_morse_profile,
     qubit_rate_generator,
     sample_count,
-    state_vector_rhs,
     whole_steps,
 )
 from qdsim.errors import (
@@ -42,7 +41,8 @@ from qdsim.states import bloch_to_density, density_to_bloch
 from qdsim.tolerances import TOL
 
 from conftest import (check_density_sample, check_ket_sample, family_rhs, random_density,
-                      rk4_on_gksl_rhs, rk4_on_gksl_rhs_2x2)
+                      rk4_on_gksl_rhs, rk4_on_gksl_rhs_2x2, rk4_on_state_vector,
+                      state_vector_rhs)
 
 LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
@@ -316,10 +316,50 @@ def test_kappa_gauge_invariance():
         assert frobenius(np.outer(a, a.conj()) - np.outer(b, b.conj())) <= 1e-8
 
 
-def test_state_vector_rhs_rejects_lindblads():
+def test_evolve_state_vector_rejects_lindblads():
     gen = Generator.qubit((0, 0, 1), (0, 0, 0), (LOWER,))
-    with pytest.raises(UnsupportedModeError):
-        state_vector_rhs(gen, np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(UnsupportedModeError, match="^state-vector form requires empty lindblads$"):
+        evolve_state_vector(gen, np.array([1.0, 0.0], dtype=complex),
+                            IntegratorConfig(t_end=1.0, step=0.1))
+
+
+_SHIFTED = Generator(0.5 * pauli_dot((0.0, 0.0, 4.0)) + 0.7 * np.eye(2),
+                     0.5 * pauli_dot((1.5, 0.0, 0.0)) + 0.3 * np.eye(2))
+
+
+@pytest.mark.parametrize("gen", [Generator.qubit((0.0, 0.0, 4.0), (1.5, 0.0, 0.0)), _SHIFTED],
+                         ids=["traceless", "shifted"])
+@pytest.mark.parametrize("kappa", [0.0, 1.7])
+def test_the_state_vector_lift_is_fourth_order_against_rk4_on_the_ket(gen, kappa):
+    # RK4 on the nonlinear ket equation, one step at a time, is another
+    # discretisation of the same flow: the gap of the lift's kets, phase
+    # included, falls about 16x per halved step on a 0.25-unit grid (15.8
+    # to 16.1). The shifted generator has tr H = 1.4, whose phase the
+    # lift's mean-eigenvalue shift must put back
+    psi0 = np.array([0.6, 0.8j])
+    gaps = []
+    for h in (0.05, 0.025, 0.0125, 0.00625):
+        stride = round(0.25 / h)
+        got = evolve_state_vector(gen, psi0, IntegratorConfig(2.0, h, stride), kappa).states
+        want = rk4_on_state_vector(gen, psi0, h, round(2.0 / h), stride, kappa)
+        assert got.shape == want.shape == (9, 2)
+        gaps.append(np.abs(got - want).max())
+    assert all(15.0 < coarse / fine < 17.0 for coarse, fine in zip(gaps, gaps[1:])), gaps
+
+
+def test_the_state_vector_lift_refuses_a_stiff_step_as_evolve_does():
+    # M = sigma_x / 2 less its mean eigenvalue has the pair +-1/2: a step
+    # of 2.79 passes half RK4's real stability interval, 1.3926, and both
+    # forms refuse it before any step, where 2.78 runs; a 0-step run
+    # refuses nothing
+    gen = Generator.qubit((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    assert len(evolve_state_vector(gen, psi0, IntegratorConfig(2.78, 2.78))) == 2
+    assert len(evolve_state_vector(gen, psi0, IntegratorConfig(0.0, 2.79))) == 1
+    want = ("stiff step: h times the spectral radius of M is 1.395e+00, "
+            "past 1.3926 (half RK4's real stability interval) (at t=2.79)", 2.79)
+    assert _raised(lambda: evolve_state_vector(gen, psi0, IntegratorConfig(2.79, 2.79))) == want
+    assert _raised(lambda: evolve(gen, np.outer(psi0, psi0), IntegratorConfig(2.79, 2.79))) == want
 
 
 def test_inverted_morse_profile_shape():
@@ -523,17 +563,19 @@ def test_the_morse_lift_is_fourth_order_against_evolve():
 def _successive_route(gen, rho0, cfg):
     """The states of evolve of a Generator without jump operators by
     successive products of its RK4 step, written out from the parts
-    evolve falls back on and sampled here without its sampler: the route
-    every such run took before its exact powers."""
+    _constant_powers falls back on and sampled here without its sampler:
+    the product P of the steps so far is R^m P of the last sample, scaled
+    by a power of two, and each sample is P rho0 P^dag / tr(...)."""
     h, stride = cfg.step, cfg.sample_stride
     step = dynamics._rk4_linear_step(h * dynamics._less_mean_eigenvalue(gen._m))
     power = dynamics._successive_powers(step, rescale=True)
-    rho = 0.5 * (rho0 + dagger(rho0))
-    samples = [rho]
+    rho0 = 0.5 * (rho0 + dagger(rho0))
+    p = np.eye(gen.dim, dtype=complex)
+    samples = [rho0]
     n_steps = whole_steps(cfg.t_end, h)
     for done in range(0, n_steps, stride):
-        rho = dynamics._normalised_image(power(min(stride, n_steps - done)), rho)
-        samples.append(rho)
+        p = dynamics._unit_scaled(power(min(stride, n_steps - done)) @ p)[0]
+        samples.append(dynamics._normalised_image(p, rho0))
     return np.array(samples)
 
 
@@ -553,6 +595,31 @@ def test_a_nilpotent_m_takes_successive_powers_bit_for_bit():
     rho0 = bloch_to_density((0.3, -0.2, 0.5))
     cfg = IntegratorConfig(t_end=20.0, step=0.01, sample_stride=150)
     assert np.array_equal(evolve(gen, rho0, cfg).states, _successive_route(gen, rho0, cfg))
+
+
+def _jordan_and_growing(lindblads=()):
+    """A 3-level generator whose M = G - iH is a nilpotent qubit block
+    (g = omega, perpendicular) beside the gain 1.5 of level 2: the Jordan
+    block makes V ill-conditioned, and M less its mean eigenvalue grows
+    level 2 by e^t against the block."""
+    h, g = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    h[:2, :2], g[:2, :2], g[2, 2] = 0.5 * SIGMA_Z, 0.5 * SIGMA_X, 1.5
+    return Generator(h, g, lindblads)
+
+
+@pytest.mark.parametrize("stride, t_end", [(10, 1000.0), (10000, 3000.0)])
+@pytest.mark.parametrize("lindblads", [(), (np.zeros((3, 3)),)], ids=["K", "coordinates"])
+def test_a_fallback_rescales_what_it_steps(lindblads, stride, t_end):
+    # successive products grow by e^t, past the double range by t = 710:
+    # at stride 10 over the samples, which each sample's power of two
+    # rescales, and at stride 10000 within one power, which
+    # _successive_powers rescales every _RESCALE_EVERY steps. Rescaled,
+    # the state runs to level 2's projector
+    gen = _jordan_and_growing(lindblads)
+    assert _takes_successive_powers(gen, 0.1)
+    rho0 = (np.eye(3) + np.ones((3, 3))) / 6.0  # mixed: RK4 on S keeps it positive
+    traj = evolve(gen, rho0, IntegratorConfig(t_end, 0.1, stride))
+    assert np.abs(traj.final_state - np.diag([0.0, 0.0, 1.0])).max() <= 1e-12
 
 
 def test_the_shipped_parabolic_oracle_falls_back_on_successive_powers(monkeypatch):
@@ -779,11 +846,14 @@ def _failing_route(breach_at):
     """A stepping route whose advance raises at the end of step 9 and
     whose state leaves the trace bound at step breach_at."""
     rho0 = bloch_to_density((0.3, -0.2, 0.5))
+    done = 0
 
-    def advance(i, rho, m):
-        if i + m == 9:
+    def advance(rho, m):
+        nonlocal done
+        done += m
+        if done == 9:
             raise IntegrationDivergedError("amplitude norm left (0, 2)", 0.9)
-        return rho * (1.0 + 3e-8) if i + m == breach_at else rho
+        return rho * (1.0 + 3e-8) if done == breach_at else rho
 
     return _raised(lambda: dynamics._sampled(dynamics._stepped(advance, rho0), rho0, 20, 0.1, 1,
                                              dynamics._check_density_block))

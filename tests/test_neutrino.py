@@ -218,8 +218,7 @@ def test_evolve_before_the_cutoff_matches_an_rk4_reference(config):
 def _per_stage_reference(c, L_end, h, stride):
     """The nonlinear stepper, independent of the lift: RK4 on psi' = M psi
     - <G> psi as a scalar loop with one call per stage, which evaluates V
-    at the stage's distance, renormalised after every step. Past the
-    cutoff it takes the same powers of the vacuum step."""
+    at the stage's distance, renormalised after every step."""
     fam = c.generator()
     (al0, be0), _ = fam.base._m.tolist()
     (al1, be1), _ = fam.slope._m.tolist()
@@ -236,16 +235,11 @@ def _per_stage_reference(c, L_end, h, stride):
         return da - gn * a, db - gn * b
 
     n = nu.whole_steps(L_end, h)
-    i_past, power = n, None
-    if L_end > nu.CUTOFF_KM:
-        r = nu._rk4_linear_step(h * fam.base._m)
-        power = nu._successive_powers(r / np.linalg.svd(r, compute_uv=False).max())
-        i_past = int(nu.CUTOFF_KM // h) + 1
     a, b = 1.0 + 0.0j, 0.0j
     states, done = [(a, b)], 0
     while done < n:
         m = min(stride, n - done)
-        for i in range(done, min(done + m, i_past)):
+        for i in range(done, done + m):
             L = i * h
             k1a, k1b = rate(L, a, b)
             k2a, k2b = rate(L + 0.5 * h, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
@@ -253,12 +247,6 @@ def _per_stage_reference(c, L_end, h, stride):
             k4a, k4b = rate(L + h, a + h * k3a, b + h * k3b)
             a = a + (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
             b = b + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
-            norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
-            a, b = a / norm, b / norm
-        rest = done + m - max(done, i_past)
-        if rest > 0:
-            (r00, r01), (r10, r11) = power(rest).tolist()
-            a, b = r00 * a + r01 * b, r10 * a + r11 * b
             norm = math.sqrt((a * a.conjugate()).real + (b * b.conjugate()).real)
             a, b = a / norm, b / norm
         done += m
@@ -376,8 +364,8 @@ def test_evolve_past_the_cutoff_retraces_the_per_step_vacuum_map(config):
     (200.0, 1500, 0.5, 1.0),
 ])
 def test_evolve_past_the_cutoff_powers_a_step_that_scales_the_ket(h, stride, low, high):
-    # the powered route runs on R / sigma, so a coarse stride stores the
-    # finite unit ket that stride 1 stores
+    # the vacuum's powers r(hw)^n are divided by their largest modulus,
+    # so a coarse stride stores the finite unit ket that stride 1 stores
     c = nu.NeutrinoConfig(energy_gev=0.01, mode="msw", v_scale=0.0)
     sv = np.linalg.svd(_vacuum_rk4_step(c, h), compute_uv=False)
     assert low < sv.min() <= sv.max() < high
@@ -406,10 +394,23 @@ def test_the_module_docstring_step_past_the_stability_limit_raises():
     assert str(err.value) == "amplitude norm left (0, 2) (at t=1.0)"
 
 
+def test_a_bad_vacuum_step_raises_at_its_end_after_the_lift_before_it():
+    # 100000 km steps at the default v_scale: the damped steps before the
+    # cutoff stretch a ket within twice the flow's own bound exp(h mu),
+    # the first step past it (step 4, from 400000 km) has mu = 0 and
+    # stretches it far past 2. The lift's guard on that one step refuses
+    # it, at its end; up to step 4 the run completes
+    c = nu.NeutrinoConfig(energy_gev=0.01, mode="damping")
+    assert len(nu.neutrino_evolve(c, 400000.0, 100000.0)) == 5
+    with pytest.raises(IntegrationDivergedError) as err:
+        nu.neutrino_evolve(c, 1000000.0, 100000.0, sample_stride=3)
+    assert str(err.value) == "amplitude norm left (0, 2) (at t=500000.0)"
+
+
 @pytest.mark.parametrize("mode", ["msw", "damping"])
 def test_evolve_keeps_the_scalar_loop_where_the_vacuum_step_overflows(mode):
-    # R itself overflows at this step, so the lift runs to the end and
-    # its guard names the first step, with no RuntimeWarning
+    # R itself overflows at this step, and the lift's guard names the
+    # first step, the one before the cutoff, with no RuntimeWarning
     c = nu.NeutrinoConfig(energy_gev=0.01, mode=mode, v_scale=0.0)
     with pytest.raises(IntegrationDivergedError) as err:
         nu.neutrino_evolve(c, L_end=1e301, step=1e300)

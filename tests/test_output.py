@@ -106,6 +106,19 @@ def test_svg_title_is_escaped(tmp_path):
     assert texts[0] == title
 
 
+@pytest.mark.parametrize("log_x", [False, True])
+def test_svg_legend_and_axis_title_are_escaped(tmp_path, log_x):
+    # every text the caller names is escaped: the series names in the
+    # legend and the x-axis title, as the title is
+    path = tmp_path / "plot.svg"
+    name, label = "P(up) < 1 & rising", "t < T"
+    emit_svg(np.array([0.0, 1.0, 2.0]) + log_x, {name: np.array([0.0, 1.0, 0.5])},
+             PlotSpec(x_label=label, log_x=log_x), path)
+    texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert (f"log10({label})" if log_x else label) in texts
+    assert texts[-1] == name
+
+
 def test_svg_unknown_observable(tmp_path):
     with pytest.raises(DomainError):
         emit_svg(TIMES, make_columns(), PlotSpec(observables=("nope",)),

@@ -13,7 +13,6 @@ import pytest
 
 import qdsim
 from qdsim import cli, dynamics, scenario
-from qdsim.models import dirac
 from qdsim.cli import main
 from qdsim.errors import DomainError, IntegrationDivergedError
 from qdsim.dynamics import Generator, IntegratorConfig, evolve, qubit_rate_generator
@@ -224,9 +223,9 @@ def test_a_lift_step_of_half_the_step_fails_closed_form_vs_ode(tmp_path, monkeyp
 def test_a_fallback_lift_step_of_half_the_step_fails_closed_form_vs_ode(
         tmp_path, monkeypatch, capsys):
     # the parabolic oracle's M is nilpotent, so it takes successive
-    # powers of the RK4 step R; R built from h/2 must fail alike. The
-    # neutrino and BMT models bind _rk4_linear_step themselves, so only
-    # evolve's fallback takes the fault
+    # powers of the RK4 step R; R built from h/2 must fail alike. Every
+    # constant run builds R through _constant_powers, but only its
+    # fallback calls _rk4_linear_step, and this run is the one that takes it
     _fails_under(dynamics, "_rk4_linear_step", lambda right: lambda hx: right(0.5 * hx),
                  "parabolic_equalization.scn", "closed-form-vs-ode", tmp_path, monkeypatch,
                  capsys)
@@ -235,8 +234,9 @@ def test_a_fallback_lift_step_of_half_the_step_fails_closed_form_vs_ode(
 def test_bmt_eigenvalues_of_half_the_step_fail_four_vectors_vs_sigma_map(
         tmp_path, monkeypatch, capsys):
     # the four-vector transport's exact powers taken from h/2 times the
-    # field tensor lag the sigma map by half the (shortened) horizon
-    _fails_under(dirac, "_step_eigenpowers",
+    # field tensor, through the _step_eigenpowers that _constant_powers
+    # calls, lag the sigma map by half the (shortened) horizon
+    _fails_under(dynamics, "_step_eigenpowers",
                  lambda right: lambda name, x, h, **kw: right(name, x, 0.5 * h, **kw),
                  "bmt_spin_damping_a.scn", "four-vectors-vs-sigma-map", tmp_path, monkeypatch,
                  capsys, ("--t-end", "100"))
